@@ -114,10 +114,6 @@ def identity_excitation(state: GenericState) -> ExcitationState:
     return make_excitation(state, LocalOperator(level=1, matrix=np.eye(state.tower.dim_at(1), dtype=complex)))
 
 
-def evaluate(exc: ExcitationState, c) -> complex:
-    return exc.evaluate(c)
-
-
 def overlap(a: ExcitationState, b: ExcitationState) -> complex:
     """omega(A* B) between the canonical representatives."""
     _require_shared_state(a, b)

@@ -66,16 +66,13 @@ def kron(a, b, max_dim: int = MAX_TOTAL_DIM) -> CMatrix:
 def _phase_fix_columns(q: CMatrix) -> CMatrix:
     """Rotate each column so its largest-modulus entry is real positive.
 
-    Makes eigenbases deterministic up to degenerate clusters.
+    Makes eigenbases deterministic up to degenerate clusters.  The phases are
+    computed as scalars: array division rounds differently in the last bit.
     """
-    q = q.copy()
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if abs(a) > 0.0:
-            col *= np.conj(a) / abs(a)
-    return q
+    peaks = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    phases = np.array([np.conj(a) / abs(a) if abs(a) > 0.0 else 1.0 for a in peaks],
+                      dtype=complex)
+    return q * phases
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,6 @@ def apply_observable(obs: PrimitiveObservable, exc: ExcitationState) -> Excitati
     return make_excitation(exc.state, LocalOperator(level=level, matrix=u @ a))
 
 
-def expect_under(exc: ExcitationState, op) -> complex:
-    """omega_A(X) = tr(rho_A X) for X at any level."""
-    return exc.evaluate(op)
-
-
 def ut_unitary(e_proj, t: complex, level: int) -> PrimitiveObservable:
     """U_t = E + t (1 - E) for a projection E and a phase t."""
     e = require_projection(e_proj)

@@ -816,7 +816,9 @@ def _suite_detector(env: SuiteEnv):
     eps = env.tol(1e-3)
     n_states = env.count(10)
     d = env.tower.top_dim
-    e_proj = nk.random_projection(env.rng, d, 4)
+    # Rank and cut points follow D so that the projection stays proper and
+    # the three recovery blocks non-empty; at D=16 they are 4 and 6/5/5.
+    e_proj = nk.random_projection(env.rng, d, min(4, d // 2))
     states = _concentrated_states(env, e_proj, n_states, leak=0.01)
     det = pr.tune_detector(e_proj, eps, states, seed=suite_seed(env.config.seed, "detector:tune"))
     checks = [
@@ -830,10 +832,12 @@ def _suite_detector(env: SuiteEnv):
         checks.append(check_flag("detector/floor_rejected", err.best_epsilon > 1e-15,
                                  witness={"best_epsilon": err.best_epsilon}))
 
+    k1 = -(-3 * d // 8)  # ceil(3d / 8)
+    k2 = k1 + (d - k1) // 2
     basis = np.eye(d, dtype=complex)
-    e1 = basis[:, :6] @ nk.dagger(basis[:, :6])
-    e2 = basis[:, 6:11] @ nk.dagger(basis[:, 6:11])
-    e3 = basis[:, 11:] @ nk.dagger(basis[:, 11:])
+    e1 = basis[:, :k1] @ nk.dagger(basis[:, :k1])
+    e2 = basis[:, k1:k2] @ nk.dagger(basis[:, k1:k2])
+    e3 = basis[:, k2:] @ nk.dagger(basis[:, k2:])
     weights = (1.0, -0.5, 2.0)
     exc = random_excitation(env.state, env.rng, level=env.tower.levels)
     estimate = pr.recover_observable([e1, e2, e3], weights, exc, eps,
@@ -1043,7 +1047,7 @@ def _execute(config: ScenarioConfig):
         try:
             checks = info.runner(env)
             results.append(SuiteResult(suite_id=suite_id, checks=checks))
-        except FunnelError as exc:
+        except Exception as exc:  # one suite's fault must not abort the others
             results.append(SuiteResult(suite_id=suite_id, checks=[],
                                        error=f"{type(exc).__name__}: {exc}"))
     return results

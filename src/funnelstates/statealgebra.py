@@ -354,12 +354,6 @@ def dual_state_apply(exc: ExcitationState, el: StateAlgebraElement) -> complex:
     return complex(np.vdot(v, el.kernel_apply(v)))
 
 
-def base_state_apply(el: StateAlgebraElement) -> complex:
-    """The reference state acting on the algebra: omega(psi) = <omega, Psi omega>."""
-    v = el.state.omega_vector
-    return complex(np.vdot(v, el.kernel_apply(v)))
-
-
 def gns_inner(a: StateAlgebraElement, b: StateAlgebraElement) -> complex:
     """<a|b> = omega(dagger(a) x b) = <Psi_a omega, Psi_b omega>."""
     if a.state is not b.state:

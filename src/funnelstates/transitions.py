@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import ExcitationState, make_excitation, norm_distance, overlap, _require_shared_state
+from .excitations import (GAUGE_TOL, ExcitationState, _gauge_phase, _require_shared_state,
+                          make_excitation, norm_distance, overlap)
 from .funnel import GenericState, LocalOperator, matrix_units
 
 
@@ -23,10 +24,21 @@ def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
 
 @dataclass
 class OrthogonalFamily:
-    """Mutually orthogonal excitation states with their overlap matrix."""
+    """Mutually orthogonal excitation states with their overlap matrix.
+
+    `vectors` holds the members' doubled-space vectors as read-only rows.  A
+    family from `build_complete_family` stores them once and its members'
+    `mat` are views of these rows; a family built by hand stacks its own.
+    """
 
     members: list
     overlaps: np.ndarray
+    vectors: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if self.vectors is None:
+            self.vectors = np.array([m.vector for m in self.members], dtype=complex)
+        self.vectors.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -36,6 +48,50 @@ class OrthogonalFamily:
         return float(np.max(np.abs(off))) if len(self.members) > 1 else 0.0
 
 
+def _householder_basis(columns: np.ndarray):
+    """Orthonormal basis of the columns from one Householder QR, or None.
+
+    The columns of Q are rotated so that diag(R) is real positive, which makes
+    them the Gram-Schmidt basis of the same columns in the same order.  Returns
+    None when some |R_kk| <= 10 CONTRACT_TOL ||g_k||: near that threshold only
+    `nk.gram_schmidt` decides which columns count as dependent.
+    """
+    q, r = np.linalg.qr(columns)
+    diag = np.diag(r)
+    if not np.all(np.abs(diag) > 10.0 * nk.CONTRACT_TOL * np.linalg.norm(columns, axis=0)):
+        return None
+    return q * (diag / np.abs(diag))
+
+
+def _family_vectors(state: GenericState, generators):
+    """The D^2 orthonormalized generator vectors A.omega as rows, and their overlaps."""
+    d = state.dim
+    sqrt_lam = state.sqrt_lam
+    if generators is None:
+        # vec(E_ij sqrt(lam)) = e_i (x) sqrt(lam)[j, :], so the family is
+        # e_i (x) q_k with q_k the orthonormalized rows of sqrt(lam), and its
+        # overlap matrix is block diagonal.
+        q = _householder_basis(sqrt_lam.T)
+        if q is not None:
+            eye = np.eye(d)
+            return np.kron(eye, q.T), np.kron(eye, nk.dagger(q) @ q)
+        generators = matrix_units(d)
+    gen_vectors = [(state.embed(g) @ sqrt_lam).ravel() for g in generators]
+    q = None
+    if len(gen_vectors) >= d * d:
+        q = _householder_basis(np.column_stack(gen_vectors[:d * d]))
+    if q is not None:
+        rows = np.ascontiguousarray(q.T)
+    else:
+        gs = nk.gram_schmidt(gen_vectors)
+        if len(gs.vectors) != d * d:
+            raise CompletenessUnavailableError(
+                f"generators span only {len(gs.vectors)} of {d * d} directions"
+            )
+        rows = np.array(gs.vectors)
+    return rows, np.conj(rows) @ rows.T
+
+
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:
     """Orthogonal family of D^2 states, complete on the doubled space.
 
@@ -43,35 +99,41 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
     bijection onto the doubled space, so orthonormalizing the generator
     vectors yields exactly D^2 members and the completeness sum
     sum_m omega_B . omega_{A_m} equals 1 for every probe.  Defaults to the
-    matrix-unit basis of the top algebra in lexicographic order.
+    matrix-unit basis of the top algebra in lexicographic order.  The
+    members are the Gram-Schmidt orthonormalization of the generators, taken
+    from one QR factorisation whenever that is well conditioned.
     """
     if not state.separating:
         raise CompletenessUnavailableError(
             "complete orthogonal families need a full-rank reference state"
         )
     d = state.dim
-    tower = state.tower
-    if generators is None:
-        gen_vectors = [(unit @ state.sqrt_lam).ravel() for unit in matrix_units(d)]
-    else:
-        gen_vectors = [(state.embed(g) @ state.sqrt_lam).ravel() for g in generators]
-    gs = nk.gram_schmidt(gen_vectors)
-    if len(gs.vectors) != d * d:
-        raise CompletenessUnavailableError(
-            f"generators span only {len(gs.vectors)} of {d * d} directions"
-        )
+    vectors, overlaps = _family_vectors(state, generators)
+    vectors.setflags(write=False)
     inv_sqrt = state.inv_sqrt_lam
+    level = state.tower.levels
+    # Start each gauge search at the row's first entry above the gauge floor,
+    # so _gauge_phase does not step through the zero blocks one by one.
+    starts = np.argmax(np.abs(vectors) > GAUGE_TOL, axis=1)
     members = []
-    for v in gs.vectors:
-        op = v.reshape(d, d) @ inv_sqrt
-        members.append(make_excitation(state, LocalOperator(level=tower.levels, matrix=op)))
-    vecs = np.column_stack([m.vector for m in members])
-    overlaps = nk.dagger(vecs) @ vecs
-    return OrthogonalFamily(members=members, overlaps=overlaps)
+    for row, start in zip(vectors, starts):
+        mat = row.reshape(d, d)
+        op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
+        members.append(ExcitationState(state=state, op=op, top=op.matrix, mat=mat,
+                                       canonical_phase=_gauge_phase(row[start:])))
+    return OrthogonalFamily(members=members, overlaps=overlaps, vectors=vectors)
 
 
 def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
-    return float(sum(transition_probability(probe, m) for m in family.members))
+    """sum_m |omega(B* A_m)|^2 over the family, each term clamped into [0, 1]."""
+    if any(m.state is not probe.state for m in family.members):
+        raise ContractError("excitations refer to different reference states")
+    if not family.members:
+        return 0.0
+    terms = np.abs(family.vectors @ np.conj(probe.vector)) ** 2
+    if terms.max() > 1.0 + 1e-12:
+        raise ContractError(f"transition probability {terms.max()!r} outside the unit interval")
+    return float(np.minimum(terms, 1.0).sum())
 
 
 def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:

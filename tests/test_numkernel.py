@@ -87,6 +87,28 @@ def test_herm_eig_deterministic_phases(rng):
     np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)
 
 
+def _phase_fix_columns_loop(q):
+    """Column-by-column reference for numkernel._phase_fix_columns."""
+    q = q.copy()
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        a = col[int(np.argmax(np.abs(col)))]
+        if abs(a) > 0.0:
+            col *= np.conj(a) / abs(a)
+    return q
+
+
+def test_phase_fix_columns_matches_loop(rng):
+    for n in (1, 2, 5, 16, 33):
+        q = nk.haar_unitary(rng, n)
+        if n > 2:
+            q[:, 2] = 0.0
+        fixed = nk._phase_fix_columns(q)
+        np.testing.assert_array_equal(fixed, _phase_fix_columns_loop(q))
+        peaks = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(n)]
+        assert np.all(np.abs(peaks.imag) <= 1e-15)
+
+
 # -- partial_trace ------------------------------------------------------
 
 

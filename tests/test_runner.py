@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from funnelstates import ConfigurationError
+from funnelstates import runner
 from funnelstates.cli import main
 from funnelstates.runner import (
     ScenarioConfig,
@@ -82,6 +85,30 @@ def test_failed_checks_carry_witnesses():
     failed = [c for s in report.suites for c in s.checks if c.status == "fail"]
     assert failed
     assert all(c.witness is not None for c in failed)
+
+
+def test_suite_exception_is_recorded_not_raised(tmp_path, monkeypatch):
+    def broken(env):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(runner.SUITES, "lift",
+                        dataclasses.replace(runner.SUITES["lift"], runner=broken))
+    out_file = tmp_path / "report.json"
+    code = main(["verify", "--suite", "lift", "--suite", "min_projection",
+                 "--out", str(out_file)])
+    assert code == 1
+    suites = {s["suite"]: s for s in json.loads(out_file.read_text())["suites"]}
+    assert suites["lift"]["error"] == "LinAlgError: SVD did not converge"
+    assert suites["min_projection"]["error"] is None
+    assert suites["min_projection"]["checks"]
+    assert all(c["status"] == "pass" for c in suites["min_projection"]["checks"])
+
+
+def test_detector_suite_on_smallest_tower():
+    report = run(ScenarioConfig(tower_dims=(2, 2), suites=("detector",)))
+    assert report.passed
+    ids = [c.check_id for s in report.suites for c in s.checks]
+    assert "detector/floor_rejected" in ids and "detector/recovery_error" in ids
 
 
 def test_reports_are_deterministic():

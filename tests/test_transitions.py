@@ -3,7 +3,9 @@ import pytest
 
 from funnelstates import (
     CompletenessUnavailableError,
+    ContractError,
     LocalOperator,
+    OrthogonalFamily,
     build_complete_family,
     build_tower,
     completeness_sum,
@@ -97,6 +99,96 @@ def test_family_generator_ordering_invariance(small_state):
         probe = random_excitation(small_state, rng, level=2)
         assert completeness_sum(family, probe) == pytest.approx(
             completeness_sum(family2, probe), abs=1e-8)
+
+
+def _gram_schmidt_family(state, generators):
+    """Members of the reference construction: Gram-Schmidt, then make_excitation."""
+    d = state.dim
+    gs = nk.gram_schmidt([(state.embed(g) @ state.sqrt_lam).ravel() for g in generators])
+    return [make_excitation(state, LocalOperator(state.tower.levels,
+                                                 v.reshape(d, d) @ state.inv_sqrt_lam))
+            for v in gs.vectors]
+
+
+@pytest.fixture(scope="module", params=[(2, 2), (2, 2, 4)], ids=["2x2", "2x2x4"])
+def family_state(request):
+    return sample_generic_state(build_tower(request.param), seed=7)
+
+
+@pytest.mark.parametrize("order", ["default", "reversed"])
+def test_family_matches_gram_schmidt(family_state, order):
+    from funnelstates.funnel import matrix_units
+
+    units = list(matrix_units(family_state.dim))
+    if order == "default":
+        family = build_complete_family(family_state)
+    else:
+        units = units[::-1]
+        family = build_complete_family(
+            family_state, generators=[LocalOperator(family_state.tower.levels, g) for g in units])
+    reference = _gram_schmidt_family(family_state, units)
+    assert len(family) == len(reference) == family_state.dim ** 2
+    for member, ref in zip(family.members, reference):
+        assert np.max(np.abs(member.vector - ref.vector)) <= 1e-12
+        assert abs(member.canonical_phase - ref.canonical_phase) <= 1e-12
+        np.testing.assert_allclose(member.op.matrix, ref.op.matrix, atol=1e-10)
+
+
+def test_family_duplicate_generator_falls_back(family_state):
+    from funnelstates.funnel import matrix_units
+
+    units = list(matrix_units(family_state.dim))
+    # a duplicate among the first D^2 generators, the missing unit appended
+    gens = units[:5] + [units[3]] + units[6:] + [units[5]]
+    gens = [LocalOperator(family_state.tower.levels, g) for g in gens]
+    family = build_complete_family(family_state, generators=gens)
+    reference = _gram_schmidt_family(family_state, gens)
+    assert len(family) == family_state.dim ** 2
+    for member, ref in zip(family.members, reference):
+        assert np.max(np.abs(member.vector - ref.vector)) <= 1e-12
+
+
+def test_family_rank_deficient_generators(family_state):
+    from funnelstates.funnel import matrix_units
+
+    d2 = family_state.dim ** 2
+    units = list(matrix_units(family_state.dim))
+    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
+        build_complete_family(family_state, generators=units[:4] + [units[2]] + units[5:])
+    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
+        build_complete_family(family_state, generators=units[1:])
+
+
+def test_family_members_view_stored_vectors(small_state):
+    family = build_complete_family(small_state)
+    assert not family.vectors.flags.writeable
+    np.testing.assert_allclose(family.overlaps, np.conj(family.vectors) @ family.vectors.T,
+                               atol=1e-14)
+    for k, member in enumerate(family.members):
+        assert np.shares_memory(member.mat, family.vectors)
+        assert not member.mat.flags.writeable
+        np.testing.assert_array_equal(member.vector, family.vectors[k])
+
+
+def test_completeness_sum_hand_built_family(small_state):
+    family = build_complete_family(small_state)
+    partial = OrthogonalFamily(members=family.members[1:], overlaps=family.overlaps[1:, 1:])
+    assert partial.vectors.shape == (15, 16)
+    assert not np.shares_memory(partial.vectors, family.vectors)
+    probe = random_excitation(small_state, np.random.default_rng(3), level=2)
+    missing = transition_probability(probe, family.members[0])
+    assert missing > 1e-6
+    assert completeness_sum(partial, probe) == pytest.approx(
+        completeness_sum(family, probe) - missing, abs=1e-12)
+    assert completeness_sum(OrthogonalFamily(members=[], overlaps=np.zeros((0, 0))), probe) == 0.0
+
+
+def test_completeness_sum_rejects_foreign_probe(small_state):
+    family = build_complete_family(small_state)
+    other = sample_generic_state(small_state.tower, seed=8)
+    probe = random_excitation(other, np.random.default_rng(4), level=2)
+    with pytest.raises(ContractError):
+        completeness_sum(family, probe)
 
 
 # -- Uhlmann comparison --------------------------------------------------
