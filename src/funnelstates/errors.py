@@ -54,7 +54,7 @@ class NotNullCombinationError(FunnelError):
 
 
 class BudgetError(FunnelError):
-    """Canonical term count would exceed the configured budget."""
+    """An element's kernel rank would exceed the configured budget."""
 
     def __init__(self, message, suggested_budget=None):
         super().__init__(message)

@@ -29,6 +29,7 @@ from . import numkernel as nk
 SEPARATION_SCALE = 1e-6
 INJECTIVITY_GAP = 1e-6
 PHASE_RECOVERY_TOL = 1e-9
+PROFILES = ("random_full_rank", "near_tracial", "pure")
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,23 @@ class FunnelTower:
         return tuple(self.dim_at(n) for n in range(1, self.levels + 1))
 
 
+def check_factor_dims(dims) -> tuple:
+    """The schedule as a tuple of ints: at least one level, every factor at least 2."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ConfigurationError("tower needs at least one level")
+    if any(d < 2 for d in dims):
+        raise ConfigurationError(f"every factor dimension must be >= 2, got {dims}")
+    return dims
+
+
 def build_tower(dims) -> FunnelTower:
     """Validate a dimension schedule and freeze it into a tower.
 
     Every factor must be at least 2 (nontrivial relative commutants) and the
     capacity rule k_{n+1} >= D_n must hold at every step.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims:
-        raise ConfigurationError("tower needs at least one level")
-    if any(d < 2 for d in dims):
-        raise ConfigurationError(f"every factor dimension must be >= 2, got {dims}")
+    dims = check_factor_dims(dims)
     running = dims[0]
     for i, k in enumerate(dims[1:], start=2):
         if k < running:
@@ -196,6 +203,8 @@ def sample_generic_state(
     near_tracial mixes the tracial state with a random density at weight
     `delta`.
     """
+    if profile not in PROFILES:
+        raise ConfigurationError(f"unknown state profile {profile!r}")
     d = tower.top_dim
     eps = (SEPARATION_SCALE / d) if eps_sep is None else float(eps_sep)
     rng = np.random.default_rng(seed)
@@ -205,9 +214,6 @@ def sample_generic_state(
         lam = np.outer(v, np.conj(v))
         return GenericState(tower=tower, lam=lam, profile=profile, seed=seed,
                             eps_sep=eps, separating=False)
-
-    if profile not in ("random_full_rank", "near_tracial"):
-        raise ConfigurationError(f"unknown state profile {profile!r}")
 
     last_failure = "no draw attempted"
     for _ in range(max_redraws):

@@ -24,8 +24,10 @@ from .errors import (
     TuningFailureError,
 )
 from .funnel import (
+    PROFILES,
     LocalOperator,
     build_tower,
+    check_factor_dims,
     check_genericity,
     matrix_units,
     minimal_extension_projection,
@@ -78,7 +80,11 @@ class ScenarioConfig:
     sample_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.tower_dims = tuple(int(d) for d in self.tower_dims)
+        # malformed dimensions and unknown profiles are configuration errors;
+        # a capacity violation is reported by every suite instead
+        self.tower_dims = check_factor_dims(self.tower_dims)
+        if self.profile not in PROFILES:
+            raise ConfigurationError(f"unknown state profile {self.profile!r}")
         self.seed = int(self.seed)
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must be a 64-bit unsigned integer")
@@ -537,15 +543,27 @@ def _suite_state_algebra(env: SuiteEnv):
         worst_assoc = max(worst_assoc, sa.kernel_distance(left, right))
     checks = [check_le("state_algebra/associativity", worst_assoc, tol)]
 
+    # the product kernel against applying the factor kernels in turn, on the
+    # reference vector and three seeded unit vectors
+    probe_rng = np.random.default_rng(suite_seed(env.config.seed, "state_algebra:probes"))
+    probes = [env.state.omega_vector] + [
+        nk.random_unit_vector(probe_rng, env.state.doubled_dim) for _ in range(3)]
     worst_inv = 0.0
     worst_invol = 0.0
+    worst_mult = 0.0
     for _ in range(20):
         p1, p2 = env.element(), env.element()
+        prod = sa.times(p1, p2)
         worst_inv = max(worst_inv, sa.kernel_distance(
-            sa.dagger(sa.times(p1, p2)), sa.times(sa.dagger(p2), sa.dagger(p1))))
+            sa.dagger(prod), sa.times(sa.dagger(p2), sa.dagger(p1))))
         worst_invol = max(worst_invol, sa.kernel_distance(sa.dagger(sa.dagger(p1)), p1))
+        scale_f = max(prod.kernel_norm(), 1.0)
+        for x in probes:
+            gap = np.linalg.norm(prod.kernel_apply(x) - p1.kernel_apply(p2.kernel_apply(x)))
+            worst_mult = max(worst_mult, float(gap) / scale_f)
     checks.append(check_le("state_algebra/involution_compat", worst_inv, tol))
     checks.append(check_le("state_algebra/involution_squared", worst_invol, 1e-12))
+    checks.append(check_le("state_algebra/kernel_multiplicative", worst_mult, tol))
 
     worst_idem = 0.0
     worst_min = 0.0
@@ -573,8 +591,12 @@ def _suite_state_algebra(env: SuiteEnv):
     checks.append(check_le("state_algebra/triple_product", worst_triple, tol))
     checks.append(check_le("state_algebra/quadruple_product", worst_quad, tol))
 
-    fam = build_complete_family(env.state)
-    a0, a1 = fam.members[0], fam.members[1]
+    # an orthogonal pair: a1.omega is a seeded vector with its a0.omega component removed
+    top, d = env.tower.levels, env.state.dim
+    a0 = random_excitation(env.state, env.rng, level=top)
+    w = nk.random_unit_vector(env.rng, env.state.doubled_dim)
+    w = w - np.vdot(a0.vector, w) * a0.vector
+    a1 = make_excitation(env.state, LocalOperator(top, w.reshape(d, d) @ env.state.inv_sqrt_lam))
     prod = sa.times(sa.excitation_element(a0), sa.excitation_element(a1))
     checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), tol))
 
@@ -602,8 +624,7 @@ def _suite_state_algebra(env: SuiteEnv):
     for _ in range(5):
         excs = _null_family(env, 1)
         coeffs = find_null_combination(excs)
-        null_el = sa.element_from_terms(env.state, list(zip(coeffs, excs)),
-                                        canonicalize_result=False)
+        null_el = sa.element_from_terms(env.state, list(zip(coeffs, excs)))
         worst_null = max(worst_null, sa.times(null_el, env.element()).kernel_norm())
     checks.append(check_le("state_algebra/null_descent", worst_null, 1e-8))
     return checks

@@ -7,9 +7,18 @@ kernel picture is multiplicative, which makes it the canonical normal form:
 coefficient lists are not unique, so the zero test and all equality tests
 live on the kernel.
 
-Kernels are stored factored as ``V_left @ middle @ V_right^*`` with skinny
-``V`` blocks of doubled-space vectors, so products and module actions stay
-cheap; ``kernel()`` materializes the dense matrix on demand.
+An element has one representation, ``Psi = left @ core @ right^*``, where
+``left`` and ``right`` have orthonormal columns of doubled-space vectors and
+``core`` is small.  Products, scalings and the involution only multiply or
+swap the factors; sums and module actions re-orthonormalise the stacked or
+acted factors with one thin SVD per side.  The kernel norm is ``||core||_F``,
+and ``kernel()`` materializes the dense matrix on demand.
+
+Term lists are a view, derived only when something reads ``terms``: the
+eigenvectors of the Hermitian and anti-Hermitian parts of the kernel over one
+orthonormal basis of its supports, each turned into an excitation.  The list
+is memoised on the element; computing it never changes the kernel, so
+elements stay pure values.
 """
 
 from __future__ import annotations
@@ -20,73 +29,51 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import BudgetError, ContractError, FaithfulnessError
-from .excitations import ExcitationState, identity_excitation, make_excitation
+from .excitations import ExcitationState, make_excitation
 from .funnel import GenericState, LocalOperator
 
 KERNEL_ZERO_TOL = 1e-10
 TERM_BUDGET = 64
-_EIG_DROP_TOL = 1e-12
+_DROP_TOL = 1e-12
 
 
 @dataclass
 class StateAlgebraElement:
-    """A finite linear combination of excitation states."""
+    """A finite linear combination of excitation states, as ``left @ core @ right^*``."""
 
     state: GenericState
-    terms: tuple
-    _vl: np.ndarray = field(repr=False, default=None)
-    _mid: np.ndarray = field(repr=False, default=None)
-    _vr: np.ndarray = field(repr=False, default=None)
+    left: np.ndarray = field(repr=False)
+    core: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    _terms: tuple = field(repr=False, init=False, default=None)
 
-    def __post_init__(self):
-        if self._vl is None:
-            dd = self.state.doubled_dim
-            if self.terms:
-                v = np.column_stack([exc.vector for _, exc in self.terms])
-                c = np.diag([c for c, _ in self.terms]).astype(complex)
-            else:
-                v = np.zeros((dd, 0), dtype=complex)
-                c = np.zeros((0, 0), dtype=complex)
-            self._vl = v
-            self._mid = c
-            self._vr = v
+    @property
+    def terms(self) -> tuple:
+        """The canonical (coefficient, excitation) list, derived on first read."""
+        if self._terms is None:
+            self._terms = _canonical_terms(self)
+        return self._terms
 
     # -- kernel access ------------------------------------------------------
 
     def kernel(self) -> np.ndarray:
         """Materialize the dense kernel on the doubled space."""
-        if self._mid.size == 0:
-            dd = self.state.doubled_dim
-            return np.zeros((dd, dd), dtype=complex)
-        return self._vl @ self._mid @ nk.dagger(self._vr)
+        return self.left @ self.core @ nk.dagger(self.right)
 
     def kernel_apply(self, x: np.ndarray) -> np.ndarray:
-        if self._mid.size == 0:
-            return np.zeros_like(np.asarray(x, dtype=complex))
-        return self._vl @ (self._mid @ (nk.dagger(self._vr) @ x))
+        return self.left @ (self.core @ (nk.dagger(self.right) @ x))
 
     def kernel_norm(self) -> float:
-        """Frobenius norm of the kernel.
-
-        Computed on the support-projected small matrix (entrywise subtraction
-        there is accurate even when the terms cancel to near zero, unlike the
-        Gram quadratic form of the factors).
-        """
-        return _accurate_norm(self._vl, self._mid, self._vr)
+        """Frobenius norm of the kernel: that of the core, as both factors are orthonormal."""
+        return nk.frob(self.core)
 
     def is_zero(self, tol: float = KERNEL_ZERO_TOL) -> bool:
         return self.kernel_norm() <= tol
 
     def evaluate(self, c) -> complex:
         """psi(C) = tr(Psi (C (x) 1))."""
-        if self._mid.size == 0:
-            return 0.0 + 0.0j
-        c_top = self.state.embed(c)
-        d = self.state.dim
-        # (C (x) 1) acts on vec(M) as vec(C M): apply C to the row blocks.
-        vl = self._vl.reshape(d, d, -1)
-        cvl = np.einsum("ab,bdk->adk", c_top, vl).reshape(d * d, -1)
-        return complex(np.trace(self._mid @ nk.dagger(self._vr) @ cvl))
+        acted = _left_multiply(self.state.embed(c), self.left)
+        return complex(np.trace(self.core @ nk.dagger(self.right) @ acted))
 
     # -- convenience arithmetic ---------------------------------------------
 
@@ -108,144 +95,131 @@ class StateAlgebraElement:
         return dagger(self)
 
 
-def _factored(state, vl, mid, vr, terms=()):
-    el = StateAlgebraElement(state=state, terms=tuple(terms), _vl=vl, _mid=mid, _vr=vr)
-    return el
+def _left_multiply(m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Apply ``m (x) 1`` to every doubled-space column of ``block``: vec(M) -> vec(m M)."""
+    return (m @ block.reshape(m.shape[0], -1)).reshape(block.shape)
+
+
+def _orthonormal_basis(v: np.ndarray):
+    """Split ``v = q @ b`` with orthonormal columns in ``q`` spanning the range of ``v``.
+
+    One thin SVD; singular values at or below ``1e-12 * max(s_0, 1)`` are
+    dropped together with their directions.
+    """
+    u, s, wh = np.linalg.svd(v, full_matrices=False)
+    keep = s > _DROP_TOL * np.max(s, initial=1.0)
+    return u[:, keep], s[keep, None] * wh[keep]
+
+
+def _orthonormalised(state, left, core, right) -> StateAlgebraElement:
+    """The element ``left @ core @ right^*`` over orthonormal factors.
+
+    This is the only constructor that can widen the factors, so it enforces
+    `TERM_BUDGET` on the kernel rank, counted as the width of the wider factor.
+    """
+    ql, bl = _orthonormal_basis(left)
+    qr, br = _orthonormal_basis(right)
+    rank = max(ql.shape[1], qr.shape[1])
+    if rank > TERM_BUDGET:
+        raise BudgetError(f"kernel rank {rank} exceeds the budget {TERM_BUDGET}",
+                          suggested_budget=rank)
+    return StateAlgebraElement(state, ql, bl @ core @ nk.dagger(br), qr)
 
 
 def excitation_element(exc: ExcitationState, coeff=1.0) -> StateAlgebraElement:
-    return StateAlgebraElement(state=exc.state, terms=((complex(coeff), exc),))
+    v = exc.vector[:, None]
+    return StateAlgebraElement(exc.state, v, np.array([[complex(coeff)]]), v)
 
 
 def zero_element(state: GenericState) -> StateAlgebraElement:
-    return StateAlgebraElement(state=state, terms=())
+    empty = np.zeros((state.doubled_dim, 0), dtype=complex)
+    return StateAlgebraElement(state, empty, np.zeros((0, 0), dtype=complex), empty)
 
 
-def element_from_terms(state: GenericState, terms, canonicalize_result: bool = True) -> StateAlgebraElement:
-    terms = tuple((complex(c), exc) for c, exc in terms)
+def element_from_terms(state: GenericState, terms) -> StateAlgebraElement:
+    terms = [(complex(c), exc) for c, exc in terms]
     for _, exc in terms:
         if exc.state is not state:
             raise ContractError("terms refer to a different reference state")
-    el = StateAlgebraElement(state=state, terms=terms)
-    return canonicalize(el) if canonicalize_result else el
+    vectors = np.array([exc.vector for _, exc in terms], dtype=complex)
+    vectors = vectors.reshape(len(terms), state.doubled_dim).T
+    core = np.diag(np.array([c for c, _ in terms], dtype=complex))
+    return _orthonormalised(state, vectors, core, vectors)
 
 
-def _support_basis(vl, vr):
-    cols = [vl[:, j] for j in range(vl.shape[1])] + [vr[:, j] for j in range(vr.shape[1])]
-    gs = nk.gram_schmidt(cols, tol=1e-12)
-    if not gs.vectors:
-        return None
-    return np.column_stack(gs.vectors)
+def _support_form(el: StateAlgebraElement):
+    """One orthonormal basis of both supports, and the kernel compressed onto it."""
+    basis, _ = _orthonormal_basis(np.hstack([el.left, el.right]))
+    bh = nk.dagger(basis)
+    return basis, (bh @ el.left) @ el.core @ nk.dagger(bh @ el.right)
 
 
-def _accurate_norm(vl, mid, vr) -> float:
-    if mid.size == 0:
-        return 0.0
-    if vl.shape[1] + vr.shape[1] <= 64:
-        basis = _support_basis(vl, vr)
-        if basis is None:
-            return 0.0
-        s = (nk.dagger(basis) @ vl) @ mid @ nk.dagger(nk.dagger(basis) @ vr)
-        return nk.frob(s)
-    return nk.frob(vl @ mid @ nk.dagger(vr))
+def _eigen_excitations(state, basis, part, drop) -> list:
+    """(eigenvalue, excitation) for the eigenvectors of Hermitian ``part`` above ``drop``.
 
-
-def canonicalize(el: StateAlgebraElement, budget: int = TERM_BUDGET) -> StateAlgebraElement:
-    """Re-derive a minimal term list from the kernel.
-
-    The kernel restricted to its support splits into Hermitian and
-    anti-Hermitian parts; eigenvectors of either give doubled-space vectors
-    v = X.omega whose operators X = unvec(v) lam^{-1/2} are normalized
-    excitations, with real (resp. imaginary) coefficients.  At most
-    2 * rank terms result; exceeding `budget` raises.
+    An eigenvector g gives the doubled-space vector v = basis @ g = X.omega,
+    whose operator X = unvec(v) lam^{-1/2} is a normalized excitation.
     """
-    state = el.state
-    if el._mid.size == 0:
-        return zero_element(state)
-    basis = _support_basis(el._vl, el._vr)
-    if basis is None:
-        return zero_element(state)
-    s_mat = (nk.dagger(basis) @ el._vl) @ el._mid @ nk.dagger(nk.dagger(basis) @ el._vr)
-    scale_f = max(nk.frob(s_mat), 1.0)
-    herm = (s_mat + nk.dagger(s_mat)) / 2.0
-    anti = (s_mat - nk.dagger(s_mat)) / 2.0j
+    if nk.frob(part) <= drop:
+        return []
+    eig = nk.herm_eig(part)
     d = state.dim
-    inv_sqrt = state.inv_sqrt_lam
-    terms = []
-    for part, unit in ((herm, 1.0), (anti, 1.0j)):
-        if nk.frob(part) <= _EIG_DROP_TOL * scale_f:
-            continue
-        eig = nk.herm_eig(part)
-        for val, g in zip(eig.eigenvalues, eig.eigenvectors.T):
-            if abs(val) <= _EIG_DROP_TOL * scale_f:
-                continue
-            v = basis @ g
-            op = v.reshape(d, d) @ inv_sqrt
-            exc = make_excitation(state, LocalOperator(level=state.tower.levels, matrix=op))
-            terms.append((unit * val, exc))
-    if len(terms) > budget:
-        raise BudgetError(
-            f"canonical form needs {len(terms)} terms, budget is {budget}",
-            suggested_budget=len(terms),
-        )
-    return StateAlgebraElement(state=state, terms=tuple(terms))
+    out = []
+    for val, g in zip(eig.eigenvalues, eig.eigenvectors.T):
+        if abs(val) > drop:
+            op = (basis @ g).reshape(d, d) @ state.inv_sqrt_lam
+            out.append((val, make_excitation(state, LocalOperator(state.tower.levels, op))))
+    return out
+
+
+def _canonical_terms(el: StateAlgebraElement) -> tuple:
+    """Real terms from the Hermitian part, imaginary ones from the anti-Hermitian part."""
+    basis, s_mat = _support_form(el)
+    drop = _DROP_TOL * max(nk.frob(s_mat), 1.0)
+    herm = _eigen_excitations(el.state, basis, (s_mat + nk.dagger(s_mat)) / 2.0, drop)
+    anti = _eigen_excitations(el.state, basis, (s_mat - nk.dagger(s_mat)) / 2.0j, drop)
+    return tuple(herm + [(1j * val, exc) for val, exc in anti])
+
+
+def canonicalize(el: StateAlgebraElement) -> StateAlgebraElement:
+    """The element with its canonical term list derived (see `StateAlgebraElement.terms`).
+
+    At most ``2 * rank`` terms result.
+    """
+    el.terms  # derives and memoises the list
+    return el
 
 
 def add(a: StateAlgebraElement, b: StateAlgebraElement) -> StateAlgebraElement:
     if a.state is not b.state:
         raise ContractError("elements refer to different reference states")
-    vl = np.hstack([a._vl, b._vl])
-    vr = np.hstack([a._vr, b._vr])
-    ka, kb = a._mid.shape, b._mid.shape
-    mid = np.zeros((ka[0] + kb[0], ka[1] + kb[1]), dtype=complex)
-    mid[:ka[0], :ka[1]] = a._mid
-    mid[ka[0]:, ka[1]:] = b._mid
-    return canonicalize(_factored(a.state, vl, mid, vr))
+    (ra, ca), (rb, cb) = a.core.shape, b.core.shape
+    core = np.zeros((ra + rb, ca + cb), dtype=complex)
+    core[:ra, :ca] = a.core
+    core[ra:, ca:] = b.core
+    return _orthonormalised(a.state, np.hstack([a.left, b.left]), core,
+                            np.hstack([a.right, b.right]))
 
 
 def scale(c, el: StateAlgebraElement) -> StateAlgebraElement:
-    terms = tuple((complex(c) * cm, exc) for cm, exc in el.terms)
-    return _factored(el.state, el._vl, complex(c) * el._mid, el._vr, terms=terms)
+    return StateAlgebraElement(el.state, el.left, complex(c) * el.core, el.right)
 
 
 def dagger(el: StateAlgebraElement) -> StateAlgebraElement:
     """Coefficient conjugation; the kernel turns into its adjoint."""
-    terms = tuple((np.conj(c), exc) for c, exc in el.terms)
-    return _factored(el.state, el._vr, nk.dagger(el._mid), el._vl, terms=terms)
+    return StateAlgebraElement(el.state, el.right, nk.dagger(el.core), el.left)
 
 
-_PRODUCT_PROBES = 4
-
-
-def times(a: StateAlgebraElement, b: StateAlgebraElement,
-          budget: int = TERM_BUDGET) -> StateAlgebraElement:
+def times(a: StateAlgebraElement, b: StateAlgebraElement) -> StateAlgebraElement:
     """Bilinear product extending omega_A x omega_B (C) = omega(A*B) omega(B* C A).
 
-    The construction multiplies the factored kernels; multiplicativity of the
-    kernel picture is then verified against sequential application of the two
-    factor kernels on probe vectors, rather than assumed.
+    The kernels multiply: the product keeps ``left_a`` and ``right_b``, which
+    are already orthonormal, around the core ``core_a (right_a^* left_b) core_b``.
     """
     if a.state is not b.state:
         raise ContractError("elements refer to different reference states")
-    state = a.state
-    if a._mid.size == 0 or b._mid.size == 0:
-        return zero_element(state)
-    overlap_block = nk.dagger(a._vr) @ b._vl
-    mid = a._mid @ overlap_block @ b._mid
-    product = _factored(state, a._vl, mid, b._vr)
-
-    rng = np.random.default_rng(0xC0FFEE)
-    dd = state.doubled_dim
-    probes = [state.omega_vector] + [
-        nk.random_unit_vector(rng, dd) for _ in range(_PRODUCT_PROBES - 1)
-    ]
-    scale_f = max(product.kernel_norm(), 1.0)
-    for x in probes:
-        direct = product.kernel_apply(x)
-        sequential = a.kernel_apply(b.kernel_apply(x))
-        if np.linalg.norm(direct - sequential) > 1e-10 * scale_f:
-            raise ContractError("kernel picture failed to be multiplicative")
-    return canonicalize(product, budget=budget)
+    core = a.core @ (nk.dagger(a.right) @ b.left) @ b.core
+    return StateAlgebraElement(a.state, a.left, core, b.right)
 
 
 @dataclass
@@ -264,86 +238,44 @@ def spectral_decompose(el: StateAlgebraElement) -> SpectralDecomposition:
     convex hull come out with nonnegative weights summing to one.
     """
     state = el.state
-    if el._mid.size == 0:
-        return SpectralDecomposition(weights=np.zeros(0), states=[],
-                                     is_convex_mixture=False, reconstruction_residual=0.0)
-    basis = _support_basis(el._vl, el._vr)
-    s_mat = (nk.dagger(basis) @ el._vl) @ el._mid @ nk.dagger(nk.dagger(basis) @ el._vr)
+    basis, s_mat = _support_form(el)
     scale_f = max(nk.frob(s_mat), 1.0)
     asym = nk.frob(s_mat - nk.dagger(s_mat))
     if asym > 1e-10 * scale_f:
         raise ContractError(f"element is not symmetric: ||psi - dagger(psi)|| = {asym:.3e}")
-    eig = nk.herm_eig((s_mat + nk.dagger(s_mat)) / 2.0)
-    d = state.dim
-    inv_sqrt = state.inv_sqrt_lam
-    weights = []
-    states = []
-    for val, g in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if abs(val) <= _EIG_DROP_TOL * scale_f:
-            continue
-        v = basis @ g
-        op = v.reshape(d, d) @ inv_sqrt
-        states.append(make_excitation(state, LocalOperator(level=state.tower.levels, matrix=op)))
-        weights.append(float(val))
-    weights = np.array(weights)
-    recon = element_from_terms(state, [(w, s) for w, s in zip(weights, states)],
-                               canonicalize_result=False)
-    residual = _kernel_distance(recon, el)
+    pairs = _eigen_excitations(state, basis, (s_mat + nk.dagger(s_mat)) / 2.0,
+                               _DROP_TOL * scale_f)
+    weights = np.array([float(val) for val, _ in pairs])
+    residual = kernel_distance(element_from_terms(state, pairs), el)
     is_convex = bool(len(weights) and np.all(weights >= -1e-10)
                      and abs(weights.sum() - 1.0) <= 1e-9)
-    return SpectralDecomposition(weights=weights, states=states,
+    return SpectralDecomposition(weights=weights, states=[exc for _, exc in pairs],
                                  is_convex_mixture=is_convex,
                                  reconstruction_residual=residual)
 
 
-def _kernel_distance(a: StateAlgebraElement, b: StateAlgebraElement) -> float:
-    if a._mid.size == 0:
-        return b.kernel_norm()
-    if b._mid.size == 0:
-        return a.kernel_norm()
-    vl = np.hstack([a._vl, b._vl])
-    vr = np.hstack([a._vr, b._vr])
-    mid = np.block([
-        [a._mid, np.zeros((a._mid.shape[0], b._mid.shape[1]))],
-        [np.zeros((b._mid.shape[0], a._mid.shape[1])), -b._mid],
-    ]).astype(complex)
-    return _accurate_norm(vl, mid, vr)
-
-
 def kernel_distance(a: StateAlgebraElement, b: StateAlgebraElement) -> float:
-    """Frobenius distance between the kernels of two elements."""
-    if a.state is not b.state:
-        raise ContractError("elements refer to different reference states")
-    return _kernel_distance(a, b)
+    """Frobenius distance between the kernels of two elements.
+
+    The difference is formed as an element, so it is subject to `TERM_BUDGET`.
+    """
+    return add(a, scale(-1.0, b)).kernel_norm()
 
 
-def bimodule_act(side: str, op, el: StateAlgebraElement,
-                 budget: int = TERM_BUDGET) -> StateAlgebraElement:
+def bimodule_act(side: str, op, el: StateAlgebraElement) -> StateAlgebraElement:
     """Left action (A x psi)(C) = psi(AC); right action (psi x A)(C) = psi(CA).
 
     On kernels the left action is right multiplication by A (x) 1 and vice
-    versa; the result is re-expressed as a span of excitation states.
+    versa; the acted factor is re-orthonormalised.
     """
     if side not in ("left", "right"):
         raise ContractError(f"side must be 'left' or 'right', got {side!r}")
-    state = el.state
-    a_top = state.embed(op)
-    if el._mid.size == 0:
-        return zero_element(state)
-    d = state.dim
-
-    def left_mult(v_block, m):
-        resh = v_block.reshape(d, d, -1)
-        return np.einsum("ab,bdk->adk", m, resh).reshape(d * d, -1)
-
+    a_top = el.state.embed(op)
     if side == "left":
-        # K' = K (A (x) 1): columns of V_right get hit by (A* (x) 1).
-        vr = left_mult(el._vr, nk.dagger(a_top))
-        out = _factored(state, el._vl, el._mid, vr)
-    else:
-        vl = left_mult(el._vl, a_top)
-        out = _factored(state, vl, el._mid, el._vr)
-    return canonicalize(out, budget=budget)
+        # K' = K (A (x) 1): columns of the right factor get hit by (A* (x) 1).
+        return _orthonormalised(el.state, el.left, el.core,
+                                _left_multiply(nk.dagger(a_top), el.right))
+    return _orthonormalised(el.state, _left_multiply(a_top, el.left), el.core, el.right)
 
 
 def dual_state_apply(exc: ExcitationState, el: StateAlgebraElement) -> complex:
@@ -449,7 +381,7 @@ def identity_candidate_counterexample(el: StateAlgebraElement, probes) -> dict:
     """
     worst = {"deviation": -1.0, "probe_index": None}
     for idx, phi in enumerate(probes):
-        dev = _kernel_distance(times(el, phi), phi)
+        dev = kernel_distance(times(el, phi), phi)
         if dev > worst["deviation"]:
             worst = {"deviation": dev, "probe_index": idx}
     return worst

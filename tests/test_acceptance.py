@@ -100,7 +100,7 @@ def test_criterion_07_completeness(checks):
 def test_criterion_08_state_algebra(checks):
     ids = ("state_algebra/associativity", "state_algebra/involution_compat",
            "state_algebra/triple_product", "state_algebra/quadruple_product",
-           "state_algebra/minimality")
+           "state_algebra/minimality", "state_algebra/kernel_multiplicative")
     worst = max(checks[i].residual for i in ids)
     _criterion(8, "the excitation span is a *-algebra", worst <= 1e-10,
                f"worst residual {worst:.2e}")

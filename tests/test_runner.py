@@ -158,6 +158,15 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("scenario", [{"profile": "nope"}, {"tower_dims": [1, 2]}])
+def test_cli_malformed_scenario_exit_code(tmp_path, capsys, scenario):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"suites": ["nope"]}))

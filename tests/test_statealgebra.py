@@ -44,7 +44,7 @@ def test_zero_lives_on_kernel_not_coefficients(state, rng):
     b = make_excitation(state, LocalOperator(1, 1j * a.op.matrix))
     # different coefficient lists, same ray: psi = i omega_A - i omega_{iA} = 0? no:
     # omega_{iA} equals omega_A as a state, so the coefficients cancel exactly.
-    psi = sa.element_from_terms(state, [(1.0, a), (-1.0, b)], canonicalize_result=False)
+    psi = sa.element_from_terms(state, [(1.0, a), (-1.0, b)])
     assert psi.is_zero()
     assert sa.canonicalize(psi).terms == ()
 
@@ -54,6 +54,61 @@ def test_canonicalize_respects_budget(state, rng):
     with pytest.raises(BudgetError) as err:
         sa.element_from_terms(state, terms)
     assert err.value.suggested_budget > 64
+
+
+def test_budget_is_enforced_on_kernel_rank(state, rng):
+    a, b = (_element(state, rng, n_terms=40) for _ in range(2))
+    with pytest.raises(BudgetError) as err:
+        sa.add(a, b)
+    assert err.value.suggested_budget == 80
+
+
+def test_operations_build_no_excitation(state, rng, monkeypatch):
+    p1, p2, p3 = (_element(state, rng) for _ in range(3))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sa, "make_excitation", counted(sa.make_excitation))
+    monkeypatch.setattr(nk, "herm_eig", counted(nk.herm_eig))
+    monkeypatch.setattr(nk, "gram_schmidt", counted(nk.gram_schmidt))
+    op = LocalOperator(1, nk.random_complex_matrix(rng, 2))
+    chain = sa.times(sa.add(p1, sa.scale(2j, p2)), sa.dagger(p3))
+    chain = sa.bimodule_act("right", op, sa.bimodule_act("left", op, chain))
+    sa.add(chain, sa.times(chain, p1)).kernel_norm()
+    assert calls == []
+
+
+def test_kernel_norm_matches_dense_kernel(state, rng):
+    product = sa.times(_element(state, rng), _element(state, rng))
+    a = random_excitation(state, rng, level=3)
+    x = nk.random_complex_matrix(rng, 16)
+    b = make_excitation(state, LocalOperator(3, a.op.matrix + 1e-7 * x))
+    near_zero = sa.add(sa.excitation_element(a), sa.scale(-1.0, sa.excitation_element(b)))
+    assert 0 < near_zero.kernel_norm() < 1e-5
+    for el in (product, near_zero):
+        assert abs(el.kernel_norm() - np.linalg.norm(el.kernel())) <= 1e-12
+
+
+def test_product_terms_reconstruct_kernel(state, rng):
+    product = sa.times(_element(state, rng), _element(state, rng))
+    recon = sum(c * np.outer(exc.vector, np.conj(exc.vector)) for c, exc in product.terms)
+    assert np.linalg.norm(recon - product.kernel()) <= 1e-10
+
+
+def test_terms_do_not_call_canonicalize(state, rng, monkeypatch):
+    # a wrapper around the public canonicalize may read .terms of its result,
+    # so deriving .terms must not go through it
+    def refuse(el):
+        raise AssertionError("reading .terms called canonicalize")
+
+    monkeypatch.setattr(sa, "canonicalize", refuse)
+    product = sa.times(_element(state, rng), _element(state, rng))
+    assert product.terms and product.terms is product.terms
 
 
 def test_kernel_multiplicative_dense_small_tower(small_state):
@@ -327,7 +382,6 @@ def test_no_budgeted_element_is_a_unit(state, rng):
     # below the full D^2 terms they all fail on some probe
     family = build_complete_family(state)
     for size in (1, 4, 16):
-        candidate = sa.element_from_terms(
-            state, [(1.0, m) for m in family.members[:size]], canonicalize_result=False)
+        candidate = sa.element_from_terms(state, [(1.0, m) for m in family.members[:size]])
         worst = sa.identity_candidate_counterexample(candidate, probes)
         assert worst["deviation"] > 1e-6
