@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, ContractError, SamplingError
+from .errors import CapacityError, ConfigurationError, ContractError, SamplingError, SizingError
 from . import numkernel as nk
 
 # Finite surrogate of the separating property: the spectrum of the reference
@@ -46,7 +46,7 @@ class FunnelTower:
         """Algebra dimension D_n at 1-based level `level`."""
         if not 1 <= level <= self.levels:
             raise ConfigurationError(f"level {level} outside 1..{self.levels}")
-        return int(np.prod(self.factor_dims[:level]))
+        return int(math.prod(self.factor_dims[:level]))
 
     @property
     def top_dim(self) -> int:
@@ -97,21 +97,32 @@ class LocalOperator:
 
 def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> np.ndarray:
     """Embed a level-`level` matrix into a higher level (default: top)."""
+    return _embed(tower, level, nk.as_cmatrix(matrix), target_level)
+
+
+def embed_operator(tower: FunnelTower, op: LocalOperator, target_level=None) -> np.ndarray:
+    # the operator's matrix was validated when the operator was built
+    return _embed(tower, op.level, op.matrix, target_level)
+
+
+def _embed(tower: FunnelTower, level: int, m: np.ndarray, target_level) -> np.ndarray:
+    """a -> a (x) 1 on a validated complex matrix, bit-equal to np.kron(a, eye)."""
     target = tower.levels if target_level is None else target_level
     d_from = tower.dim_at(level)
     d_to = tower.dim_at(target)
-    m = nk.as_cmatrix(matrix)
     if m.shape != (d_from, d_from):
         raise ContractError(f"matrix shape {m.shape} does not match level {level} dimension {d_from}")
     if d_to == d_from:
         return m
     if d_to % d_from:
         raise ContractError(f"level {level} does not divide into level {target}")
-    return nk.kron(m, np.eye(d_to // d_from, dtype=complex))
-
-
-def embed_operator(tower: FunnelTower, op: LocalOperator, target_level=None) -> np.ndarray:
-    return embed_matrix(tower, op.level, op.matrix, target_level)
+    if d_to > nk.MAX_TOTAL_DIM:
+        raise SizingError(
+            f"embedding into dimension {d_to} exceeds the configured maximum dimension "
+            f"{nk.MAX_TOTAL_DIM}"
+        )
+    k = d_to // d_from
+    return (m[:, None, :, None] * np.eye(k, dtype=complex)[None, :, None, :]).reshape(d_to, d_to)
 
 
 @dataclass

@@ -34,7 +34,7 @@ def as_cmatrix(m) -> CMatrix:
 
 
 def require_finite(a) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ContractError("matrix contains NaN or Inf entries")
 
 

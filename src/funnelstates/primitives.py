@@ -344,6 +344,25 @@ def balanced_unitary(weight_matrix, rng) -> np.ndarray:
     return eig.eigenvectors @ core @ nk.dagger(eig.eigenvectors)
 
 
+def _balanced_complement(e: np.ndarray, leak_top: np.ndarray, top_dim: int, rng) -> np.ndarray:
+    """The part of a tuned unitary on the complement of the projection `e`.
+
+    On a complement of rank >= 2 it is a `balanced_unitary` against the leak
+    density `leak_top` (top level), traced down to the level of `e` and
+    compressed to the complement; rank 1 takes the phase -1, rank 0 nothing.
+    """
+    d = e.shape[0]
+    comp_basis = range_basis(np.eye(d, dtype=complex) - e)
+    if comp_basis.shape[1] >= 2:
+        ratio = top_dim // d
+        leak_local = nk.partial_trace(leak_top, [d, ratio], [0]) if ratio > 1 else leak_top
+        m_small = nk.dagger(comp_basis) @ leak_local @ comp_basis
+        return comp_basis @ balanced_unitary(m_small, rng) @ nk.dagger(comp_basis)
+    if comp_basis.shape[1] == 1:
+        return -comp_basis @ nk.dagger(comp_basis)
+    return np.zeros((d, d), dtype=complex)
+
+
 def vacuum_detector(state: GenericState, seed: int) -> PrimitiveObservable:
     """A unitary silent on the reference state: omega(U) = 0.
 
@@ -431,21 +450,9 @@ def tune_detector(e_proj, epsilon: float, states, seed: int = 0,
     else:
         raise ContractError("E must be a nonzero projection")
 
-    comp_basis = range_basis(eye - e)
-    if comp_basis.shape[1] >= 2:
-        e_top = embed_matrix(tower, level, e)
-        leak_dirs = [embed_matrix(tower, level, eye - e) @ exc.rho @ embed_matrix(tower, level, eye - e)
-                     for exc in states]
-        mean_leak = sum(leak_dirs) / len(leak_dirs)
-        mean_local = nk.partial_trace(
-            mean_leak, [d, tower.top_dim // tower.dim_at(level)], [0]
-        ) if tower.dim_at(level) != tower.top_dim else mean_leak
-        m_small = nk.dagger(comp_basis) @ mean_local @ comp_basis
-        b = comp_basis @ balanced_unitary(m_small, rng) @ nk.dagger(comp_basis)
-    elif comp_basis.shape[1] == 1:
-        b = -comp_basis @ nk.dagger(comp_basis)
-    else:
-        b = np.zeros((d, d), dtype=complex)
+    comp_top = embed_matrix(tower, level, eye - e)
+    mean_leak = sum(comp_top @ exc.rho @ comp_top for exc in states) / len(states)
+    b = _balanced_complement(e, mean_leak, tower.top_dim, rng)
 
     obs = PrimitiveObservable(level=level, unitary=e_block + b)
 
@@ -498,20 +505,10 @@ def recover_observable(projections, weights, exc: ExcitationState, epsilon: floa
         raise ContractError("projections exceed a resolution of the identity")
 
     rng = np.random.default_rng(seed)
-    ratio = tower.top_dim // tower.dim_at(level)
     estimate = 0.0
     for o_m, e_m in zip(weights, mats):
-        comp_basis = range_basis(eye - e_m)
-        if comp_basis.shape[1] >= 2:
-            leak_top = (embed_matrix(tower, level, eye - e_m) @ exc.rho
-                        @ embed_matrix(tower, level, eye - e_m))
-            leak_local = nk.partial_trace(leak_top, [d, ratio], [0]) if ratio > 1 else leak_top
-            m_small = nk.dagger(comp_basis) @ leak_local @ comp_basis
-            b = comp_basis @ balanced_unitary(m_small, rng) @ nk.dagger(comp_basis)
-        elif comp_basis.shape[1] == 1:
-            b = -comp_basis @ nk.dagger(comp_basis)
-        else:
-            b = np.zeros((d, d), dtype=complex)
+        comp_top = embed_matrix(tower, level, eye - e_m)
+        b = _balanced_complement(e_m, comp_top @ exc.rho @ comp_top, tower.top_dim, rng)
         u_m = PrimitiveObservable(level=level, unitary=e_m + b)
         final = apply_observable(u_m, exc)
         survival = abs(np.vdot(exc.vector, final.vector)) ** 2

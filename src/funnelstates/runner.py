@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,9 +81,15 @@ class ScenarioConfig:
     sample_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # malformed dimensions and unknown profiles are configuration errors;
-        # a capacity violation is reported by every suite instead
+        # malformed or oversized towers and unknown profiles are configuration
+        # errors; a capacity violation is reported by every suite instead
         self.tower_dims = check_factor_dims(self.tower_dims)
+        d = math.prod(self.tower_dims)
+        if d * d > nk.MAX_TOTAL_DIM:  # a complete family holds D^2 vectors of length D^2
+            raise ConfigurationError(
+                f"tower {self.tower_dims} has doubled dimension {d * d}, above the "
+                f"maximum {nk.MAX_TOTAL_DIM} (top dimension D <= {math.isqrt(nk.MAX_TOTAL_DIM)})"
+            )
         if self.profile not in PROFILES:
             raise ConfigurationError(f"unknown state profile {self.profile!r}")
         self.seed = int(self.seed)

@@ -10,7 +10,7 @@ from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
 from .excitations import (GAUGE_TOL, ExcitationState, _gauge_phase, _require_shared_state,
                           make_excitation, norm_distance, overlap)
-from .funnel import GenericState, LocalOperator, matrix_units
+from .funnel import GenericState, LocalOperator, embed_matrix, matrix_units
 
 
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
@@ -76,14 +76,19 @@ def _family_vectors(state: GenericState, generators):
             eye = np.eye(d)
             return np.kron(eye, q.T), np.kron(eye, nk.dagger(q) @ q)
         generators = matrix_units(d)
-    gen_vectors = [(state.embed(g) @ sqrt_lam).ravel() for g in generators]
+    # one array rather than D^2 separate vectors: at D=32 they would stay live
+    # beside the QR's own 1024^2 copies
+    generators = list(generators)
+    gen_rows = np.empty((len(generators), d * d), dtype=complex)
+    for row, g in zip(gen_rows, generators):
+        row[:] = (state.embed(g) @ sqrt_lam).ravel()
     q = None
-    if len(gen_vectors) >= d * d:
-        q = _householder_basis(np.column_stack(gen_vectors[:d * d]))
+    if len(generators) >= d * d:
+        q = _householder_basis(gen_rows[:d * d].T)
     if q is not None:
         rows = np.ascontiguousarray(q.T)
     else:
-        gs = nk.gram_schmidt(gen_vectors)
+        gs = nk.gram_schmidt(gen_rows)
         if len(gs.vectors) != d * d:
             raise CompletenessUnavailableError(
                 f"generators span only {len(gs.vectors)} of {d * d} directions"
@@ -202,8 +207,6 @@ def local_continuity_probe(base: ExcitationState, probe: ExcitationState,
     ref = transition_probability(base, probe)
     rows = []
     coeff = 0.0
-    from .funnel import embed_matrix
-
     level = max(base.level, direction.level)
     a_mat = embed_matrix(tower, base.level, base.op.matrix, level)
     x_mat = embed_matrix(tower, direction.level, direction.matrix, level)

@@ -4,6 +4,7 @@ import pytest
 from funnelstates import (
     CapacityError,
     ConfigurationError,
+    ContractError,
     GenericState,
     LocalOperator,
     build_tower,
@@ -13,7 +14,13 @@ from funnelstates import (
     sample_generic_state,
 )
 from funnelstates import numkernel as nk
-from funnelstates.funnel import embed_matrix, extension_projection_residual, matrix_units
+from funnelstates.errors import SizingError
+from funnelstates.funnel import (
+    embed_matrix,
+    embed_operator,
+    extension_projection_residual,
+    matrix_units,
+)
 
 
 def test_build_tower_dims():
@@ -81,6 +88,53 @@ def test_embedding_is_unital_star_homomorphism(tower, rng):
     assert nk.frob(emb(a) @ emb(b) - emb(a @ b)) <= 1e-12
     assert nk.frob(nk.dagger(emb(a)) - emb(nk.dagger(a))) <= 1e-12
     assert nk.frob(emb(np.eye(4)) - np.eye(16)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
+def test_embed_matrix_equals_kron(dims, rng):
+    tower = build_tower(dims)
+    for level in range(1, tower.levels + 1):
+        d = tower.dim_at(level)
+        a = nk.random_complex_matrix(rng, d)
+        for target in range(level, tower.levels + 1):
+            k = tower.dim_at(target) // d
+            assert np.array_equal(embed_matrix(tower, level, a, target), np.kron(a, np.eye(k)))
+            op = LocalOperator(level=level, matrix=a)
+            assert np.array_equal(embed_operator(tower, op, target), np.kron(a, np.eye(k)))
+
+
+def test_embedding_rejects_non_finite_and_misshapen_matrices(tower):
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = np.nan
+    with pytest.raises(ContractError):
+        LocalOperator(level=2, matrix=bad)
+    with pytest.raises(ContractError):
+        embed_matrix(tower, 2, bad)
+    with pytest.raises(ContractError):
+        LocalOperator(level=2, matrix=np.ones(4))
+    with pytest.raises(ContractError):
+        embed_matrix(tower, 2, np.eye(3))
+    # a validated operator of the wrong size still fails on the unchecked path
+    with pytest.raises(ContractError):
+        embed_operator(tower, LocalOperator(level=2, matrix=np.eye(3)))
+
+
+def test_dim_at_is_int_and_range_checked(tower):
+    dims = [tower.dim_at(n) for n in range(1, tower.levels + 1)]
+    assert dims == [2, 4, 16]
+    assert all(type(d) is int for d in dims)
+    for level in (0, tower.levels + 1):
+        with pytest.raises(ConfigurationError):
+            tower.dim_at(level)
+
+
+def test_embedding_sizing_error_reads_the_limit_at_call_time(tower, monkeypatch):
+    monkeypatch.setattr(nk, "MAX_TOTAL_DIM", 8)
+    with pytest.raises(SizingError):
+        embed_matrix(tower, 1, np.eye(2))
+    with pytest.raises(SizingError):
+        embed_operator(tower, LocalOperator(level=2, matrix=np.eye(4)))
+    assert embed_matrix(tower, 1, np.eye(2), target_level=2).shape == (4, 4)
 
 
 def test_expectation_three_ways_agree(state, rng):

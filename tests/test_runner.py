@@ -158,13 +158,24 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
 
 
-@pytest.mark.parametrize("scenario", [{"profile": "nope"}, {"tower_dims": [1, 2]}])
-def test_cli_malformed_scenario_exit_code(tmp_path, capsys, scenario):
+@pytest.mark.parametrize("scenario", [{"profile": "nope"}, {"tower_dims": [1, 2]},
+                                      {"tower_dims": [2, 2, 4, 16]}])
+def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
+    # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
+    # 69 GB: a scenario that slips past admission must fail here, not start a run
+    monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_size_guard_reads_the_limit_at_call_time(monkeypatch):
+    assert ScenarioConfig(tower_dims=(2, 2)).tower_dims == (2, 2)
+    monkeypatch.setattr(runner.nk, "MAX_TOTAL_DIM", 8)
+    with pytest.raises(ConfigurationError, match="doubled dimension 16"):
+        ScenarioConfig(tower_dims=(2, 2))
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
