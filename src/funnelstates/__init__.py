@@ -66,7 +66,6 @@ from .statealgebra import (
     spectral_decompose,
     times,
     w_isomorphism,
-    zero_element,
 )
 from .primitives import (
     CommensurabilityResult,

@@ -8,6 +8,7 @@ FUNNELSTATES_OUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,13 +52,7 @@ def _resolve_config(args) -> ScenarioConfig:
         overrides["suites"] = tuple(args.suite)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        data = config.to_dict()
-        # to_dict expands the empty suite list; keep it empty unless overridden
-        data["suites"] = list(config.suites)
-        data.update(overrides)
-        config = ScenarioConfig(**data)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _output_path(args) -> Path:

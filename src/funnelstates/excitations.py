@@ -44,26 +44,26 @@ class ExcitationState:
     `op` is the normalized operator exactly as supplied (its phase is the
     caller's); `canonical_phase` is the gauge factor that maps it onto the
     deterministic ray representative, so equality tests do not depend on the
-    input phase.  `top` is the embedding into the top algebra,
+    input phase.  `top` is the embedding into the top algebra and
     `mat = top @ sqrt(lam)` the matrix whose vectorization is the
-    doubled-space vector A.omega, and `rho` the reduced density on the top
-    algebra.
+    doubled-space vector A.omega.  `rho`, the reduced density on the top
+    algebra, is derived from `mat` on first read and memoised.
     """
 
     state: GenericState
     op: LocalOperator
-    canonical_phase: complex = 1.0 + 0.0j
-    top: np.ndarray = field(repr=False, default=None)
-    mat: np.ndarray = field(repr=False, default=None)
-    rho: np.ndarray = field(repr=False, default=None)
+    canonical_phase: complex
+    top: np.ndarray = field(repr=False)
+    mat: np.ndarray = field(repr=False)
+    # a declared field rather than functools.cached_property: a key added to
+    # the instance __dict__ later slows every attribute read on the instance
+    _rho: np.ndarray = field(repr=False, init=False, default=None)
 
-    def __post_init__(self):
-        if self.top is None:
-            self.top = self.state.embed(self.op)
-        if self.mat is None:
-            self.mat = self.top @ self.state.sqrt_lam
-        if self.rho is None:
-            self.rho = self.mat @ nk.dagger(self.mat)
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            self._rho = self.mat @ nk.dagger(self.mat)
+        return self._rho
 
     @property
     def vector(self) -> np.ndarray:
@@ -86,10 +86,12 @@ class ExcitationState:
 
 def _gauge_phase(vector: np.ndarray) -> complex:
     """Phase making the first component of modulus > GAUGE_TOL real positive."""
-    for x in vector:
-        if abs(x) > GAUGE_TOL:
-            return np.conj(x) / abs(x)
-    return 1.0 + 0.0j
+    above = np.abs(vector) > GAUGE_TOL
+    first = above.argmax()
+    if not above[first]:
+        return 1.0 + 0.0j
+    x = vector[first]
+    return np.conj(x) / abs(x)
 
 
 def make_excitation(state: GenericState, op) -> ExcitationState:
@@ -216,9 +218,7 @@ def align_phases(reps, reference: int):
 @dataclass
 class TransferReport:
     max_ratio: float
-    trials: int
     worst_witness: dict
-    precondition_norm: float
 
 
 def functional_norm(coeffs, excs) -> float:
@@ -282,8 +282,7 @@ def null_combination_transfer(coeffs, excs, trials: int, rng=None) -> TransferRe
         if ratio > worst:
             worst = ratio
             witness = {"trial": trial, "level": level, "ratio": ratio}
-    return TransferReport(max_ratio=worst, trials=trials,
-                          worst_witness=witness, precondition_norm=pre)
+    return TransferReport(max_ratio=worst, worst_witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,6 @@ class ExtremalityReport:
     mixture_distance: float
     ray_phases: list
     ray_failures: list
-    compression: CompressionCheck = None
 
     @property
     def passed(self) -> bool:
@@ -355,15 +353,11 @@ def extremality_check(target: ExcitationState, candidates) -> ExtremalityReport:
                 phases.append(lift_phase(exc, target))
             except (NotSameRayError, GenericityViolationError) as err:
                 failures.append({"index": idx, "error": str(err)})
-    comp = None
-    if target.level < target.state.tower.levels:
-        comp = compression_check(target)
     return ExtremalityReport(
         is_representation=is_rep,
         mixture_distance=dist,
         ray_phases=phases,
         ray_failures=failures,
-        compression=comp,
     )
 
 

@@ -52,10 +52,6 @@ class FunnelTower:
     def top_dim(self) -> int:
         return self.dim_at(self.levels)
 
-    @property
-    def cumulative_dims(self) -> tuple:
-        return tuple(self.dim_at(n) for n in range(1, self.levels + 1))
-
 
 def check_factor_dims(dims) -> tuple:
     """The schedule as a tuple of ints: at least one level, every factor at least 2."""
@@ -256,7 +252,6 @@ class MinimalExtensionProjection:
     level: int
     vector: np.ndarray
     projector: np.ndarray       # inside the level-(n+1) algebra
-    projector_top: np.ndarray   # embedded into the top algebra
     schmidt_weights: np.ndarray
 
 
@@ -286,13 +281,10 @@ def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensio
         f_i = np.zeros(k_next, dtype=complex)
         f_i[i] = 1.0
         psi += np.sqrt(weights[i]) * np.kron(e_i, f_i)
-    projector = np.outer(psi, np.conj(psi))
-    projector_top = embed_matrix(tower, n + 1, projector)
     return MinimalExtensionProjection(
         level=n,
         vector=psi,
-        projector=projector,
-        projector_top=projector_top,
+        projector=np.outer(psi, np.conj(psi)),
         schmidt_weights=weights[:rank],
     )
 
@@ -314,7 +306,7 @@ def relative_commutant_basis(tower: FunnelTower, n: int):
     k_next = tower.factor_dims[n]
     eye = np.eye(d_n, dtype=complex)
     return [
-        LocalOperator(level=n + 1, matrix=nk.kron(eye, unit))
+        LocalOperator(level=n + 1, matrix=np.kron(eye, unit))
         for unit in matrix_units(k_next)
     ]
 
@@ -325,10 +317,8 @@ def extension_projection_residual(state: GenericState, proj: MinimalExtensionPro
     n = proj.level
     worst = 0.0
     e_local = proj.projector
-    k_next = tower.factor_dims[n]
-    eye_next = np.eye(k_next, dtype=complex)
     for unit in matrix_units(tower.dim_at(n)):
-        c_next = nk.kron(unit, eye_next)
+        c_next = _embed(tower, n, unit, n + 1)
         lhs = e_local @ c_next @ e_local
         omega_c = state.expect(LocalOperator(level=n, matrix=unit))
         worst = max(worst, nk.frob(lhs - omega_c * e_local))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, SizingError
+from .errors import ContractError
 
 # Contract checks at 1e-10 relative, equality assertions at 1e-9 unless a
 # suite overrides; double precision leaves ample headroom at dimension <= 256.
@@ -46,23 +46,6 @@ def frob(m: CMatrix) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_hermitian(m: CMatrix, tol: float = CONTRACT_TOL) -> bool:
-    scale = max(frob(m), 1.0)
-    return frob(m - dagger(m)) <= tol * scale
-
-
-def kron(a, b, max_dim: int = MAX_TOTAL_DIM) -> CMatrix:
-    """Kronecker product, left factor slowest index."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[0] * b.shape[0] > max_dim or a.shape[1] * b.shape[1] > max_dim:
-        raise SizingError(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds the configured maximum dimension {max_dim}"
-        )
-    return np.kron(a, b)
-
-
 def _phase_fix_columns(q: CMatrix) -> CMatrix:
     """Rotate each column so its largest-modulus entry is real positive.
 
@@ -81,10 +64,6 @@ class HermEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> CMatrix:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ dagger(q)
 
 
 def herm_eig(m, tol: float = CONTRACT_TOL) -> HermEig:
@@ -135,11 +114,6 @@ def trace_norm(m) -> float:
     """Sum of singular values."""
     m = as_cmatrix(m)
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def operator_norm(m) -> float:
-    m = as_cmatrix(m)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass
@@ -197,14 +171,6 @@ def sqrtm_psd(m, clip_tol: float = 1e-13) -> CMatrix:
     clipped = np.clip(vals, 0.0, None)
     q = eig.eigenvectors
     return (q * np.sqrt(clipped)) @ dagger(q)
-
-
-def vec(m: CMatrix) -> np.ndarray:
-    return np.asarray(m, dtype=complex).ravel()
-
-
-def unvec(v, dim: int) -> CMatrix:
-    return np.asarray(v, dtype=complex).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

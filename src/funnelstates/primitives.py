@@ -74,10 +74,6 @@ class PartialIsometry:
         object.__setattr__(self, "initial", f)
         object.__setattr__(self, "range_projection", e)
 
-    @property
-    def rank(self) -> int:
-        return int(round(np.real(np.trace(self.initial))))
-
 
 def hermitian_parts(u: np.ndarray):
     """The commuting Hermitian pair with U = H1 + i H2."""
@@ -170,10 +166,6 @@ class DilationResult:
     steps: list
 
     @property
-    def unitaries(self):
-        return [s.unitary for s in self.steps]
-
-    @property
     def final(self) -> PrimitiveObservable:
         return self.steps[-1].unitary
 
@@ -262,7 +254,6 @@ class DetectorBoundRow:
     index: int
     value: float
     gap: float
-    excess: float
 
 
 @dataclass
@@ -270,7 +261,6 @@ class DetectorBoundReport:
     target: float
     rows: list
     final_gap: float
-    max_excess: float
 
 
 def detector_bound_probe(e_proj, exc: ExcitationState, family,
@@ -289,14 +279,11 @@ def detector_bound_probe(e_proj, exc: ExcitationState, family,
         if nk.frob(iso.range_projection - e) > PROJECTION_TOL:
             raise ContractError(f"family member {idx} does not have range projection E")
         value = abs(exc.evaluate(LocalOperator(level=iso.level, matrix=iso.matrix)))
-        rows.append(DetectorBoundRow(
-            index=idx, value=value, gap=abs(value - target),
-            excess=max(0.0, value - target)))
+        rows.append(DetectorBoundRow(index=idx, value=value, gap=abs(value - target)))
     return DetectorBoundReport(
         target=target,
         rows=rows,
         final_gap=rows[-1].gap if rows else 0.0,
-        max_excess=max((r.excess for r in rows), default=0.0),
     )
 
 

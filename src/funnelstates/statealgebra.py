@@ -32,7 +32,6 @@ from .errors import BudgetError, ContractError, FaithfulnessError
 from .excitations import ExcitationState, make_excitation
 from .funnel import GenericState, LocalOperator
 
-KERNEL_ZERO_TOL = 1e-10
 TERM_BUDGET = 64
 _DROP_TOL = 1e-12
 
@@ -67,9 +66,6 @@ class StateAlgebraElement:
         """Frobenius norm of the kernel: that of the core, as both factors are orthonormal."""
         return nk.frob(self.core)
 
-    def is_zero(self, tol: float = KERNEL_ZERO_TOL) -> bool:
-        return self.kernel_norm() <= tol
-
     def evaluate(self, c) -> complex:
         """psi(C) = tr(Psi (C (x) 1))."""
         acted = _left_multiply(self.state.embed(c), self.left)
@@ -79,20 +75,6 @@ class StateAlgebraElement:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(-1.0, other))
-
-    def __mul__(self, other):
-        if isinstance(other, StateAlgebraElement):
-            return times(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, scalar):
-        return scale(scalar, self)
-
-    def dagger(self):
-        return dagger(self)
 
 
 def _left_multiply(m: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -131,11 +113,6 @@ def excitation_element(exc: ExcitationState, coeff=1.0) -> StateAlgebraElement:
     return StateAlgebraElement(exc.state, v, np.array([[complex(coeff)]]), v)
 
 
-def zero_element(state: GenericState) -> StateAlgebraElement:
-    empty = np.zeros((state.doubled_dim, 0), dtype=complex)
-    return StateAlgebraElement(state, empty, np.zeros((0, 0), dtype=complex), empty)
-
-
 def element_from_terms(state: GenericState, terms) -> StateAlgebraElement:
     terms = [(complex(c), exc) for c, exc in terms]
     for _, exc in terms:
@@ -158,7 +135,7 @@ def _eigen_excitations(state, basis, part, drop) -> list:
     """(eigenvalue, excitation) for the eigenvectors of Hermitian ``part`` above ``drop``.
 
     An eigenvector g gives the doubled-space vector v = basis @ g = X.omega,
-    whose operator X = unvec(v) lam^{-1/2} is a normalized excitation.
+    whose operator X = v.reshape(D, D) lam^{-1/2} is a normalized excitation.
     """
     if nk.frob(part) <= drop:
         return []
@@ -372,16 +349,3 @@ def faithfulness_probe(el: StateAlgebraElement, rng=None,
         "(genericity breakdown suspected)"
     )
 
-
-def identity_candidate_counterexample(el: StateAlgebraElement, probes) -> dict:
-    """Exhibit a probe on which `el` fails to act as a left unit for the product.
-
-    Returns the worst probe and its deviation ||el x phi - phi||; used to
-    document that no budgeted element is a unit of the algebra.
-    """
-    worst = {"deviation": -1.0, "probe_index": None}
-    for idx, phi in enumerate(probes):
-        dev = kernel_distance(times(el, phi), phi)
-        if dev > worst["deviation"]:
-            worst = {"deviation": dev, "probe_index": idx}
-    return worst

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import (GAUGE_TOL, ExcitationState, _gauge_phase, _require_shared_state,
+from .excitations import (ExcitationState, _gauge_phase, _require_shared_state,
                           make_excitation, norm_distance, overlap)
 from .funnel import GenericState, LocalOperator, embed_matrix, matrix_units
 
@@ -117,15 +117,12 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
     vectors.setflags(write=False)
     inv_sqrt = state.inv_sqrt_lam
     level = state.tower.levels
-    # Start each gauge search at the row's first entry above the gauge floor,
-    # so _gauge_phase does not step through the zero blocks one by one.
-    starts = np.argmax(np.abs(vectors) > GAUGE_TOL, axis=1)
     members = []
-    for row, start in zip(vectors, starts):
+    for row in vectors:
         mat = row.reshape(d, d)
         op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
         members.append(ExcitationState(state=state, op=op, top=op.matrix, mat=mat,
-                                       canonical_phase=_gauge_phase(row[start:])))
+                                       canonical_phase=_gauge_phase(row)))
     return OrthogonalFamily(members=members, overlaps=overlaps, vectors=vectors)
 
 

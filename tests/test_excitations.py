@@ -106,7 +106,7 @@ def test_lift_phase_flags_degenerate_reference(rng):
     tau = nk.random_complex_matrix(rng, 8)
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
-    degenerate = GenericState(tower=tower, lam=nk.kron(np.eye(2) / 2, tau),
+    degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau),
                               profile="random_full_rank", seed=0,
                               eps_sep=1e-12, separating=True)
     a = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
@@ -196,7 +196,7 @@ def test_norm_distance_variational_sweep(state, rng):
     candidates = [eig.eigenvectors @ np.diag(np.sign(eig.eigenvalues)) @ nk.dagger(eig.eigenvectors)]
     for _ in range(500):
         h = nk.random_hermitian(rng, 16)
-        candidates.append(h / nk.operator_norm(h))
+        candidates.append(h / np.linalg.norm(h, 2))
     values = [abs(np.trace(delta @ c)) for c in candidates]
     assert max(values) <= tn + 1e-10
     assert max(values) >= 0.98 * tn

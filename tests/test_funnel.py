@@ -25,12 +25,13 @@ from funnelstates.funnel import (
 
 def test_build_tower_dims():
     tower = build_tower((2, 2, 4))
-    assert tower.cumulative_dims == (2, 4, 16)
+    assert [tower.dim_at(n) for n in (1, 2, 3)] == [2, 4, 16]
     assert tower.top_dim == 16
 
 
 def test_build_tower_capacity_boundary():
-    assert build_tower((2, 2)).cumulative_dims == (2, 4)
+    tower = build_tower((2, 2))
+    assert [tower.dim_at(n) for n in (1, 2)] == [2, 4]
 
 
 def test_build_tower_capacity_violation_names_level():
@@ -142,7 +143,7 @@ def test_expectation_three_ways_agree(state, rng):
     op = LocalOperator(level=2, matrix=a)
     a_top = state.embed(op)
     direct = np.trace(state.lam @ a_top)
-    doubled = np.vdot(state.omega_vector, nk.kron(a_top, np.eye(16)) @ state.omega_vector)
+    doubled = np.vdot(state.omega_vector, np.kron(a_top, np.eye(16)) @ state.omega_vector)
     reduced = np.trace(state.reduced(2) @ a)
     assert abs(direct - doubled) <= 1e-12
     assert abs(direct - reduced) <= 1e-12
@@ -166,7 +167,7 @@ def test_genericity_tracial_product_fails_lift(tower):
     tau = nk.random_complex_matrix(rng, 8)
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
-    lam = nk.kron(np.eye(2) / 2, tau)
+    lam = np.kron(np.eye(2) / 2, tau)
     state = GenericState(tower=tower, lam=lam, profile="random_full_rank",
                          seed=0, eps_sep=1e-12, separating=True)
     report = check_genericity(state, trials=20)

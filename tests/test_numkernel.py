@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelstates import numkernel as nk
-from funnelstates.errors import ContractError, SizingError
+from funnelstates.errors import ContractError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -14,21 +14,12 @@ def _complex_matrix(rng, n, m=None):
     return nk.random_complex_matrix(rng, n, m)
 
 
-# -- kron ---------------------------------------------------------------
-
-
-def test_kron_identities():
-    np.testing.assert_allclose(nk.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_diagonal():
-    np.testing.assert_allclose(
-        nk.kron(np.diag([1.0, 2.0]), np.diag([3.0])), np.diag([3.0, 6.0]))
+# -- the row-major Kronecker convention of the module docstring ----------
 
 
 def test_kron_against_index_formula():
     # (a (x) b)[i*q + k, j*q + l] = a[i, j] * b[k, l]
-    result = nk.kron(SIGMA_X, SIGMA_Z)
+    result = np.kron(SIGMA_X, SIGMA_Z)
     assert result[0, 2] == 1.0
     p = q = 2
     brute = np.zeros((p * q, p * q), dtype=complex)
@@ -45,12 +36,7 @@ def test_kron_vec_convention(rng):
     a = _complex_matrix(rng, 3)
     x = _complex_matrix(rng, 3)
     np.testing.assert_allclose(
-        (a @ x).ravel(), nk.kron(a, np.eye(3)) @ x.ravel(), atol=1e-13)
-
-
-def test_kron_sizing_error():
-    with pytest.raises(SizingError):
-        nk.kron(np.eye(128), np.eye(64))
+        (a @ x).ravel(), np.kron(a, np.eye(3)) @ x.ravel(), atol=1e-13)
 
 
 # -- herm_eig -----------------------------------------------------------
@@ -70,8 +56,8 @@ def test_herm_eig_reconstruction_seed7():
     rng = np.random.default_rng(7)
     m = nk.random_hermitian(rng, 8)
     eig = nk.herm_eig(m)
-    assert nk.frob(eig.reconstruct() - m) <= 1e-10 * nk.frob(m)
     q = eig.eigenvectors
+    assert nk.frob((q * eig.eigenvalues) @ nk.dagger(q) - m) <= 1e-10 * nk.frob(m)
     assert nk.frob(nk.dagger(q) @ q - np.eye(8)) <= 1e-10
 
 
@@ -117,7 +103,7 @@ def test_partial_trace_product_case(rng):
     rho = a @ nk.dagger(a)
     b = _complex_matrix(rng, 3)
     sigma = b @ nk.dagger(b)
-    joint = nk.kron(rho, sigma)
+    joint = np.kron(rho, sigma)
     np.testing.assert_allclose(
         nk.partial_trace(joint, [2, 3], [0]), rho * np.trace(sigma), atol=1e-12)
 

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +178,29 @@ def test_size_guard_reads_the_limit_at_call_time(monkeypatch):
     monkeypatch.setattr(runner.nk, "MAX_TOTAL_DIM", 8)
     with pytest.raises(ConfigurationError, match="doubled dimension 16"):
         ScenarioConfig(tower_dims=(2, 2))
+
+
+def test_cli_seed_and_suite_overrides(tmp_path, capsys):
+    out_file = tmp_path / "r.json"
+    assert main(["verify", "--suite", "min_projection", "--seed", "7", "--out", str(out_file)]) == 0
+    scenario = json.loads(out_file.read_text())["scenario"]
+    assert (scenario["seed"], scenario["suites"]) == (7, ["min_projection"])
+    assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "bad.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_names_traced_by_the_benchmark_exist():
+    # perfbench/spans.py wraps these by name; a deletion would break `--trace 1`
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.LAYER_FUNCTIONS.items():
+        mod = importlib.import_module(f"funnelstates.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+    assert callable(runner.make_excitation)
+    assert set(spans.SUITE_IDS) <= set(runner.SUITES)
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -168,6 +168,12 @@ def test_family_members_view_stored_vectors(small_state):
         assert np.shares_memory(member.mat, family.vectors)
         assert not member.mat.flags.writeable
         np.testing.assert_array_equal(member.vector, family.vectors[k])
+        assert member._rho is None  # derived on first read only
+    member = family.members[5]
+    exc = random_excitation(small_state, np.random.default_rng(5), level=2)
+    for e in (member, exc):
+        assert np.array_equal(e.rho, e.mat @ nk.dagger(e.mat))
+        assert e.rho is e.rho
 
 
 def test_completeness_sum_hand_built_family(small_state):
