@@ -127,7 +127,7 @@ def _require_shared_state(a: ExcitationState, b: ExcitationState) -> None:
         raise ContractError("excitations refer to different reference states")
 
 
-def norm_distance(a: ExcitationState, b: ExcitationState, scope="top") -> float:
+def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     """Distance between the states, by scope.
 
     Integer scope n restricts both densities to the first n factors; "top"
@@ -229,13 +229,13 @@ def functional_norm(coeffs, excs) -> float:
     return nk.trace_norm(acc)
 
 
-def find_null_combination(excs, threshold: float = 1e-10):
+def find_null_combination(excs):
     """Coefficients annihilating the combined functional, via the Gram matrix.
 
     The Gram matrix of the excitation functionals (Hilbert-Schmidt pairing of
     their densities) is Hermitian PSD; an eigenvector below the numerical
-    kernel threshold gives the dependency.  Raises when the family is
-    independent.
+    kernel threshold, 1e-10 relative, gives the dependency.  Raises when the
+    family is independent.
     """
     m = len(excs)
     gram = np.zeros((m, m), dtype=complex)
@@ -244,7 +244,7 @@ def find_null_combination(excs, threshold: float = 1e-10):
             gram[j, k] = np.trace(excs[j].rho @ excs[k].rho)
     eig = nk.herm_eig(gram)
     scale = max(eig.eigenvalues[0], 1.0)
-    if eig.eigenvalues[-1] > threshold * scale:
+    if eig.eigenvalues[-1] > 1e-10 * scale:
         raise NotNullCombinationError(
             f"family is linearly independent: smallest Gram eigenvalue "
             f"{eig.eigenvalues[-1]:.3e}"
@@ -253,14 +253,13 @@ def find_null_combination(excs, threshold: float = 1e-10):
     return coeffs / np.linalg.norm(coeffs)
 
 
-def null_combination_transfer(coeffs, excs, trials: int, rng=None) -> TransferReport:
+def null_combination_transfer(coeffs, excs, trials: int, rng) -> TransferReport:
     """Verify that a null combination of states kills every compressed operator.
 
     For `trials` random operators C (cycling through the tower levels below
     the top and the top itself) the report records
     max ||sum_m c_m A_m* C A_m||_F / ||C||_F.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     pre = functional_norm(coeffs, excs)
     if pre > STATE_EQ_TOL:
         raise NotNullCombinationError(
@@ -361,8 +360,7 @@ def extremality_check(target: ExcitationState, candidates) -> ExtremalityReport:
     )
 
 
-def random_excitation(state: GenericState, rng, level=None) -> ExcitationState:
-    """Seeded Gaussian excitation at a tower level (default: level 1)."""
-    level = 1 if level is None else level
+def random_excitation(state: GenericState, rng, level: int) -> ExcitationState:
+    """Seeded Gaussian excitation at a tower level."""
     d = state.tower.dim_at(level)
     return make_excitation(state, LocalOperator(level=level, matrix=nk.random_complex_matrix(rng, d)))

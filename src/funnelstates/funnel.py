@@ -27,6 +27,8 @@ from . import numkernel as nk
 # Finite surrogate of the separating property: the spectrum of the reference
 # density must stay above eps_sep = SEPARATION_SCALE / D.
 SEPARATION_SCALE = 1e-6
+NEAR_TRACIAL_WEIGHT = 0.1
+MAX_REDRAWS = 8
 INJECTIVITY_GAP = 1e-6
 PHASE_RECOVERY_TOL = 1e-9
 PROFILES = ("random_full_rank", "near_tracial", "pure")
@@ -123,7 +125,7 @@ def _embed(tower: FunnelTower, level: int, m: np.ndarray, target_level) -> np.nd
 
 @dataclass
 class GenericState:
-    """Reference state: full-rank spectral data plus its doubled-space vector."""
+    """Reference state: full-rank spectral data, derived from `lam`, plus its doubled-space vector."""
 
     tower: FunnelTower
     lam: np.ndarray
@@ -131,8 +133,8 @@ class GenericState:
     seed: int
     eps_sep: float
     separating: bool
-    spectrum: np.ndarray = field(repr=False, default=None)
-    basis: np.ndarray = field(repr=False, default=None)
+    spectrum: np.ndarray = field(repr=False, init=False)
+    basis: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
         self.lam = nk.as_cmatrix(self.lam)
@@ -173,10 +175,10 @@ class GenericState:
     def omega_vector(self) -> np.ndarray:
         return self._omega
 
-    def embed(self, op, target_level=None) -> np.ndarray:
+    def embed(self, op) -> np.ndarray:
         if isinstance(op, LocalOperator):
-            return embed_operator(self.tower, op, target_level)
-        return embed_matrix(self.tower, self.tower.levels, op, target_level)
+            return embed_operator(self.tower, op)
+        return embed_matrix(self.tower, self.tower.levels, op)
 
     def expect(self, op) -> complex:
         """omega(A) = tr(lam A) for A given at any level."""
@@ -193,27 +195,20 @@ def _wishart_density(rng, d: int) -> np.ndarray:
     return w / np.real(np.trace(w))
 
 
-def sample_generic_state(
-    tower: FunnelTower,
-    seed: int,
-    profile: str = "random_full_rank",
-    eps_sep=None,
-    delta: float = 0.1,
-    max_redraws: int = 8,
-    selftest_trials: int = 6,
-) -> GenericState:
+def sample_generic_state(tower: FunnelTower, seed: int,
+                         profile: str = "random_full_rank") -> GenericState:
     """Draw a reference state of the requested profile.
 
-    random_full_rank draws a normalized Wishart density and redraws (bounded)
-    until the separation floor and the genericity self-test pass.  pure gives
-    a rank-one density (separating invariant waived, flagged on the state).
-    near_tracial mixes the tracial state with a random density at weight
-    `delta`.
+    random_full_rank draws a normalized Wishart density and redraws, at most
+    MAX_REDRAWS times, until the separation floor and the genericity
+    self-test pass.  pure gives a rank-one density (separating invariant
+    waived, flagged on the state).  near_tracial mixes the tracial state
+    with a random density at weight NEAR_TRACIAL_WEIGHT.
     """
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown state profile {profile!r}")
     d = tower.top_dim
-    eps = (SEPARATION_SCALE / d) if eps_sep is None else float(eps_sep)
+    eps = SEPARATION_SCALE / d
     rng = np.random.default_rng(seed)
 
     if profile == "pure":
@@ -223,10 +218,10 @@ def sample_generic_state(
                             eps_sep=eps, separating=False)
 
     last_failure = "no draw attempted"
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         r = _wishart_density(rng, d)
         if profile == "near_tracial":
-            lam = (1.0 - delta) * np.eye(d, dtype=complex) / d + delta * r
+            lam = (1.0 - NEAR_TRACIAL_WEIGHT) * np.eye(d, dtype=complex) / d + NEAR_TRACIAL_WEIGHT * r
         else:
             lam = r
         min_eig = float(np.linalg.eigvalsh(lam)[0])
@@ -235,13 +230,13 @@ def sample_generic_state(
             continue
         state = GenericState(tower=tower, lam=lam, profile=profile, seed=seed,
                              eps_sep=eps, separating=True)
-        report = check_genericity(state, trials=selftest_trials, rng=rng)
+        report = check_genericity(state, trials=6, rng=rng)
         if report.passed:
             return state
         last_failure = f"genericity self-test failed: {report.failures[:1]}"
     raise SamplingError(
         f"could not sample a generic state for profile {profile!r} after "
-        f"{max_redraws} draws ({last_failure})"
+        f"{MAX_REDRAWS} draws ({last_failure})"
     )
 
 
@@ -356,15 +351,15 @@ def _excitation_density(state: GenericState, top_matrix: np.ndarray) -> np.ndarr
         raise ContractError("operator annihilates the reference state")
     return rho / tr
 
-def _ray_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def _ray_equal(a: np.ndarray, b: np.ndarray) -> bool:
     z = np.trace(nk.dagger(a) @ b)
-    if abs(z) <= tol:
-        return nk.frob(a) <= tol and nk.frob(b) <= tol
+    if abs(z) <= 1e-9:
+        return nk.frob(a) <= 1e-9 and nk.frob(b) <= 1e-9
     t = z / abs(z)
-    return nk.frob(b - t * a) <= tol * max(nk.frob(a), 1.0)
+    return nk.frob(b - t * a) <= 1e-9 * max(nk.frob(a), 1.0)
 
 
-def check_genericity(state: GenericState, trials: int = 20, rng=None) -> GenericityReport:
+def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
     """Operational genericity: separation floor, valid extension projections,
     and injectivity of the state-to-ray lift on random pairs at every level.
 
@@ -372,7 +367,6 @@ def check_genericity(state: GenericState, trials: int = 20, rng=None) -> Generic
     ones that expose tracial-product degeneracies, where conjugation leaves
     the reference density invariant.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     tower = state.tower
     checks = []
 

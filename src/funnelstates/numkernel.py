@@ -66,7 +66,7 @@ class HermEig:
     eigenvectors: np.ndarray
 
 
-def herm_eig(m, tol: float = CONTRACT_TOL) -> HermEig:
+def herm_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ContractError when the input is not Hermitian within the relative
@@ -75,7 +75,7 @@ def herm_eig(m, tol: float = CONTRACT_TOL) -> HermEig:
     """
     m = as_cmatrix(m)
     scale = max(frob(m), 1.0)
-    if frob(m - dagger(m)) > tol * scale:
+    if frob(m - dagger(m)) > CONTRACT_TOL * scale:
         raise ContractError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
     order = np.argsort(vals)[::-1]
@@ -123,11 +123,11 @@ class GramSchmidtResult:
     all_zero: bool = False
 
 
-def gram_schmidt(vectors, tol: float = CONTRACT_TOL) -> GramSchmidtResult:
+def gram_schmidt(vectors) -> GramSchmidtResult:
     """Orthonormalize a vector family, dropping near-dependent members.
 
     A vector is dropped when its component orthogonal to the span of the
-    previously accepted ones falls below `tol` times its own norm.  A second
+    accepted ones falls below `CONTRACT_TOL` times its own norm.  A second
     orthogonalization pass keeps pairwise inner products at machine level.
     """
     vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]
@@ -142,7 +142,7 @@ def gram_schmidt(vectors, tol: float = CONTRACT_TOL) -> GramSchmidtResult:
     for idx, v in enumerate(vectors):
         n0 = float(np.linalg.norm(v))
         norms.append(n0)
-        if n0 <= tol:
+        if n0 <= CONTRACT_TOL:
             result.dropped.append(idx)
             continue
         w = v.copy()
@@ -151,21 +151,21 @@ def gram_schmidt(vectors, tol: float = CONTRACT_TOL) -> GramSchmidtResult:
             for _ in range(2):  # re-orthogonalize for numerical stability
                 w = w - q @ (np.conj(q.T) @ w)
         n = float(np.linalg.norm(w))
-        if n <= tol * n0:
+        if n <= CONTRACT_TOL * n0:
             result.dropped.append(idx)
             continue
         basis[:, count] = w / n
         count += 1
     result.vectors = [basis[:, j].copy() for j in range(count)]
-    result.all_zero = count == 0 and all(n <= tol for n in norms)
+    result.all_zero = count == 0 and all(n <= CONTRACT_TOL for n in norms)
     return result
 
 
-def sqrtm_psd(m, clip_tol: float = 1e-13) -> CMatrix:
+def sqrtm_psd(m) -> CMatrix:
     """Square root of a positive semidefinite Hermitian matrix."""
     eig = herm_eig(m)
     vals = eig.eigenvalues
-    floor = -clip_tol * max(abs(vals[0]) if len(vals) else 1.0, 1.0)
+    floor = -1e-13 * max(abs(vals[0]) if len(vals) else 1.0, 1.0)
     if len(vals) and vals[-1] < floor:
         raise ContractError(f"matrix is not PSD: min eigenvalue {vals[-1]:.3e}")
     clipped = np.clip(vals, 0.0, None)

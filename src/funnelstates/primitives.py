@@ -28,10 +28,10 @@ def _projection_residual(p: np.ndarray) -> float:
     return max(nk.frob(p - nk.dagger(p)), nk.frob(p @ p - p))
 
 
-def require_projection(p, tol: float = PROJECTION_TOL) -> np.ndarray:
+def require_projection(p) -> np.ndarray:
     p = nk.as_cmatrix(p)
     res = _projection_residual(p)
-    if res > tol:
+    if res > PROJECTION_TOL:
         raise ContractError(f"matrix is not a projection (residual {res:.3e})")
     return p
 
@@ -54,12 +54,12 @@ class PrimitiveObservable:
 
 @dataclass(frozen=True)
 class PartialIsometry:
-    """V with initial projection F = V*V and range projection E = VV*."""
+    """V with initial projection F = V*V and range projection E = VV*, both derived from V."""
 
     level: int
     matrix: np.ndarray
-    initial: np.ndarray = field(default=None)
-    range_projection: np.ndarray = field(default=None)
+    initial: np.ndarray = field(init=False)
+    range_projection: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = nk.as_cmatrix(self.matrix)
@@ -112,9 +112,8 @@ def ut_probability(e_proj, t: complex, exc: ExcitationState, level=None) -> floa
     return p * p + q * q + 2.0 * float(np.real(t)) * p * q
 
 
-def range_basis(p: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the range of a projection."""
-    p = require_projection(p, tol=1e-9)
+def _range_basis(p: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the range of an already validated projection."""
     eig = nk.herm_eig(p)
     cols = [eig.eigenvectors[:, j] for j in range(p.shape[0]) if eig.eigenvalues[j] > 0.5]
     if not cols:
@@ -125,7 +124,7 @@ def range_basis(p: np.ndarray) -> np.ndarray:
 def increasing_projection_schedule(f_proj, steps: int):
     """Nested projections climbing to F along its deterministic range basis."""
     f = require_projection(f_proj)
-    basis = range_basis(f)
+    basis = _range_basis(f)
     r = basis.shape[1]
     steps = max(1, min(steps, r))
     ranks = sorted({int(np.ceil(r * (m + 1) / steps)) for m in range(steps)})
@@ -185,8 +184,8 @@ def dilate_to_unitaries(v: PartialIsometry, schedule) -> DilationResult:
     d = v.matrix.shape[0]
     eye = np.eye(d, dtype=complex)
     f = v.initial
-    p0 = range_basis(eye - f)
-    q0 = range_basis(eye - v.range_projection)
+    p0 = _range_basis(eye - f)
+    q0 = _range_basis(eye - v.range_projection)
     if p0.shape[1] != q0.shape[1]:
         raise ContractError(
             "internal invariant violated: complement ranks differ in dilation"
@@ -217,23 +216,19 @@ class TunedFamily:
     isometries: list
     rows: list
 
-    @property
-    def final(self) -> PartialIsometry:
-        return self.isometries[-1]
 
-
-def tuned_isometries(v: PartialIsometry, schedule, probe_count: int = 3,
-                     seed: int = 0) -> TunedFamily:
+def tuned_isometries(v: PartialIsometry, schedule, seed: int) -> TunedFamily:
     """Partial isometries V_m = V U_m* with common range projection E.
 
     Along the schedule the family converges to E: weakly in the probe table,
-    strongly for the adjoints, exactly at the final step.
+    strongly for the adjoints, exactly at the final step.  The tables are
+    maxima over three seeded unit vectors.
     """
     dilation = dilate_to_unitaries(v, schedule)
     e = v.range_projection
     rng = np.random.default_rng(seed)
     d = v.matrix.shape[0]
-    probes = [nk.random_unit_vector(rng, d) for _ in range(max(probe_count, 1))]
+    probes = [nk.random_unit_vector(rng, d) for _ in range(3)]
     isometries = []
     rows = []
     for idx, step in enumerate(dilation.steps):
@@ -263,17 +258,15 @@ class DetectorBoundReport:
     final_gap: float
 
 
-def detector_bound_probe(e_proj, exc: ExcitationState, family,
-                         level=None) -> DetectorBoundReport:
-    """|omega_A(V_m)| against omega_A(E) for a tuned family with range E.
+def detector_bound_probe(e_proj, exc: ExcitationState, family) -> DetectorBoundReport:
+    """|omega_A(V_m)| against omega_A(E) for a tuned family with top-level range E.
 
     Only the tuned family is assessed; the supremum over arbitrary partial
     isometries is not asserted (it can exceed omega_A(E) in finite
     dimension, see `partial_isometry_sup_witness`).
     """
     e = require_projection(e_proj)
-    level = exc.state.tower.levels if level is None else level
-    target = float(np.real(exc.evaluate(LocalOperator(level=level, matrix=e))))
+    target = float(np.real(exc.evaluate(LocalOperator(level=exc.state.tower.levels, matrix=e))))
     rows = []
     for idx, iso in enumerate(family):
         if nk.frob(iso.range_projection - e) > PROJECTION_TOL:
@@ -287,7 +280,7 @@ def detector_bound_probe(e_proj, exc: ExcitationState, family,
     )
 
 
-def partial_isometry_sup_witness(e_proj, exc: ExcitationState, level=None):
+def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
     """A partial isometry with range E whose detector value exceeds omega_A(E).
 
     Documents that the a priori bound for proper isometries has no finite
@@ -296,11 +289,10 @@ def partial_isometry_sup_witness(e_proj, exc: ExcitationState, level=None):
     the polar angles of rho_A E.
     """
     e = require_projection(e_proj)
-    level = exc.state.tower.levels if level is None else level
     tower = exc.state.tower
     rho = exc.rho
-    e_top = embed_matrix(tower, level, e)
-    basis = range_basis(e_top)
+    e_top = embed_matrix(tower, tower.levels, e)
+    basis = _range_basis(e_top)
     g = rho @ basis
     p_svd, _, q_svd = np.linalg.svd(g, full_matrices=False)
     f_stack = p_svd @ q_svd
@@ -339,7 +331,7 @@ def _balanced_complement(e: np.ndarray, leak_top: np.ndarray, top_dim: int, rng)
     compressed to the complement; rank 1 takes the phase -1, rank 0 nothing.
     """
     d = e.shape[0]
-    comp_basis = range_basis(np.eye(d, dtype=complex) - e)
+    comp_basis = _range_basis(np.eye(d, dtype=complex) - e)
     if comp_basis.shape[1] >= 2:
         ratio = top_dim // d
         leak_local = nk.partial_trace(leak_top, [d, ratio], [0]) if ratio > 1 else leak_top
@@ -381,9 +373,7 @@ class DetectorStateRow:
 @dataclass
 class TunedDetector:
     observable: PrimitiveObservable
-    epsilon: float
     rows: list
-    family: TunedFamily
 
     @property
     def worst_leak(self) -> float:
@@ -394,23 +384,24 @@ class TunedDetector:
         return max((r.probability_gap for r in self.rows), default=0.0)
 
 
-def tune_detector(e_proj, epsilon: float, states, seed: int = 0,
-                  level=None, steps: int = 3) -> TunedDetector:
-    """Detector unitary with omega_{UA}(1-E) < eps and matched probabilities.
+def tune_detector(e_proj, epsilon: float, states, seed: int) -> TunedDetector:
+    """Detector unitary U = E + B with omega_{UA}(1-E) < eps and matched probabilities.
 
-    At truncation a unitary can only concentrate its action on a subspace of
-    the same rank as E, so the target states must already be captured by E
-    within eps; otherwise tuning fails with the best achievable figure.  The
-    E block is the exact weak limit of the tuned isometry family, and the
-    complement block is phase-balanced against the mean leak density.
+    E is a nonzero top-level projection.  At truncation a unitary can only
+    concentrate its action on a subspace of the same rank as E, so the target
+    states must already be captured by E within eps; otherwise tuning fails
+    with the best achievable figure.  The E block is E itself: it is the
+    limit of a tuned isometry family with range E (`tuned_isometries`), which
+    in finite dimension reaches E exactly at its final step, as the report
+    checks in `dilation/tuned_final_exact`.  B is phase-balanced against the
+    mean leak density on the complement.
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
     if not states:
         raise ContractError("tuning needs at least one target state")
-    state = states[0].state
-    tower = state.tower
-    level = tower.levels if level is None else level
+    tower = states[0].state.tower
+    level = tower.levels
     e = require_projection(e_proj)
     e_local = LocalOperator(level=level, matrix=e)
 
@@ -423,28 +414,16 @@ def tune_detector(e_proj, epsilon: float, states, seed: int = 0,
             best_epsilon=best,
         )
 
-    d = e.shape[0]
-    eye = np.eye(d, dtype=complex)
-    rng = np.random.default_rng(seed)
-
-    rank = int(round(np.real(np.trace(e))))
-    basis = range_basis(e)
-    if 0 < rank:
-        start = basis @ np.roll(np.eye(rank, dtype=complex), 1, axis=1) @ nk.dagger(basis)
-        v_init = PartialIsometry(level=level, matrix=start if rank > 1 else e)
-        family = tuned_isometries(v_init, increasing_projection_schedule(e, steps), seed=seed)
-        e_block = family.final.matrix
-    else:
+    if np.real(np.trace(e)) < 0.5:
         raise ContractError("E must be a nonzero projection")
-
-    comp_top = embed_matrix(tower, level, eye - e)
-    mean_leak = sum(comp_top @ exc.rho @ comp_top for exc in states) / len(states)
-    b = _balanced_complement(e, mean_leak, tower.top_dim, rng)
-
-    obs = PrimitiveObservable(level=level, unitary=e_block + b)
+    # E is top-level (evaluating it above checked the shape), so 1 - E needs no embedding
+    comp = np.eye(e.shape[0], dtype=complex) - e
+    mean_leak = sum(comp @ exc.rho @ comp for exc in states) / len(states)
+    b = _balanced_complement(e, mean_leak, tower.top_dim, np.random.default_rng(seed))
+    obs = PrimitiveObservable(level=level, unitary=e + b)
 
     rows = []
-    complement = LocalOperator(level=level, matrix=eye - e)
+    complement = LocalOperator(level=level, matrix=comp)
     for idx, exc in enumerate(states):
         final = apply_observable(obs, exc)
         leak = float(np.real(final.evaluate(complement)))
@@ -452,7 +431,7 @@ def tune_detector(e_proj, epsilon: float, states, seed: int = 0,
         gap = abs(prob - masses[idx] ** 2)
         rows.append(DetectorStateRow(index=idx, mass=masses[idx], leak=leak,
                                      probability_gap=gap))
-    det = TunedDetector(observable=obs, epsilon=epsilon, rows=rows, family=family)
+    det = TunedDetector(observable=obs, rows=rows)
     if det.worst_leak >= epsilon or det.worst_probability_gap >= 4 * epsilon:
         raise TuningFailureError(
             f"tuning landed outside the bounds: leak {det.worst_leak:.3e}, "
@@ -463,18 +442,18 @@ def tune_detector(e_proj, epsilon: float, states, seed: int = 0,
 
 
 def recover_observable(projections, weights, exc: ExcitationState, epsilon: float,
-                       level=None, seed: int = 0) -> float:
+                       seed: int) -> float:
     """Estimate omega_A(O) for O = sum_m o_m E_m from survival probabilities.
 
-    Uses one tuned unitary per projection, with the complement phase-balanced
-    against the state's own leak density, so each |omega_A(U_m)| reproduces
-    omega_A(E_m); the estimate is sum_m o_m sqrt(omega_A . omega_{U_m A}).
+    The E_m are top-level projections.  Uses one tuned unitary E_m + B_m per
+    projection, with the complement phase-balanced against the state's own
+    leak density, so each |omega_A(U_m)| reproduces omega_A(E_m); the
+    estimate is sum_m o_m sqrt(omega_A . omega_{U_m A}).
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
-    state = exc.state
-    tower = state.tower
-    level = tower.levels if level is None else level
+    tower = exc.state.tower
+    level = tower.levels
     mats = [require_projection(p) for p in projections]
     if len(mats) != len(weights):
         raise ContractError("needs one weight per projection")
@@ -511,29 +490,18 @@ class CommensurabilityResult:
     residual: float
 
 
-def commensurable(obs1, obs2, tower=None) -> CommensurabilityResult:
+def commensurable(obs1, obs2) -> CommensurabilityResult:
     """Whether Ad(U1 U2) = Ad(U2 U1), i.e. U2 U1 = t U1 U2 for a phase t.
 
     On a full matrix algebra equality of the adjoint maps is exactly phase
     proportionality of the two products; commensurability does not require
     the unitaries themselves to commute (t = 1).  Accepts raw unitary
-    matrices of matching size or PrimitiveObservables (embedded to a common
-    level when a tower is supplied).
+    matrices or PrimitiveObservables, all of one size.
     """
-    if isinstance(obs1, PrimitiveObservable) and isinstance(obs2, PrimitiveObservable):
-        if obs1.level != obs2.level:
-            if tower is None:
-                raise ContractError("observables at different levels need a tower to embed")
-            level = max(obs1.level, obs2.level)
-            u1 = embed_matrix(tower, obs1.level, obs1.unitary, level)
-            u2 = embed_matrix(tower, obs2.level, obs2.unitary, level)
-        else:
-            u1, u2 = obs1.unitary, obs2.unitary
-    else:
-        u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else nk.as_cmatrix(obs1)
-        u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else nk.as_cmatrix(obs2)
-        if u1.shape != u2.shape:
-            raise ContractError("unitaries must act on the same space")
+    u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else nk.as_cmatrix(obs1)
+    u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else nk.as_cmatrix(obs2)
+    if u1.shape != u2.shape:
+        raise ContractError("unitaries must act on the same space")
     x = u1 @ u2
     y = u2 @ u1
     d = x.shape[0]
@@ -557,18 +525,18 @@ def clock_and_shift(dim: int):
     return clock, shift
 
 
-def commensurable_projection_probe(e1_proj, e2_proj, level: int, ts=None):
+def commensurable_projection_probe(e1_proj, e2_proj, level: int):
     """Exploratory probe relating commensurability of U_t pairs to [E1, E2].
 
-    Returns rows of (t, commensurability residual) together with the
-    commutator norm of the projections; no claim is asserted.
+    Returns rows of (t, commensurability residual), for t in 1, i, -1 and
+    exp(0.3i), together with the commutator norm of the projections; no
+    claim is asserted.
     """
     e1 = require_projection(e1_proj)
     e2 = require_projection(e2_proj)
-    ts = (1.0, 1j, -1.0, np.exp(0.3j)) if ts is None else ts
     commutator = nk.frob(e1 @ e2 - e2 @ e1)
     rows = []
-    for t in ts:
+    for t in (1.0, 1j, -1.0, np.exp(0.3j)):
         u1 = ut_unitary(e1, t, level)
         u2 = ut_unitary(e2, t, level)
         rows.append((complex(t), commensurable(u1, u2).residual))

@@ -282,16 +282,15 @@ class SuiteEnv:
         return sample_generic_state(tower, suite_seed(self.config.seed, f"{self.suite_id}:{tag}"),
                                     profile=profile)
 
-    def pair(self, level=1):
+    def pair(self, level: int):
         return (random_excitation(self.state, self.rng, level=level),
                 random_excitation(self.state, self.rng, level=level))
 
-    def element(self, n_terms=2, level=None):
-        level = self.tower.levels if level is None else level
+    def element(self, n_terms=2):
         terms = []
         for _ in range(n_terms):
             c = complex(self.rng.standard_normal(), self.rng.standard_normal())
-            terms.append((c, random_excitation(self.state, self.rng, level=level)))
+            terms.append((c, random_excitation(self.state, self.rng, level=self.tower.levels)))
         return sa.element_from_terms(self.state, terms)
 
 
@@ -846,7 +845,9 @@ def _suite_detector(env: SuiteEnv):
     d = env.tower.top_dim
     # Rank and cut points follow D so that the projection stays proper and
     # the three recovery blocks non-empty; at D=16 they are 4 and 6/5/5.
-    e_proj = nk.random_projection(env.rng, d, min(4, d // 2))
+    # The states leak about 1e-4 (D - rank) / rank outside E: past eps at
+    # D=48 for rank 4, so from D=40 the rank is D/8, holding it near 7e-4.
+    e_proj = nk.random_projection(env.rng, d, max(min(4, d // 2), d // 8))
     states = _concentrated_states(env, e_proj, n_states, leak=0.01)
     det = pr.tune_detector(e_proj, eps, states, seed=suite_seed(env.config.seed, "detector:tune"))
     checks = [

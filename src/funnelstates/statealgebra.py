@@ -34,6 +34,7 @@ from .funnel import GenericState, LocalOperator
 
 TERM_BUDGET = 64
 _DROP_TOL = 1e-12
+WITNESS_FLOOR = 1e-9
 
 
 @dataclass
@@ -108,9 +109,9 @@ def _orthonormalised(state, left, core, right) -> StateAlgebraElement:
     return StateAlgebraElement(state, ql, bl @ core @ nk.dagger(br), qr)
 
 
-def excitation_element(exc: ExcitationState, coeff=1.0) -> StateAlgebraElement:
+def excitation_element(exc: ExcitationState) -> StateAlgebraElement:
     v = exc.vector[:, None]
-    return StateAlgebraElement(exc.state, v, np.array([[complex(coeff)]]), v)
+    return StateAlgebraElement(exc.state, v, np.array([[1.0 + 0.0j]]), v)
 
 
 def element_from_terms(state: GenericState, terms) -> StateAlgebraElement:
@@ -299,9 +300,8 @@ def _chain_value(left: ExcitationState, el: StateAlgebraElement, right: Excitati
     return complex(np.vdot(omega, va) * np.vdot(va, el.kernel_apply(vb)) * np.vdot(vb, omega))
 
 
-def faithfulness_probe(el: StateAlgebraElement, rng=None,
-                       threshold: float = 1e-9) -> FaithfulnessWitness:
-    """Find states with omega(omega_A x psi x omega_B) away from zero.
+def faithfulness_probe(el: StateAlgebraElement, rng) -> FaithfulnessWitness:
+    """Find states with |omega(omega_A x psi x omega_B)| above WITNESS_FLOOR.
 
     Candidates come from the element's own canonical terms; when all of them
     are annihilated by the reference functional, shifted probes c*1 + A are
@@ -310,7 +310,6 @@ def faithfulness_probe(el: StateAlgebraElement, rng=None,
     if el.kernel_norm() <= 1e-8:
         raise ContractError("faithfulness probe requires a nonzero element")
     state = el.state
-    rng = np.random.default_rng(0) if rng is None else rng
     d = state.dim
     eye = np.eye(d, dtype=complex)
 
@@ -335,17 +334,17 @@ def faithfulness_probe(el: StateAlgebraElement, rng=None,
             val = _chain_value(left, el, right)
             if abs(val) > best_val:
                 best, best_val = FaithfulnessWitness(left, right, val), abs(val)
-        if best_val > 10 * threshold:
+        if best_val > 10 * WITNESS_FLOOR:
             return best
     for left in candidates[:8]:
         for right in candidates[:8]:
             val = _chain_value(left, el, right)
             if abs(val) > best_val:
                 best, best_val = FaithfulnessWitness(left, right, val), abs(val)
-    if best is not None and best_val > threshold:
+    if best is not None and best_val > WITNESS_FLOOR:
         return best
     raise FaithfulnessError(
-        f"no witness above {threshold} found for a nonzero element "
+        f"no witness above {WITNESS_FLOOR} found for a nonzero element "
         "(genericity breakdown suspected)"
     )
 

@@ -29,6 +29,7 @@ class OrthogonalFamily:
     `vectors` holds the members' doubled-space vectors as read-only rows.  A
     family from `build_complete_family` stores them once and its members'
     `mat` are views of these rows; a family built by hand stacks its own.
+    All members excite one reference state, checked once at construction.
     """
 
     members: list
@@ -36,6 +37,8 @@ class OrthogonalFamily:
     vectors: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        if any(m.state is not self.members[0].state for m in self.members[1:]):
+            raise ContractError("family members refer to different reference states")
         if self.vectors is None:
             self.vectors = np.array([m.vector for m in self.members], dtype=complex)
         self.vectors.setflags(write=False)
@@ -128,10 +131,10 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
 
 def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
     """sum_m |omega(B* A_m)|^2 over the family, each term clamped into [0, 1]."""
-    if any(m.state is not probe.state for m in family.members):
-        raise ContractError("excitations refer to different reference states")
     if not family.members:
         return 0.0
+    if family.members[0].state is not probe.state:
+        raise ContractError("excitations refer to different reference states")
     terms = np.abs(family.vectors @ np.conj(probe.vector)) ** 2
     if terms.max() > 1.0 + 1e-12:
         raise ContractError(f"transition probability {terms.max()!r} outside the unit interval")

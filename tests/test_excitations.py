@@ -206,7 +206,7 @@ def test_mismatched_reference_states_rejected(state, small_state, rng):
     a = random_excitation(state, rng, level=1)
     b = random_excitation(small_state, rng, level=1)
     with pytest.raises(ContractError):
-        norm_distance(a, b)
+        norm_distance(a, b, scope="top")
 
 
 # -- phase alignment ----------------------------------------------------

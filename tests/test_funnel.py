@@ -13,6 +13,7 @@ from funnelstates import (
     relative_commutant_basis,
     sample_generic_state,
 )
+from funnelstates import funnel
 from funnelstates import numkernel as nk
 from funnelstates.errors import SizingError
 from funnelstates.funnel import (
@@ -59,8 +60,8 @@ def test_sample_pure_profile(tower):
 
 
 def test_sample_near_tracial_spectrum(tower):
-    delta = 0.1
-    s = sample_generic_state(tower, seed=9, profile="near_tracial", delta=delta)
+    delta = funnel.NEAR_TRACIAL_WEIGHT
+    s = sample_generic_state(tower, seed=9, profile="near_tracial")
     d = tower.top_dim
     # by construction lam - (1-delta)/d is delta * (a density matrix)
     remainder = s.lam - (1 - delta) / d * np.eye(d)
@@ -74,12 +75,13 @@ def test_sample_unknown_profile(tower):
         sample_generic_state(tower, seed=1, profile="bogus")
 
 
-def test_sample_bounded_redraws(tower):
+def test_sample_bounded_redraws(tower, monkeypatch):
     from funnelstates import SamplingError
 
-    # an unreachable separation floor exhausts the redraw budget
-    with pytest.raises(SamplingError):
-        sample_generic_state(tower, seed=1, eps_sep=1.0, max_redraws=3)
+    # an unreachable separation floor (eps_sep = 1) exhausts the redraw budget
+    monkeypatch.setattr(funnel, "SEPARATION_SCALE", float(tower.top_dim))
+    with pytest.raises(SamplingError, match=f"after {funnel.MAX_REDRAWS} draws"):
+        sample_generic_state(tower, seed=1)
 
 
 def test_embedding_is_unital_star_homomorphism(tower, rng):
@@ -155,7 +157,7 @@ def test_genericity_passes_for_random_state(state, rng):
 
 
 def test_genericity_pure_fails_separating(pure_state):
-    report = check_genericity(pure_state, trials=4)
+    report = check_genericity(pure_state, trials=4, rng=np.random.default_rng(0))
     failed = {c.check_id for c in report.failures}
     assert "separating" in failed
 
@@ -170,7 +172,7 @@ def test_genericity_tracial_product_fails_lift(tower):
     lam = np.kron(np.eye(2) / 2, tau)
     state = GenericState(tower=tower, lam=lam, profile="random_full_rank",
                          seed=0, eps_sep=1e-12, separating=True)
-    report = check_genericity(state, trials=20)
+    report = check_genericity(state, trials=20, rng=np.random.default_rng(0))
     failed = {c.check_id for c in report.failures}
     assert "lift_injectivity:1" in failed
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -201,6 +202,38 @@ def test_names_traced_by_the_benchmark_exist():
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
     assert callable(runner.make_excitation)
     assert set(spans.SUITE_IDS) <= set(runner.SUITES)
+
+
+def test_randomness_is_passed_in_explicitly():
+    # every random draw comes from a Generator or seed the caller passes;
+    # a defaulted rng or seed would be a hidden fixed stream
+    defaulted = []
+    for module in ("numkernel", "funnel", "excitations", "transitions", "statealgebra",
+                   "primitives"):
+        mod = importlib.import_module(f"funnelstates.{module}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = [obj]
+            elif inspect.isclass(obj):
+                functions = [f for n, f in vars(obj).items() if inspect.isfunction(f)
+                             and (n == "__init__" or not n.startswith("_"))]
+            else:
+                continue
+            for fn in functions:
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name in ("rng", "seed") and param.default is not param.empty:
+                        defaulted.append(f"{module}.{fn.__qualname__}({param.name})")
+    assert defaulted == []
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 12), (2, 2, 16)])
+def test_detector_suite_passes_at_d48_and_d64(dims):
+    (suite,) = run(ScenarioConfig(tower_dims=dims, suites=("detector",))).suites
+    assert suite.error is None
+    assert [c.check_id for c in suite.checks if c.status != "pass"] == []
+    assert len(suite.checks) == 4
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

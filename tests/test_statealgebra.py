@@ -333,7 +333,7 @@ def test_faithfulness_witness_traceless_terms(state, rng):
 
 def test_faithfulness_rejects_zero(state, rng):
     with pytest.raises(ContractError):
-        sa.faithfulness_probe(sa.scale(0.0, _element(state, rng)))
+        sa.faithfulness_probe(sa.scale(0.0, _element(state, rng)), rng=np.random.default_rng(0))
 
 
 # -- kernel-picture isomorphism ---------------------------------------------

@@ -189,6 +189,14 @@ def test_completeness_sum_hand_built_family(small_state):
     assert completeness_sum(OrthogonalFamily(members=[], overlaps=np.zeros((0, 0))), probe) == 0.0
 
 
+def test_family_mixing_two_states_rejected(small_state):
+    other = sample_generic_state(small_state.tower, seed=8)
+    a = random_excitation(small_state, np.random.default_rng(1), level=2)
+    b = random_excitation(other, np.random.default_rng(2), level=2)
+    with pytest.raises(ContractError):
+        OrthogonalFamily(members=[a, b], overlaps=np.eye(2))
+
+
 def test_completeness_sum_rejects_foreign_probe(small_state):
     family = build_complete_family(small_state)
     other = sample_generic_state(small_state.tower, seed=8)
