@@ -267,16 +267,18 @@ def null_combination_transfer(coeffs, excs, trials: int, rng) -> TransferReport:
         )
     state = excs[0].state
     tower = state.tower
-    tops = [e.top for e in excs]
+    tops = np.stack([e.top for e in excs])
+    tops_h = np.conj(tops.transpose(0, 2, 1))
     worst = 0.0
     witness = None
     for trial in range(trials):
         level = 1 + (trial % tower.levels)
         c = nk.random_complex_matrix(rng, tower.dim_at(level))
         c_top = embed_matrix(tower, level, c)
+        # every A_m* C A_m from one batched product, summed in member order
         acc = np.zeros_like(c_top)
-        for cm, a_top in zip(coeffs, tops):
-            acc = acc + cm * (nk.dagger(a_top) @ c_top @ a_top)
+        for cm, prod in zip(coeffs, tops_h @ c_top @ tops):
+            acc = acc + cm * prod
         ratio = nk.frob(acc) / nk.frob(c_top)
         if ratio > worst:
             worst = ratio

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,33 +22,41 @@ def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-@dataclass
 class OrthogonalFamily:
     """Mutually orthogonal excitation states with their overlap matrix.
 
     `vectors` holds the members' doubled-space vectors as read-only rows.  A
     family from `build_complete_family` stores them once and its members'
     `mat` are views of these rows; a family built by hand stacks its own.
-    All members excite one reference state, checked once at construction.
+    `overlaps` is taken as given, or else derived from `vectors` on first
+    read and memoised.  All members excite one reference state, checked once
+    at construction.
     """
 
-    members: list
-    overlaps: np.ndarray
-    vectors: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if any(m.state is not self.members[0].state for m in self.members[1:]):
+    def __init__(self, members: list, overlaps: np.ndarray = None, vectors: np.ndarray = None):
+        if any(m.state is not members[0].state for m in members[1:]):
             raise ContractError("family members refer to different reference states")
-        if self.vectors is None:
-            self.vectors = np.array([m.vector for m in self.members], dtype=complex)
-        self.vectors.setflags(write=False)
+        if vectors is None:
+            vectors = np.array([m.vector for m in members], dtype=complex)
+        vectors.setflags(write=False)
+        self.members = members
+        self.vectors = vectors
+        self._overlaps = overlaps
+
+    @property
+    def overlaps(self) -> np.ndarray:
+        if self._overlaps is None:
+            self._overlaps = np.conj(self.vectors) @ self.vectors.T
+        return self._overlaps
 
     def __len__(self) -> int:
         return len(self.members)
 
     def max_off_diagonal(self) -> float:
+        if len(self.members) < 2:
+            return 0.0
         off = self.overlaps - np.diag(np.diag(self.overlaps))
-        return float(np.max(np.abs(off))) if len(self.members) > 1 else 0.0
+        return float(np.max(np.abs(off)))
 
 
 def _householder_basis(columns: np.ndarray):
@@ -67,7 +75,12 @@ def _householder_basis(columns: np.ndarray):
 
 
 def _family_vectors(state: GenericState, generators):
-    """The D^2 orthonormalized generator vectors A.omega as rows, and their overlaps."""
+    """The D^2 orthonormalized generator vectors A.omega as rows, and their overlaps.
+
+    The overlaps are returned only where they come cheap, on the default
+    path; for caller-supplied generators they are None, and the family
+    derives them from the rows if something reads them.
+    """
     d = state.dim
     sqrt_lam = state.sqrt_lam
     if generators is None:
@@ -97,7 +110,7 @@ def _family_vectors(state: GenericState, generators):
                 f"generators span only {len(gs.vectors)} of {d * d} directions"
             )
         rows = np.array(gs.vectors)
-    return rows, np.conj(rows) @ rows.T
+    return rows, None
 
 
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:

@@ -284,6 +284,28 @@ def test_null_combination_found_and_transfers(state, rng):
     assert report.worst_witness is not None
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_null_transfer_batched_matches_per_matrix_loop(state, rng, level):
+    from funnelstates.funnel import embed_matrix
+
+    excs = _dependent_family(state, rng, level=level)
+    coeffs = find_null_combination(excs)
+    report = null_combination_transfer(coeffs, excs, trials=30, rng=np.random.default_rng(9))
+    # the same trials, one A_m* C A_m product per member
+    trial_rng = np.random.default_rng(9)
+    tower = state.tower
+    worst = 0.0
+    for trial in range(30):
+        lvl = 1 + (trial % tower.levels)
+        c_top = embed_matrix(tower, lvl, nk.random_complex_matrix(trial_rng, tower.dim_at(lvl)))
+        acc = np.zeros_like(c_top)
+        for cm, exc in zip(coeffs, excs):
+            acc = acc + cm * (nk.dagger(exc.top) @ c_top @ exc.top)
+        worst = max(worst, nk.frob(acc) / nk.frob(c_top))
+    assert report.max_ratio == worst
+    assert report.max_ratio > 0.0
+
+
 def test_independent_family_rejected(state, rng):
     excs = [random_excitation(state, rng, level=1) for _ in range(3)]
     with pytest.raises(NotNullCombinationError):

@@ -252,3 +252,55 @@ def test_cli_out_dir_env(tmp_path, monkeypatch):
 def test_cli_demo(capsys):
     assert main(["demo"]) == 0
     assert "survival probability" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 2, 8)])
+def test_gram_oracle_equals_dense_spectrum(dims, monkeypatch):
+    from funnelstates import statealgebra as sa
+
+    seen = []
+    gram_spectrum = runner._gram_spectrum
+
+    def recording(terms):
+        seen.append((terms, gram_spectrum(terms)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(runner, "_gram_spectrum", recording)
+    (suite,) = run(ScenarioConfig(tower_dims=dims, suites=("spectral",))).suites
+    assert suite.error is None
+    ((terms, oracle),) = seen
+    assert [c for c, _ in terms] == [0.5, 0.5]
+    mix = sa.element_from_terms(terms[0][1].state, terms)
+    dense = np.linalg.eigvalsh(mix.kernel())
+    dense = dense[np.abs(dense) > 1e-12][::-1]
+    assert len(oracle) == len(dense) == 2
+    np.testing.assert_allclose(oracle, dense, rtol=0, atol=1e-13)
+
+
+def test_member_concentration_keeps_tiny_off_self_weights():
+    eps = 1e-20 * np.exp(0.3j)
+    vectors = np.array([[1, 0, 0], [eps, 1, 0], [np.conj(eps), 0, 1]], dtype=complex)
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    for k in range(3):
+        explicit = sum(abs(np.vdot(vectors[m], vectors[k])) ** 2 for m in range(3) if m != k)
+        assert explicit > 0.0
+        assert runner._member_concentration(vectors, k) == pytest.approx(explicit, rel=1e-6)
+
+
+def test_completeness_holds_one_family_at_a_time(monkeypatch):
+    import weakref
+
+    built = []
+
+    def tracking(state, generators=None):
+        assert all(ref() is None for ref in built), "an earlier family is still alive"
+        family = build(state, generators=generators)
+        built.append(weakref.ref(family))
+        return family
+
+    build = runner.build_complete_family
+    monkeypatch.setattr(runner, "build_complete_family", tracking)
+    (suite,) = run(ScenarioConfig(suites=("completeness",))).suites
+    assert suite.error is None
+    assert len(built) == 4  # main and 2x2, default and reversed generators each
+    assert all(c.status == "pass" for c in suite.checks)

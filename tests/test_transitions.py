@@ -176,6 +176,26 @@ def test_family_members_view_stored_vectors(small_state):
         assert e.rho is e.rho
 
 
+def test_generic_family_overlaps_on_first_read(small_state):
+    from funnelstates.funnel import matrix_units
+
+    family = build_complete_family(small_state, generators=list(matrix_units(4))[::-1])
+    assert family._overlaps is None  # not formed at build time
+    overlaps = family.overlaps
+    np.testing.assert_allclose(overlaps, np.conj(family.vectors) @ family.vectors.T,
+                               rtol=0, atol=1e-14)
+    assert family.overlaps is overlaps
+    assert family.max_off_diagonal() <= 1e-9
+    # the default path keeps its block-diagonal overlaps from construction
+    default = build_complete_family(small_state)
+    assert default._overlaps is not None
+    # a family built by hand without overlaps derives them too
+    partial = OrthogonalFamily(members=default.members[1:])
+    np.testing.assert_allclose(partial.overlaps, default.overlaps[1:, 1:], rtol=0, atol=1e-14)
+    assert OrthogonalFamily(members=default.members[:1]).max_off_diagonal() == 0.0
+    assert OrthogonalFamily(members=[]).max_off_diagonal() == 0.0
+
+
 def test_completeness_sum_hand_built_family(small_state):
     family = build_complete_family(small_state)
     partial = OrthogonalFamily(members=family.members[1:], overlaps=family.overlaps[1:, 1:])
