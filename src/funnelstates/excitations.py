@@ -26,8 +26,8 @@ from .funnel import (
     FunnelTower,
     GenericState,
     LocalOperator,
+    MinimalExtensionProjection,
     embed_matrix,
-    minimal_extension_projection,
 )
 
 # State equality is tested at 1e-9 in functional norm; operator recovery is
@@ -310,13 +310,16 @@ class ExtremalityReport:
         return self.is_representation and not self.ray_failures
 
 
-def compression_check(exc: ExcitationState) -> CompressionCheck:
-    """Rank-one check for A* E_n A one level above the operator."""
+def compression_check(exc: ExcitationState, proj: MinimalExtensionProjection) -> CompressionCheck:
+    """Rank-one check for A* E_n A one level above the operator.
+
+    `proj` is `minimal_extension_projection(exc.state, n)` at the operator's
+    level n; a caller checking many operators builds it once per level.
+    """
     state = exc.state
     n = exc.level
-    if n >= state.tower.levels:
-        raise ContractError("compression check needs one tower level above the operator")
-    proj = minimal_extension_projection(state, n)
+    if proj.level != n:
+        raise ContractError(f"compression check at level {n} got the level-{proj.level} projection")
     a_up = embed_matrix(state.tower, n, exc.op.matrix, n + 1)
     compressed = nk.dagger(a_up) @ proj.projector @ a_up
     svals = np.linalg.svd(compressed, compute_uv=False)

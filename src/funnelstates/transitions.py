@@ -26,22 +26,41 @@ class OrthogonalFamily:
     """Mutually orthogonal excitation states with their overlap matrix.
 
     `vectors` holds the members' doubled-space vectors as read-only rows.  A
-    family from `build_complete_family` stores them once and its members'
-    `mat` are views of these rows; a family built by hand stacks its own.
-    `overlaps` is taken as given, or else derived from `vectors` on first
-    read and memoised.  All members excite one reference state, checked once
-    at construction.
+    family from `build_complete_family` holds only `state` and these rows;
+    its `members` are derived from the rows on first read and memoised, each
+    `mat` a view of its row.  A family built by hand from `members` stacks
+    their vectors, and checks once that all of them excite one reference
+    state.  `overlaps` is taken as given, or else derived from `vectors` on
+    first read and memoised.
     """
 
-    def __init__(self, members: list, overlaps: np.ndarray = None, vectors: np.ndarray = None):
-        if any(m.state is not members[0].state for m in members[1:]):
-            raise ContractError("family members refer to different reference states")
-        if vectors is None:
+    def __init__(self, members: list = None, overlaps: np.ndarray = None, *,
+                 state: GenericState = None, vectors: np.ndarray = None):
+        if members is not None:
+            if any(m.state is not members[0].state for m in members[1:]):
+                raise ContractError("family members refer to different reference states")
+            state = members[0].state if members else None
             vectors = np.array([m.vector for m in members], dtype=complex)
         vectors.setflags(write=False)
-        self.members = members
+        self.state = state
         self.vectors = vectors
+        self._members = members
         self._overlaps = overlaps
+
+    @property
+    def members(self) -> list:
+        if self._members is None:
+            d = self.state.dim
+            inv_sqrt = self.state.inv_sqrt_lam
+            level = self.state.tower.levels
+            members = []
+            for row in self.vectors:
+                mat = row.reshape(d, d)
+                op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
+                members.append(ExcitationState(state=self.state, op=op, top=op.matrix, mat=mat,
+                                               canonical_phase=_gauge_phase(row)))
+            self._members = members
+        return self._members
 
     @property
     def overlaps(self) -> np.ndarray:
@@ -50,13 +69,14 @@ class OrthogonalFamily:
         return self._overlaps
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.vectors)
 
     def max_off_diagonal(self) -> float:
-        if len(self.members) < 2:
+        if len(self) < 2:
             return 0.0
-        off = self.overlaps - np.diag(np.diag(self.overlaps))
-        return float(np.max(np.abs(off)))
+        off = np.abs(self.overlaps)
+        np.fill_diagonal(off, 0.0)
+        return float(off.max())
 
 
 def _householder_basis(columns: np.ndarray):
@@ -68,10 +88,14 @@ def _householder_basis(columns: np.ndarray):
     `nk.gram_schmidt` decides which columns count as dependent.
     """
     q, r = np.linalg.qr(columns)
-    diag = np.diag(r)
+    # only diag(R) is read: R, as large as Q, goes before anything else is
+    # allocated, and Q is rotated in place
+    diag = r.diagonal().copy()
+    del r
     if not np.all(np.abs(diag) > 10.0 * nk.CONTRACT_TOL * np.linalg.norm(columns, axis=0)):
         return None
-    return q * (diag / np.abs(diag))
+    q *= diag / np.abs(diag)
+    return q
 
 
 def _family_vectors(state: GenericState, generators):
@@ -92,25 +116,27 @@ def _family_vectors(state: GenericState, generators):
             eye = np.eye(d)
             return np.kron(eye, q.T), np.kron(eye, nk.dagger(q) @ q)
         generators = matrix_units(d)
-    # one array rather than D^2 separate vectors: at D=32 they would stay live
-    # beside the QR's own 1024^2 copies
-    generators = list(generators)
-    gen_rows = np.empty((len(generators), d * d), dtype=complex)
+    # the generators are consumed as a stream into one array: at D=32 a list
+    # of D^2 separate matrices or vectors would stay live beside the QR's
+    # own 1024^2 copies
+    generators = iter(generators)
+    gen_rows = np.empty((d * d, d * d), dtype=complex)
+    count = 0
     for row, g in zip(gen_rows, generators):
         row[:] = (state.embed(g) @ sqrt_lam).ravel()
-    q = None
-    if len(generators) >= d * d:
-        q = _householder_basis(gen_rows[:d * d].T)
+        count += 1
+    q = _householder_basis(gen_rows.T) if count == d * d else None
     if q is not None:
-        rows = np.ascontiguousarray(q.T)
-    else:
-        gs = nk.gram_schmidt(gen_rows)
-        if len(gs.vectors) != d * d:
-            raise CompletenessUnavailableError(
-                f"generators span only {len(gs.vectors)} of {d * d} directions"
-            )
-        rows = np.array(gs.vectors)
-    return rows, None
+        del gen_rows  # before the row-major copy of Q, not beside it
+        return np.ascontiguousarray(q.T), None
+    # generators past the first D^2 only matter to the Gram-Schmidt fallback
+    tail = [(state.embed(g) @ sqrt_lam).ravel() for g in generators]
+    gs = nk.gram_schmidt(list(gen_rows[:count]) + tail)
+    if len(gs.vectors) != d * d:
+        raise CompletenessUnavailableError(
+            f"generators span only {len(gs.vectors)} of {d * d} directions"
+        )
+    return np.array(gs.vectors), None
 
 
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:
@@ -128,25 +154,15 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
         raise CompletenessUnavailableError(
             "complete orthogonal families need a full-rank reference state"
         )
-    d = state.dim
     vectors, overlaps = _family_vectors(state, generators)
-    vectors.setflags(write=False)
-    inv_sqrt = state.inv_sqrt_lam
-    level = state.tower.levels
-    members = []
-    for row in vectors:
-        mat = row.reshape(d, d)
-        op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
-        members.append(ExcitationState(state=state, op=op, top=op.matrix, mat=mat,
-                                       canonical_phase=_gauge_phase(row)))
-    return OrthogonalFamily(members=members, overlaps=overlaps, vectors=vectors)
+    return OrthogonalFamily(overlaps=overlaps, state=state, vectors=vectors)
 
 
 def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
     """sum_m |omega(B* A_m)|^2 over the family, each term clamped into [0, 1]."""
-    if not family.members:
+    if not len(family):
         return 0.0
-    if family.members[0].state is not probe.state:
+    if family.state is not probe.state:
         raise ContractError("excitations refer to different reference states")
     terms = np.abs(family.vectors @ np.conj(probe.vector)) ** 2
     if terms.max() > 1.0 + 1e-12:

@@ -349,9 +349,11 @@ def test_extremality_weight_contract(state, rng):
 def test_compression_is_rank_one(state, rng):
     for level in (1, 2):
         exc = random_excitation(state, rng, level=level)
-        comp = compression_check(exc)
+        comp = compression_check(exc, minimal_extension_projection(state, level))
         assert comp.second_singular <= 1e-9
         assert comp.leading_singular == pytest.approx(comp.expected_leading, abs=1e-9)
+    with pytest.raises(ContractError):
+        compression_check(exc, minimal_extension_projection(state, 1))
 
 
 def test_lift_soundness_sweep(state, rng):

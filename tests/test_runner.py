@@ -304,3 +304,41 @@ def test_completeness_holds_one_family_at_a_time(monkeypatch):
     assert suite.error is None
     assert len(built) == 4  # main and 2x2, default and reversed generators each
     assert all(c.status == "pass" for c in suite.checks)
+
+
+def test_completeness_suite_peak_memory():
+    import tracemalloc
+
+    # the suite's largest structure is one D^2 x D^2 complex array; the
+    # generic family's QR needs about three more, and nothing else should
+    config = ScenarioConfig(suites=("completeness",))
+    run(config)  # the first run fills lazy imports and caches
+    tracemalloc.start()
+    try:
+        (suite,) = run(config).suites
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.status == "pass" for c in suite.checks)
+    d = int(np.prod(config.tower_dims))
+    assert peak <= 4.75 * d**4 * 16
+
+
+def test_extreme_points_builds_each_projection_once(monkeypatch):
+    import collections
+
+    built = collections.Counter()
+
+    def counting(state, n):
+        built[id(state), n] += 1
+        return build(state, n)
+
+    build = runner.minimal_extension_projection
+    monkeypatch.setattr(runner, "minimal_extension_projection", counting)
+    (suite,) = run(ScenarioConfig(suites=("extreme_points",))).suites
+    assert suite.error is None
+    assert all(c.status == "pass" for c in suite.checks)
+    # the default tower has levels 1 and 2 below its top, both on one state
+    assert len({state_id for state_id, _ in built}) == 1
+    assert sorted(level for _, level in built) == [1, 2]
+    assert all(count == 1 for count in built.values())

@@ -176,6 +176,44 @@ def test_family_members_view_stored_vectors(small_state):
         assert e.rho is e.rho
 
 
+def test_family_members_on_first_read(state):
+    import tracemalloc
+
+    from funnelstates.excitations import _gauge_phase
+
+    tracemalloc.start()
+    try:
+        family = build_complete_family(state)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family._members is None
+    assert live <= family.vectors.nbytes + family.overlaps.nbytes + 64 * 1024
+    d = state.dim
+    members = family.members
+    assert family.members is members
+    assert len(members) == len(family) == d * d
+    for row, member in zip(family.vectors, members):
+        assert np.shares_memory(member.mat, row)
+        assert np.array_equal(member.op.matrix, row.reshape(d, d) @ state.inv_sqrt_lam)
+        assert member.top is member.op.matrix
+        assert member.canonical_phase == _gauge_phase(row)
+        assert member.level == state.tower.levels
+
+
+def test_max_off_diagonal_equals_the_subtracted_form(small_state):
+    from funnelstates.funnel import matrix_units
+
+    default = build_complete_family(small_state)
+    generic = build_complete_family(small_state, generators=list(matrix_units(4))[::-1])
+    rng = np.random.default_rng(2)
+    noisy = OrthogonalFamily(members=default.members,
+                             overlaps=default.overlaps + 1e-3 * nk.random_complex_matrix(rng, 16))
+    for family in (default, generic, noisy):
+        ov = family.overlaps
+        assert family.max_off_diagonal() == float(np.max(np.abs(ov - np.diag(np.diag(ov)))))
+
+
 def test_generic_family_overlaps_on_first_read(small_state):
     from funnelstates.funnel import matrix_units
 
