@@ -518,7 +518,7 @@ def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
     checks = [check_flag(f"completeness/size:{tag}", len(family) == d2,
                          witness={"size": len(family), "expected": d2})]
     off = family.max_off_diagonal()
-    diag = float(np.max(np.abs(np.diag(family.overlaps) - 1.0)))
+    diag = family.max_norm_deviation()
     checks.append(check_le(f"completeness/orthogonality:{tag}", off, 1e-9))
     checks.append(check_le(f"completeness/normalization:{tag}", diag, 1e-10))
     sums = [completeness_sum(family, probe) for probe in probe_states]

@@ -30,12 +30,15 @@ class OrthogonalFamily:
     its `members` are derived from the rows on first read and memoised, each
     `mat` a view of its row.  A family built by hand from `members` stacks
     their vectors, and checks once that all of them excite one reference
-    state.  `overlaps` is taken as given, or else derived from `vectors` on
-    first read and memoised.
+    state.  `overlaps` is taken as given, or else derived on first read and
+    memoised: from `block` when the overlap matrix is known to be
+    kron(eye, block), a D x D block that the checks on the family read
+    directly, and otherwise from `vectors`.
     """
 
     def __init__(self, members: list = None, overlaps: np.ndarray = None, *,
-                 state: GenericState = None, vectors: np.ndarray = None):
+                 state: GenericState = None, vectors: np.ndarray = None,
+                 block: np.ndarray = None):
         if members is not None:
             if any(m.state is not members[0].state for m in members[1:]):
                 raise ContractError("family members refer to different reference states")
@@ -46,6 +49,7 @@ class OrthogonalFamily:
         self.vectors = vectors
         self._members = members
         self._overlaps = overlaps
+        self._block = block
 
     @property
     def members(self) -> list:
@@ -65,18 +69,33 @@ class OrthogonalFamily:
     @property
     def overlaps(self) -> np.ndarray:
         if self._overlaps is None:
-            self._overlaps = np.conj(self.vectors) @ self.vectors.T
+            if self._block is not None:
+                self._overlaps = np.kron(np.eye(len(self._block)), self._block)
+            else:
+                self._overlaps = np.conj(self.vectors) @ self.vectors.T
         return self._overlaps
 
     def __len__(self) -> int:
         return len(self.vectors)
 
+    def _overlap_source(self) -> np.ndarray:
+        # kron(eye, block) is exactly 0 outside its diagonal blocks and
+        # repeats the block's entries bit for bit, so the block gives the
+        # same maxima
+        return self._block if self._block is not None else self.overlaps
+
     def max_off_diagonal(self) -> float:
         if len(self) < 2:
             return 0.0
-        off = np.abs(self.overlaps)
+        off = np.abs(self._overlap_source())
         np.fill_diagonal(off, 0.0)
         return float(off.max())
+
+    def max_norm_deviation(self) -> float:
+        """max_m | ||A_m.omega||^2 - 1 |, read off the overlaps' diagonal."""
+        if not len(self):
+            return 0.0
+        return float(np.max(np.abs(np.diag(self._overlap_source()) - 1.0)))
 
 
 def _householder_basis(columns: np.ndarray):
@@ -99,11 +118,12 @@ def _householder_basis(columns: np.ndarray):
 
 
 def _family_vectors(state: GenericState, generators):
-    """The D^2 orthonormalized generator vectors A.omega as rows, and their overlaps.
+    """The D^2 orthonormalized generator vectors A.omega as rows, and an overlap block.
 
-    The overlaps are returned only where they come cheap, on the default
-    path; for caller-supplied generators they are None, and the family
-    derives them from the rows if something reads them.
+    On the default path the overlap matrix is kron(eye, Q^* Q), and only the
+    D x D block Q^* Q is returned; for caller-supplied generators the block
+    is None, and the family derives the overlaps from the rows if something
+    reads them.
     """
     d = state.dim
     sqrt_lam = state.sqrt_lam
@@ -113,8 +133,7 @@ def _family_vectors(state: GenericState, generators):
         # overlap matrix is block diagonal.
         q = _householder_basis(sqrt_lam.T)
         if q is not None:
-            eye = np.eye(d)
-            return np.kron(eye, q.T), np.kron(eye, nk.dagger(q) @ q)
+            return np.kron(np.eye(d), q.T), nk.dagger(q) @ q
         generators = matrix_units(d)
     # the generators are consumed as a stream into one array: at D=32 a list
     # of D^2 separate matrices or vectors would stay live beside the QR's
@@ -154,8 +173,8 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
         raise CompletenessUnavailableError(
             "complete orthogonal families need a full-rank reference state"
         )
-    vectors, overlaps = _family_vectors(state, generators)
-    return OrthogonalFamily(overlaps=overlaps, state=state, vectors=vectors)
+    vectors, block = _family_vectors(state, generators)
+    return OrthogonalFamily(state=state, vectors=vectors, block=block)
 
 
 def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
@@ -171,11 +190,16 @@ def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
 
 
 def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:
-    """(tr |sqrt(rho_A) sqrt(rho_B)|)^2 on the top-algebra densities."""
+    """(tr |sqrt(rho_A) sqrt(rho_B)|)^2 on the top-algebra densities.
+
+    Computed from the purifications, with no density and no square root
+    (Uhlmann's theorem): `M = mat` is the D x D matrix of A.omega, and
+    rho_A = M_A M_A^*.  The polar form M_A = sqrt(rho_A) U_A has U_A unitary,
+    so M_A^* M_B = U_A^* sqrt(rho_A) sqrt(rho_B) U_B, and the trace norm,
+    which ignores the unitaries, is ||M_A^* M_B||_1.
+    """
     _require_shared_state(a, b)
-    sa = nk.sqrtm_psd(a.rho)
-    sb = nk.sqrtm_psd(b.rho)
-    return float(nk.trace_norm(sa @ sb) ** 2)
+    return float(nk.trace_norm(nk.dagger(a.mat) @ b.mat) ** 2)
 
 
 @dataclass

@@ -188,7 +188,7 @@ def test_family_members_on_first_read(state):
     finally:
         tracemalloc.stop()
     assert family._members is None
-    assert live <= family.vectors.nbytes + family.overlaps.nbytes + 64 * 1024
+    assert live <= family.vectors.nbytes + family._block.nbytes + 64 * 1024
     d = state.dim
     members = family.members
     assert family.members is members
@@ -224,14 +224,42 @@ def test_generic_family_overlaps_on_first_read(small_state):
                                rtol=0, atol=1e-14)
     assert family.overlaps is overlaps
     assert family.max_off_diagonal() <= 1e-9
-    # the default path keeps its block-diagonal overlaps from construction
+    assert family.max_norm_deviation() <= 1e-10
+    # the default path keeps only the D x D block of its block-diagonal
+    # overlaps, and forms the D^2 x D^2 matrix on first read as well
     default = build_complete_family(small_state)
-    assert default._overlaps is not None
+    assert default._overlaps is None and default._block.shape == (4, 4)
     # a family built by hand without overlaps derives them too
     partial = OrthogonalFamily(members=default.members[1:])
     np.testing.assert_allclose(partial.overlaps, default.overlaps[1:, 1:], rtol=0, atol=1e-14)
     assert OrthogonalFamily(members=default.members[:1]).max_off_diagonal() == 0.0
     assert OrthogonalFamily(members=[]).max_off_diagonal() == 0.0
+    assert OrthogonalFamily(members=[]).max_norm_deviation() == 0.0
+
+
+def test_default_family_keeps_only_the_overlap_block(state):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        family = build_complete_family(state)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = family._block
+    assert family._overlaps is None
+    assert block.shape == (state.dim, state.dim)
+    assert live <= family.vectors.nbytes + block.nbytes + 64 * 1024
+    # the checks read the block; the dense kron gives the same values bit for bit
+    dense = np.kron(np.eye(state.dim), block)
+    off = np.abs(dense)
+    np.fill_diagonal(off, 0.0)
+    assert family.max_off_diagonal() == float(off.max())
+    assert family.max_norm_deviation() == float(np.max(np.abs(np.diag(dense) - 1.0)))
+    assert family._overlaps is None
+    overlaps = family.overlaps
+    assert np.array_equal(overlaps, dense)
+    assert family.overlaps is overlaps
 
 
 def test_completeness_sum_hand_built_family(small_state):
@@ -295,6 +323,42 @@ def test_uhlmann_strict_gap_witness_for_mixed(state):
         b = random_excitation(state, rng, level=1)
         best = max(best, uhlmann_fidelity(a, b) - transition_probability(a, b))
     assert best > 1e-3
+
+
+def _sqrt_form_fidelity(a, b):
+    """(tr |sqrt(rho_A) sqrt(rho_B)|)^2 through the two density square roots."""
+    sa = nk.sqrtm_psd(a.mat @ nk.dagger(a.mat))
+    sb = nk.sqrtm_psd(b.mat @ nk.dagger(b.mat))
+    return float(nk.trace_norm(sa @ sb) ** 2)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 2, 8)])
+@pytest.mark.parametrize("profile", ["random_full_rank", "near_tracial", "pure"])
+def test_uhlmann_matches_the_square_root_form(dims, profile):
+    state = sample_generic_state(build_tower(dims), seed=5, profile=profile)
+    rng = np.random.default_rng(6)
+    levels = state.tower.levels
+    for k in range(6):
+        a = random_excitation(state, rng, level=1 + k % levels)
+        b = random_excitation(state, rng, level=levels - k % levels)
+        f = uhlmann_fidelity(a, b)
+        assert abs(f - _sqrt_form_fidelity(a, b)) <= 1e-12
+        assert abs(f - uhlmann_fidelity(b, a)) <= 1e-12
+        rotated = make_excitation(state, LocalOperator(a.level, np.exp(0.7j) * a.op.matrix))
+        assert abs(uhlmann_fidelity(rotated, b) - f) <= 1e-12
+
+
+def test_uhlmann_forms_no_density_and_no_square_root(state, monkeypatch):
+    calls = []
+    original = nk.sqrtm_psd
+    monkeypatch.setattr(nk, "sqrtm_psd", lambda m: calls.append(1) or original(m))
+    rng = np.random.default_rng(8)
+    a = random_excitation(state, rng, level=1)
+    b = random_excitation(state, rng, level=3)
+    assert a._rho is None and b._rho is None
+    uhlmann_fidelity(a, b)
+    assert a._rho is None and b._rho is None
+    assert len(calls) == 0
 
 
 # -- quadratic distance bound --------------------------------------------
