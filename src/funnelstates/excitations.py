@@ -173,17 +173,17 @@ def lift_phase(a: ExcitationState, b: ExcitationState) -> complex:
 
 
 def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState) -> ExcitationState:
-    """Excitation of c_a A + c_b B, renormalized.
+    """Excitation of c_a A + c_b B, renormalized, for the canonical representatives.
 
-    The result depends on the relative phase of the concrete representatives,
-    which the canonical gauge pins down; a different gauge convention would
-    produce a different (but ray-equivalent family of) superposition.
+    So the result is a function of the two states; a different gauge
+    convention would produce a different (but ray-equivalent family of)
+    superposition.
     """
     _require_shared_state(a, b)
     tower = a.state.tower
     level = max(a.level, b.level)
-    m = c_a * embed_matrix(tower, a.level, a.op.matrix, level) + \
-        c_b * embed_matrix(tower, b.level, b.op.matrix, level)
+    m = c_a * embed_matrix(tower, a.level, a.canonical_matrix, level) + \
+        c_b * embed_matrix(tower, b.level, b.canonical_matrix, level)
     try:
         return make_excitation(a.state, LocalOperator(level=level, matrix=m))
     except DegenerateExcitationError as exc:

@@ -56,22 +56,12 @@ class FunnelTower:
 
 
 def check_factor_dims(dims) -> tuple:
-    """The schedule as a tuple of ints: at least one level, every factor at least 2."""
+    """The schedule as int tuple: a level or more, factors >= 2, capacity k_{n+1} >= D_n."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ConfigurationError("tower needs at least one level")
     if any(d < 2 for d in dims):
         raise ConfigurationError(f"every factor dimension must be >= 2, got {dims}")
-    return dims
-
-
-def build_tower(dims) -> FunnelTower:
-    """Validate a dimension schedule and freeze it into a tower.
-
-    Every factor must be at least 2 (nontrivial relative commutants) and the
-    capacity rule k_{n+1} >= D_n must hold at every step.
-    """
-    dims = check_factor_dims(dims)
     running = dims[0]
     for i, k in enumerate(dims[1:], start=2):
         if k < running:
@@ -79,7 +69,12 @@ def build_tower(dims) -> FunnelTower:
                 f"capacity rule violated at level {i}: factor {k} < cumulative dimension {running}"
             )
         running *= k
-    return FunnelTower(factor_dims=dims)
+    return dims
+
+
+def build_tower(dims) -> FunnelTower:
+    """Validate a dimension schedule (`check_factor_dims`) and freeze it into a tower."""
+    return FunnelTower(factor_dims=check_factor_dims(dims))
 
 
 @dataclass(frozen=True)
@@ -294,16 +289,12 @@ def matrix_units(dim: int):
 
 
 def relative_commutant_basis(tower: FunnelTower, n: int):
-    """Matrix-unit basis of 1_{D_n} (x) M_{k_{n+1}}, embedded at level n+1."""
+    """Matrix-unit basis of 1_{D_n} (x) M_{k_{n+1}} at level n+1, yielded one by one."""
     if not 1 <= n < tower.levels:
         raise ContractError(f"relative commutant needs 1 <= n < {tower.levels}, got {n}")
-    d_n = tower.dim_at(n)
-    k_next = tower.factor_dims[n]
-    eye = np.eye(d_n, dtype=complex)
-    return [
-        LocalOperator(level=n + 1, matrix=np.kron(eye, unit))
-        for unit in matrix_units(k_next)
-    ]
+    eye = np.eye(tower.dim_at(n), dtype=complex)
+    return (LocalOperator(level=n + 1, matrix=np.kron(eye, unit))
+            for unit in matrix_units(tower.factor_dims[n]))
 
 
 def extension_projection_residual(state: GenericState, proj: MinimalExtensionProjection) -> float:

@@ -10,6 +10,7 @@ significant digits for reproducible digests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -81,8 +82,8 @@ class ScenarioConfig:
     sample_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # malformed or oversized towers and unknown profiles are configuration
-        # errors; a capacity violation is reported by every suite instead
+        # malformed, oversized or over-capacity towers and unknown profiles are
+        # configuration errors, raised before anything is built
         self.tower_dims = check_factor_dims(self.tower_dims)
         d = math.prod(self.tower_dims)
         if d * d > nk.MAX_TOTAL_DIM:  # a complete family holds D^2 vectors of length D^2
@@ -380,7 +381,7 @@ def _suite_min_projection(env: SuiteEnv):
                     abs(np.trace(e) - 1.0))
         checks.append(check_le(f"min_projection/projector_valid:{n}", valid, 1e-12))
         com_worst = 0.0
-        for rc in relative_commutant_basis(env.tower, n)[:4]:
+        for rc in itertools.islice(relative_commutant_basis(env.tower, n), 4):
             for unit in list(matrix_units(env.tower.dim_at(n)))[:4]:
                 u_emb = env.state.embed(LocalOperator(level=n, matrix=unit))
                 r_emb = env.state.embed(rc)
@@ -497,14 +498,19 @@ def _suite_uhlmann(env: SuiteEnv):
     return checks
 
 
-def _member_concentration(vectors: np.ndarray, k: int) -> float:
-    """sum_{m != k} |<v_m, v_k>|^2 over a family's rows: the weight member k puts elsewhere.
+def _member_concentration(family, k: int) -> float:
+    """sum_{m != k} |<v_m, v_k>|^2 over a family: the weight member k puts elsewhere.
 
+    On a block family they are column k % D of the block, and 0 outside it.
     The self term is removed before the sum, not subtracted after it: beside
     a self term of 1 the true value (about 1e-32) would round to 0.
     """
-    weights = np.abs(vectors @ np.conj(vectors[k])) ** 2
-    return float(np.delete(weights, k).sum())
+    if family.block is None:
+        column = family.coefficients(family.vectors[k])
+    else:
+        k %= len(family.block)
+        column = family.block[:, k]
+    return float(np.delete(np.abs(column) ** 2, k).sum())
 
 
 def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
@@ -524,7 +530,7 @@ def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
     sums = [completeness_sum(family, probe) for probe in probe_states]
     worst = max([0.0] + [abs(total - 1.0) for total in sums])
     checks.append(check_le(f"completeness/sum:{tag}", worst, env.tol(1e-8)))
-    concentrated = _member_concentration(family.vectors, min(3, len(family) - 1))
+    concentrated = _member_concentration(family, min(3, len(family) - 1))
     checks.append(check_le(f"completeness/member_concentration:{tag}", concentrated, 1e-12))
     del family
 

@@ -23,33 +23,62 @@ def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
 
 
 class OrthogonalFamily:
-    """Mutually orthogonal excitation states with their overlap matrix.
+    """Mutually orthogonal excitation states, held in one of three forms.
 
-    `vectors` holds the members' doubled-space vectors as read-only rows.  A
-    family from `build_complete_family` holds only `state` and these rows;
-    its `members` are derived from the rows on first read and memoised, each
-    `mat` a view of its row.  A family built by hand from `members` stacks
-    their vectors, and checks once that all of them excite one reference
-    state.  `overlaps` is taken as given, or else derived on first read and
-    memoised: from `block` when the overlap matrix is known to be
-    kron(eye, block), a D x D block that the checks on the family read
-    directly, and otherwise from `vectors`.
+    Rows: the members' vectors, stacked from hand-built `members` that excite
+    one reference state.  Block (the default family): members e_i (x) q_k for
+    the columns of a D x D `q`, overlaps kron(1, block), block = q^* q.
+    Reflectors (other generators): compact-WY blocks of one Householder QR
+    and the phases diag(R)/|diag(R)| that make it Gram-Schmidt.  `vectors`,
+    `members` (`mat` views of the rows) and `overlaps` are derived on first
+    read and memoised.
     """
 
     def __init__(self, members: list = None, overlaps: np.ndarray = None, *,
                  state: GenericState = None, vectors: np.ndarray = None,
-                 block: np.ndarray = None):
+                 q: np.ndarray = None, reflectors: tuple = None):
         if members is not None:
             if any(m.state is not members[0].state for m in members[1:]):
                 raise ContractError("family members refer to different reference states")
             state = members[0].state if members else None
             vectors = np.array([m.vector for m in members], dtype=complex)
-        vectors.setflags(write=False)
+        if vectors is not None:
+            vectors.setflags(write=False)
         self.state = state
-        self.vectors = vectors
+        self.q = q
+        self.block = None if q is None else nk.dagger(q) @ q
+        self._reflectors = reflectors  # (compact-WY blocks, phases)
+        self._size = len(vectors) if vectors is not None else state.dim ** 2
+        self._vectors = vectors
         self._members = members
         self._overlaps = overlaps
-        self._block = block
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """<v_m, x> for every member m of the family, x a doubled-space vector."""
+        if self.q is not None:
+            # <e_i (x) q_k, x> = (X conj(q))_ik, X the D x D matrix of x
+            d = len(self.q)
+            return (x.reshape(d, d) @ np.conj(self.q)).ravel()
+        if self._reflectors is not None:
+            blocks, phases = self._reflectors
+            return _reflect(blocks, x) * np.conj(phases)
+        return np.conj(self.vectors @ np.conj(x))
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            if self.q is not None:
+                # row (i, k) is e_i (x) q_k: q^T in each of the D diagonal blocks
+                d = len(self.q)
+                vectors = np.zeros((d * d, d * d), dtype=complex)
+                vectors.reshape(d, d, d, d)[range(d), :, range(d)] = self.q.T
+            else:
+                # row m is conj(<v_m, e_j>) over the unit vectors e_j
+                blocks, phases = self._reflectors
+                vectors = np.conj(_reflect(blocks, np.eye(len(phases)))) * phases[:, None]
+            vectors.setflags(write=False)
+            self._vectors = vectors
+        return self._vectors
 
     @property
     def members(self) -> list:
@@ -69,25 +98,21 @@ class OrthogonalFamily:
     @property
     def overlaps(self) -> np.ndarray:
         if self._overlaps is None:
-            if self._block is not None:
-                self._overlaps = np.kron(np.eye(len(self._block)), self._block)
+            if self.block is not None:
+                self._overlaps = np.kron(np.eye(len(self.block)), self.block)
             else:
                 self._overlaps = np.conj(self.vectors) @ self.vectors.T
         return self._overlaps
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self._size
 
-    def _overlap_source(self) -> np.ndarray:
-        # kron(eye, block) is exactly 0 outside its diagonal blocks and
-        # repeats the block's entries bit for bit, so the block gives the
-        # same maxima
-        return self._block if self._block is not None else self.overlaps
-
+    # the maxima read the block where there is one: kron(eye, block) repeats
+    # its entries bit for bit and is exactly 0 outside the diagonal blocks
     def max_off_diagonal(self) -> float:
         if len(self) < 2:
             return 0.0
-        off = np.abs(self._overlap_source())
+        off = np.abs(self.block if self.block is not None else self.overlaps)
         np.fill_diagonal(off, 0.0)
         return float(off.max())
 
@@ -95,59 +120,77 @@ class OrthogonalFamily:
         """max_m | ||A_m.omega||^2 - 1 |, read off the overlaps' diagonal."""
         if not len(self):
             return 0.0
-        return float(np.max(np.abs(np.diag(self._overlap_source()) - 1.0)))
+        overlaps = self.block if self.block is not None else self.overlaps
+        return float(np.max(np.abs(np.diag(overlaps) - 1.0)))
 
 
-def _householder_basis(columns: np.ndarray):
-    """Orthonormal basis of the columns from one Householder QR, or None.
+_WY_BLOCK = 32  # Householder reflectors applied together
 
-    The columns of Q are rotated so that diag(R) is real positive, which makes
-    them the Gram-Schmidt basis of the same columns in the same order.  Returns
-    None when some |R_kk| <= 10 CONTRACT_TOL ||g_k||: near that threshold only
-    `nk.gram_schmidt` decides which columns count as dependent.
+
+def _wy_blocks(h, tau) -> list:
+    """Reflectors H_k = 1 - tau_k v_k v_k^* of `np.linalg.qr(mode="raw")` as blocks (V, T^*).
+
+    v_k is 1 at k, 0 above, h[k, k+1:] below; H_j...H_{j+b-1} = 1 - V T V^*
+    on rows j: (LAPACK's zlarft).  V is copied: products with h's slices are 3x slower.
     """
-    q, r = np.linalg.qr(columns)
-    # only diag(R) is read: R, as large as Q, goes before anything else is
-    # allocated, and Q is rotated in place
-    diag = r.diagonal().copy()
-    del r
-    if not np.all(np.abs(diag) > 10.0 * nk.CONTRACT_TOL * np.linalg.norm(columns, axis=0)):
+    blocks = []
+    for j in range(0, len(tau), _WY_BLOCK):
+        v = np.tril(h[j:j + _WY_BLOCK, j:].T, -1)
+        np.fill_diagonal(v, 1.0)
+        s = nk.dagger(v) @ v
+        t = np.diag(tau[j:j + _WY_BLOCK])
+        for i in range(1, len(t)):
+            t[:i, i] = -t[i, i] * (t[:i, :i] @ s[:i, i])
+        blocks.append((v, nk.dagger(t)))
+    return blocks
+
+
+def _reflect(blocks: list, x: np.ndarray) -> np.ndarray:
+    """Q^* x for the Q of compact-WY `blocks`; x a vector or a matrix of columns."""
+    y = np.array(x, dtype=complex)
+    for v, t_star in blocks:
+        # x[j:] -= V (T^* (V^* x[j:])), with no conjugated copy of V
+        y[-len(v):] -= v @ (t_star @ np.conj(v.T @ np.conj(y[-len(v):])))
+    return y
+
+
+def _householder_basis(columns: np.ndarray, mode: str):
+    """`np.linalg.qr(columns, mode)` and the phases diag(R)/|diag(R)| that make Q Gram-Schmidt.
+
+    None when some |R_kk| <= 10 CONTRACT_TOL ||g_k||: near that threshold
+    only `nk.gram_schmidt` decides which columns count as dependent.
+    """
+    norms = np.linalg.norm(columns, axis=0)  # its temporaries before the QR's
+    first, second = np.linalg.qr(columns, mode=mode)
+    diag = (second if mode == "reduced" else first).diagonal()  # R's, or h's
+    if not np.all(np.abs(diag) > 10.0 * nk.CONTRACT_TOL * norms):
         return None
-    q *= diag / np.abs(diag)
-    return q
+    return first, second, diag / np.abs(diag)
 
 
-def _family_vectors(state: GenericState, generators):
-    """The D^2 orthonormalized generator vectors A.omega as rows, and an overlap block.
-
-    On the default path the overlap matrix is kron(eye, Q^* Q), and only the
-    D x D block Q^* Q is returned; for caller-supplied generators the block
-    is None, and the family derives the overlaps from the rows if something
-    reads them.
-    """
+def _family_form(state: GenericState, generators) -> dict:
+    """The orthonormalized generator vectors A.omega as `OrthogonalFamily` keywords."""
     d = state.dim
     sqrt_lam = state.sqrt_lam
     if generators is None:
         # vec(E_ij sqrt(lam)) = e_i (x) sqrt(lam)[j, :], so the family is
-        # e_i (x) q_k with q_k the orthonormalized rows of sqrt(lam), and its
-        # overlap matrix is block diagonal.
-        q = _householder_basis(sqrt_lam.T)
-        if q is not None:
-            return np.kron(np.eye(d), q.T), nk.dagger(q) @ q
+        # e_i (x) q_k with q_k the orthonormalized rows of sqrt(lam)
+        basis = _householder_basis(sqrt_lam.T, "reduced")
+        if basis is not None:
+            return {"q": basis[0] * basis[2]}
         generators = matrix_units(d)
-    # the generators are consumed as a stream into one array: at D=32 a list
-    # of D^2 separate matrices or vectors would stay live beside the QR's
-    # own 1024^2 copies
+    # the generators are streamed into one array: a list of D^2 matrices
+    # would stay live beside the QR's own D^2 x D^2 copies
     generators = iter(generators)
     gen_rows = np.empty((d * d, d * d), dtype=complex)
     count = 0
     for row, g in zip(gen_rows, generators):
         row[:] = (state.embed(g) @ sqrt_lam).ravel()
         count += 1
-    q = _householder_basis(gen_rows.T) if count == d * d else None
-    if q is not None:
-        del gen_rows  # before the row-major copy of Q, not beside it
-        return np.ascontiguousarray(q.T), None
+    basis = _householder_basis(gen_rows.T, "raw") if count == d * d else None
+    if basis is not None:
+        del gen_rows, row  # before the reflectors' copies, not beside them
+        return {"reflectors": (_wy_blocks(*basis[:2]), basis[2])}
     # generators past the first D^2 only matter to the Gram-Schmidt fallback
     tail = [(state.embed(g) @ sqrt_lam).ravel() for g in generators]
     gs = nk.gram_schmidt(list(gen_rows[:count]) + tail)
@@ -155,7 +198,7 @@ def _family_vectors(state: GenericState, generators):
         raise CompletenessUnavailableError(
             f"generators span only {len(gs.vectors)} of {d * d} directions"
         )
-    return np.array(gs.vectors), None
+    return {"vectors": np.array(gs.vectors)}
 
 
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:
@@ -173,8 +216,7 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
         raise CompletenessUnavailableError(
             "complete orthogonal families need a full-rank reference state"
         )
-    vectors, block = _family_vectors(state, generators)
-    return OrthogonalFamily(state=state, vectors=vectors, block=block)
+    return OrthogonalFamily(state=state, **_family_form(state, generators))
 
 
 def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
@@ -183,7 +225,7 @@ def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
         return 0.0
     if family.state is not probe.state:
         raise ContractError("excitations refer to different reference states")
-    terms = np.abs(family.vectors @ np.conj(probe.vector)) ** 2
+    terms = np.abs(family.coefficients(probe.vector)) ** 2
     if terms.max() > 1.0 + 1e-12:
         raise ContractError(f"transition probability {terms.max()!r} outside the unit interval")
     return float(np.minimum(terms, 1.0).sum())

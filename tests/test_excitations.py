@@ -146,8 +146,9 @@ def test_superpose_orthogonal_normalization(state, rng):
     assert abs(overlap(a, b)) <= 1e-10
     c = 1 / np.sqrt(2)
     out = superpose(c, a, c, b)
-    # norm of c_A A + c_B B is |c_A|^2 + |c_B|^2 = 1: representative unchanged
-    expected = c * a.op.matrix + c * b.op.matrix
+    # the canonical representatives stay orthogonal, so the norm of
+    # c_A A + c_B B is |c_A|^2 + |c_B|^2 = 1: representative unchanged
+    expected = c * a.canonical_matrix + c * b.canonical_matrix
     assert nk.frob(out.op.matrix - expected) <= 1e-10
 
 
@@ -155,9 +156,28 @@ def test_superpose_destructive_cancellation(state, rng):
     a = random_excitation(state, rng, level=1)
     t = np.exp(0.6j)
     b = make_excitation(state, LocalOperator(1, t * a.op.matrix))
-    # with B = tA the combination A - omega(B*A) B is exactly zero
+    # B = tA is the same state, with the same canonical representative, so
+    # A - B is exactly zero
     with pytest.raises(DegenerateSuperpositionError):
-        superpose(1.0, a, -overlap(b, a) * 1.0, b)
+        superpose(1.0, a, -1.0, b)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_superpose_is_a_function_of_states(state, seed):
+    rng = np.random.default_rng(seed)
+    a = random_excitation(state, rng, level=3)
+    b = random_excitation(state, rng, level=2)
+    c_a, c_b = nk.random_complex_matrix(rng, 2, 1).ravel()
+    out = superpose(c_a, a, c_b, b)
+    for k in range(3):
+        # the same states from rephased and rescaled operators
+        t = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        a2 = make_excitation(state, LocalOperator(a.level, t * a.op.matrix))
+        b2 = make_excitation(state, LocalOperator(b.level, t * b.op.matrix))
+        for pair in ((a2, b), (a, b2), (a2, b2)):
+            again = superpose(c_a, pair[0], c_b, pair[1])
+            assert norm_distance(again, out, scope="top") <= 1e-12
+            assert nk.frob(again.canonical_matrix - out.canonical_matrix) <= 1e-12
 
 
 # -- distances ----------------------------------------------------------

@@ -212,12 +212,18 @@ def test_extension_projection_is_rank_one_in_next_level(state):
 
 def test_relative_commutant_basis_counts(tower):
     basis = relative_commutant_basis(tower, 1)
+    assert iter(basis) is basis  # yielded one at a time
+    basis = list(basis)
     assert len(basis) == 4  # k_2^2
     assert all(b.matrix.shape == (4, 4) for b in basis)
+    # the level is checked at the call, not at the first member
+    for n in (0, tower.levels):
+        with pytest.raises(ContractError):
+            relative_commutant_basis(tower, n)
 
 
 def test_relative_commutant_commutes_with_lower_level(tower):
-    basis = relative_commutant_basis(tower, 1)
+    basis = list(relative_commutant_basis(tower, 1))
     worst = 0.0
     for unit in matrix_units(2):
         u_emb = embed_matrix(tower, 1, unit, 2)
@@ -227,7 +233,7 @@ def test_relative_commutant_commutes_with_lower_level(tower):
 
 
 def test_relative_commutant_span_rank(tower):
-    basis = relative_commutant_basis(tower, 2)
+    basis = list(relative_commutant_basis(tower, 2))
     vectors = np.column_stack([b.matrix.ravel() for b in basis])
     gram = nk.dagger(vectors) @ vectors
     assert np.linalg.matrix_rank(gram, tol=1e-10) == tower.factor_dims[2] ** 2

@@ -187,8 +187,8 @@ def test_family_members_on_first_read(state):
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert family._members is None
-    assert live <= family.vectors.nbytes + family._block.nbytes + 64 * 1024
+    assert family._members is None and family._vectors is None
+    assert live <= family.q.nbytes + family.block.nbytes + 64 * 1024
     d = state.dim
     members = family.members
     assert family.members is members
@@ -218,7 +218,7 @@ def test_generic_family_overlaps_on_first_read(small_state):
     from funnelstates.funnel import matrix_units
 
     family = build_complete_family(small_state, generators=list(matrix_units(4))[::-1])
-    assert family._overlaps is None  # not formed at build time
+    assert family._overlaps is None and family._vectors is None  # not formed at build time
     overlaps = family.overlaps
     np.testing.assert_allclose(overlaps, np.conj(family.vectors) @ family.vectors.T,
                                rtol=0, atol=1e-14)
@@ -228,7 +228,7 @@ def test_generic_family_overlaps_on_first_read(small_state):
     # the default path keeps only the D x D block of its block-diagonal
     # overlaps, and forms the D^2 x D^2 matrix on first read as well
     default = build_complete_family(small_state)
-    assert default._overlaps is None and default._block.shape == (4, 4)
+    assert default._overlaps is None and default.block.shape == (4, 4)
     # a family built by hand without overlaps derives them too
     partial = OrthogonalFamily(members=default.members[1:])
     np.testing.assert_allclose(partial.overlaps, default.overlaps[1:, 1:], rtol=0, atol=1e-14)
@@ -246,10 +246,10 @@ def test_default_family_keeps_only_the_overlap_block(state):
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = family._block
-    assert family._overlaps is None
+    block = family.block
+    assert family._overlaps is None and family._vectors is None
     assert block.shape == (state.dim, state.dim)
-    assert live <= family.vectors.nbytes + block.nbytes + 64 * 1024
+    assert live <= family.q.nbytes + block.nbytes + 64 * 1024
     # the checks read the block; the dense kron gives the same values bit for bit
     dense = np.kron(np.eye(state.dim), block)
     off = np.abs(dense)
@@ -260,6 +260,86 @@ def test_default_family_keeps_only_the_overlap_block(state):
     overlaps = family.overlaps
     assert np.array_equal(overlaps, dense)
     assert family.overlaps is overlaps
+
+
+@pytest.fixture(scope="module", params=[(2, 2), (2, 2, 4), (2, 2, 8)],
+                ids=["2x2", "2x2x4", "2x2x8"])
+def ladder_state(request):
+    return sample_generic_state(build_tower(request.param), seed=7)
+
+
+def test_family_coefficients_match_the_dense_rows(ladder_state):
+    from funnelstates.funnel import matrix_units
+
+    state = ladder_state
+    d = state.dim
+    units = list(matrix_units(d))[::-1]
+    default = build_complete_family(state)
+    generic = build_complete_family(
+        state, generators=[LocalOperator(state.tower.levels, g) for g in units])
+    hand_built = OrthogonalFamily(members=default.members[:7])
+    # dense references: kron(1, q^T), and the phase-rotated Q of a reduced
+    # QR of the generator vectors
+    cols = np.array([(state.embed(LocalOperator(state.tower.levels, g)) @ state.sqrt_lam).ravel()
+                     for g in units]).T
+    q, r = np.linalg.qr(cols)
+    q *= r.diagonal() / np.abs(r.diagonal())
+    dense = [(default, np.kron(np.eye(d), default.q.T)), (generic, q.T),
+             (hand_built, np.array([m.vector for m in default.members[:7]]))]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x = nk.random_complex_matrix(rng, d * d, 1).ravel()
+        for family, rows in dense:
+            assert np.max(np.abs(family.coefficients(x) - np.conj(rows) @ x)) <= 1e-13
+    # the default rows are q^T written into zeroed diagonal blocks: the same
+    # values as the kron
+    assert np.array_equal(default.vectors, dense[0][1])
+
+
+def test_generic_family_holds_only_its_reflectors(state):
+    import tracemalloc
+
+    from funnelstates.funnel import matrix_units
+
+    n = state.dim ** 2
+    generators = [LocalOperator(state.tower.levels, g) for g in list(matrix_units(state.dim))[::-1]]
+    tracemalloc.start()
+    try:
+        family = build_complete_family(state, generators=generators)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family._vectors is None and family._members is None and family._overlaps is None
+    # the raw factor h is n x n, tau has n entries, and the T blocks n x 32
+    h, tau, t_blocks = n * n * 16, n * 16, n * 32 * 16
+    assert live <= h + tau + t_blocks + 64 * 1024
+    assert len(family) == n and family._vectors is None  # len forms nothing
+
+
+def test_family_forms_and_their_fallback(small_state, monkeypatch):
+    from funnelstates.funnel import matrix_units
+
+    calls = []
+    gram_schmidt = nk.gram_schmidt
+    monkeypatch.setattr(nk, "gram_schmidt",
+                        lambda vectors: calls.append(len(vectors)) or gram_schmidt(vectors))
+    d2 = small_state.dim ** 2
+    level = small_state.tower.levels
+    units = [LocalOperator(level, g) for g in matrix_units(small_state.dim)]
+    default = build_complete_family(small_state)
+    generic = build_complete_family(small_state, generators=units[::-1])
+    assert calls == []
+    assert default.q is not None and default._reflectors is None
+    assert generic.q is None and generic._reflectors is not None
+    # a duplicate among the first D^2 generators fails the conditioning rule:
+    # Gram-Schmidt takes all D^2 + 1 generators, and the family keeps rows
+    fallback = build_complete_family(
+        small_state, generators=units[:5] + [units[3]] + units[6:] + [units[5]])
+    assert calls == [d2 + 1]
+    assert fallback.q is None and fallback._reflectors is None and fallback._vectors.shape == (d2, d2)
+    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
+        build_complete_family(small_state, generators=units[:4] + [units[2]] + units[5:])
+    assert calls == [d2 + 1, d2]
 
 
 def test_completeness_sum_hand_built_family(small_state):
