@@ -2,7 +2,6 @@
 on finite matrix-algebra towers."""
 
 from .errors import (
-    AlignmentError,
     BudgetError,
     CapacityError,
     CompletenessUnavailableError,
@@ -32,7 +31,6 @@ from .funnel import (
 )
 from .excitations import (
     ExcitationState,
-    align_phases,
     extremality_check,
     find_null_combination,
     lift_phase,

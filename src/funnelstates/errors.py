@@ -45,10 +45,6 @@ class GenericityViolationError(FunnelError):
     """Equal states whose representatives fail the ray-recovery identity."""
 
 
-class AlignmentError(FunnelError):
-    """Phase alignment impossible: vanishing overlap with the reference."""
-
-
 class NotNullCombinationError(FunnelError):
     """Coefficients do not annihilate the combined functional."""
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import (
-    AlignmentError,
     ContractError,
     DegenerateExcitationError,
     DegenerateSuperpositionError,
@@ -117,7 +116,11 @@ def identity_excitation(state: GenericState) -> ExcitationState:
 
 
 def overlap(a: ExcitationState, b: ExcitationState) -> complex:
-    """omega(A* B) between the canonical representatives."""
+    """omega(A* B) = <A.omega, B.omega> for the operators as held, at the caller's phase.
+
+    Not gauge-invariant: rephasing either operator rephases the overlap,
+    which is what `lift_phase` reads the phase t from.
+    """
     _require_shared_state(a, b)
     return complex(np.vdot(a.vector, b.vector))
 
@@ -190,24 +193,6 @@ def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState
         raise DegenerateSuperpositionError(
             "superposition interferes destructively to numerical zero"
         ) from exc
-
-
-def align_phases(reps, reference: int):
-    """Phases t_m making omega((t_m A_m)* A_ref) real positive.
-
-    For a norm-convergent sequence of states the aligned vectors
-    t_m A_m . omega form a Cauchy sequence on the doubled space.
-    """
-    ref = reps[reference]
-    phases = []
-    for m, exc in enumerate(reps):
-        z = overlap(exc, ref)
-        if abs(z) <= 1e-9:
-            raise AlignmentError(
-                f"member {m} has vanishing overlap with the reference; alignment impossible"
-            )
-        phases.append(z / abs(z))
-    return phases
 
 
 # ---------------------------------------------------------------------------

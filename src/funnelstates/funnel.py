@@ -361,7 +361,7 @@ def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
     tower = state.tower
     checks = []
 
-    min_eig = float(np.linalg.eigvalsh(state.lam)[0])
+    min_eig = float(state.spectrum[-1])
     checks.append(
         GenericityCheck(
             check_id="separating",

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import ContractError
 
-# Contract checks at 1e-10 relative, equality assertions at 1e-9 unless a
-# suite overrides; double precision leaves ample headroom at dimension <= 256.
+# Contract checks at 1e-10 relative; equality tolerances belong to the checks
+# that assert them.  Double precision leaves ample headroom at these sizes.
 CONTRACT_TOL = 1e-10
-EQUALITY_TOL = 1e-9
 MAX_TOTAL_DIM = 4096
 
 CMatrix = np.ndarray

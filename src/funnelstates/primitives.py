@@ -303,27 +303,21 @@ def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
     return iso, float(value), target
 
 
-def balanced_unitary(weight_matrix, rng) -> np.ndarray:
-    """Unitary with tr(M U) = 0 exactly, diagonal in a flattened basis of M.
+def balanced_unitary(weight_matrix) -> np.ndarray:
+    """Unitary with tr(M U) = 0: the cyclic shift q_j -> q_{j-1} in an eigenbasis q of M.
 
-    The eigenbasis of M is rotated by the discrete Fourier matrix, making all
-    diagonal weights equal; any permutation of the d-th roots of unity then
-    sums the trace to zero.  Requires dimension >= 2.
+    In that basis M is diagonal and the shift has a zero diagonal, so the
+    trace vanishes for every Hermitian M, degenerate or not.  Requires
+    dimension >= 2.
     """
     m = nk.as_cmatrix(weight_matrix)
-    d = m.shape[0]
-    if d < 2:
+    if m.shape[0] < 2:
         raise ContractError("phase balancing needs dimension >= 2")
-    eig = nk.herm_eig(m)
-    idx = np.arange(d)
-    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
-    phases = np.exp(2j * np.pi * idx / d)
-    phases = phases[rng.permutation(d)]
-    core = dft @ np.diag(phases) @ nk.dagger(dft)
-    return eig.eigenvectors @ core @ nk.dagger(eig.eigenvectors)
+    q = nk.herm_eig(m).eigenvectors
+    return np.roll(q, 1, axis=1) @ nk.dagger(q)
 
 
-def _balanced_complement(e: np.ndarray, leak_top: np.ndarray, top_dim: int, rng) -> np.ndarray:
+def _balanced_complement(e: np.ndarray, leak_top: np.ndarray, top_dim: int) -> np.ndarray:
     """The part of a tuned unitary on the complement of the projection `e`.
 
     On a complement of rank >= 2 it is a `balanced_unitary` against the leak
@@ -336,30 +330,21 @@ def _balanced_complement(e: np.ndarray, leak_top: np.ndarray, top_dim: int, rng)
         ratio = top_dim // d
         leak_local = nk.partial_trace(leak_top, [d, ratio], [0]) if ratio > 1 else leak_top
         m_small = nk.dagger(comp_basis) @ leak_local @ comp_basis
-        return comp_basis @ balanced_unitary(m_small, rng) @ nk.dagger(comp_basis)
+        return comp_basis @ balanced_unitary(m_small) @ nk.dagger(comp_basis)
     if comp_basis.shape[1] == 1:
         return -comp_basis @ nk.dagger(comp_basis)
     return np.zeros((d, d), dtype=complex)
 
 
-def vacuum_detector(state: GenericState, seed: int) -> PrimitiveObservable:
-    """A unitary silent on the reference state: omega(U) = 0.
+def vacuum_detector(state: GenericState) -> PrimitiveObservable:
+    """A unitary silent on the reference state: omega(U) = tr(lam U) = 0.
 
-    Any nonzero response |omega_A(U)|^2 certifies omega_A != omega.  Built by
-    assigning permuted roots of unity in a basis where the reference density
-    has a flat diagonal, so the construction is exact for every full-rank
-    spectrum.
+    Any nonzero response |omega_A(U)|^2 certifies omega_A != omega.  U is the
+    `balanced_unitary` of the reference density.
     """
     if not state.separating:
         raise ContractError("vacuum detector requires a full-rank reference state")
-    if state.dim < 2:
-        raise ContractError("vacuum detector needs dimension >= 2")
-    rng = np.random.default_rng(seed)
-    u = balanced_unitary(state.lam, rng)
-    residual = abs(np.trace(state.lam @ u))
-    if residual > 1e-10:
-        raise ContractError(f"phase balancing failed: |omega(U)| = {residual:.3e}")
-    return PrimitiveObservable(level=state.tower.levels, unitary=u)
+    return PrimitiveObservable(level=state.tower.levels, unitary=balanced_unitary(state.lam))
 
 
 @dataclass
@@ -384,7 +369,7 @@ class TunedDetector:
         return max((r.probability_gap for r in self.rows), default=0.0)
 
 
-def tune_detector(e_proj, epsilon: float, states, seed: int) -> TunedDetector:
+def tune_detector(e_proj, epsilon: float, states) -> TunedDetector:
     """Detector unitary U = E + B with omega_{UA}(1-E) < eps and matched probabilities.
 
     E is a nonzero top-level projection.  At truncation a unitary can only
@@ -419,7 +404,7 @@ def tune_detector(e_proj, epsilon: float, states, seed: int) -> TunedDetector:
     # E is top-level (evaluating it above checked the shape), so 1 - E needs no embedding
     comp = np.eye(e.shape[0], dtype=complex) - e
     mean_leak = sum(comp @ exc.rho @ comp for exc in states) / len(states)
-    b = _balanced_complement(e, mean_leak, tower.top_dim, np.random.default_rng(seed))
+    b = _balanced_complement(e, mean_leak, tower.top_dim)
     obs = PrimitiveObservable(level=level, unitary=e + b)
 
     rows = []
@@ -441,8 +426,7 @@ def tune_detector(e_proj, epsilon: float, states, seed: int) -> TunedDetector:
     return det
 
 
-def recover_observable(projections, weights, exc: ExcitationState, epsilon: float,
-                       seed: int) -> float:
+def recover_observable(projections, weights, exc: ExcitationState, epsilon: float) -> float:
     """Estimate omega_A(O) for O = sum_m o_m E_m from survival probabilities.
 
     The E_m are top-level projections.  Uses one tuned unitary E_m + B_m per
@@ -470,11 +454,10 @@ def recover_observable(projections, weights, exc: ExcitationState, epsilon: floa
     if float(np.linalg.eigvalsh(eye - total)[0]) < -1e-9:
         raise ContractError("projections exceed a resolution of the identity")
 
-    rng = np.random.default_rng(seed)
     estimate = 0.0
     for o_m, e_m in zip(weights, mats):
         comp_top = embed_matrix(tower, level, eye - e_m)
-        b = _balanced_complement(e_m, comp_top @ exc.rho @ comp_top, tower.top_dim, rng)
+        b = _balanced_complement(e_m, comp_top @ exc.rho @ comp_top, tower.top_dim)
         u_m = PrimitiveObservable(level=level, unitary=e_m + b)
         final = apply_observable(u_m, exc)
         survival = abs(np.vdot(exc.vector, final.vector)) ** 2

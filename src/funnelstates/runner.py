@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -97,10 +98,22 @@ class ScenarioConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must be a 64-bit unsigned integer")
         self.suites = tuple(self.suites)
+        for name in ("tolerance_overrides", "sample_counts"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigurationError(f"{name} must map suite ids to values")
         known = set(SUITES)
         for sid in list(self.suites) + list(self.tolerance_overrides) + list(self.sample_counts):
             if sid not in known:
                 raise ConfigurationError(f"unknown suite id {sid!r}")
+        # a zero count would pass a suite on no samples, an infinite tolerance any check
+        for sid, count in self.sample_counts.items():
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ConfigurationError(
+                    f"sample count for {sid!r} must be a positive integer, got {count!r}")
+        for sid, tol in self.tolerance_overrides.items():
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+                raise ConfigurationError(
+                    f"tolerance for {sid!r} must be a finite positive number, got {tol!r}")
 
     @property
     def active_suites(self) -> tuple:
@@ -756,7 +769,7 @@ def _suite_duality(env: SuiteEnv):
             psi = sa.element_from_terms(env.state, terms)
         else:
             psi = env.element(n_terms=2)
-        witness = sa.faithfulness_probe(psi, rng=env.rng)
+        witness = sa.faithfulness_probe(psi)
         if abs(witness.value) > 1e-9:
             found += 1
     checks.append(check_flag("duality/faithfulness_witnesses", found == total,
@@ -877,13 +890,13 @@ def _suite_detector(env: SuiteEnv):
     # D=48 for rank 4, so from D=40 the rank is D/8, holding it near 7e-4.
     e_proj = nk.random_projection(env.rng, d, max(min(4, d // 2), d // 8))
     states = _concentrated_states(env, e_proj, n_states, leak=0.01)
-    det = pr.tune_detector(e_proj, eps, states, seed=suite_seed(env.config.seed, "detector:tune"))
+    det = pr.tune_detector(e_proj, eps, states)
     checks = [
         check_le("detector/leak_bound", det.worst_leak, eps),
         check_le("detector/probability_bound", det.worst_probability_gap, 4 * eps),
     ]
     try:
-        pr.tune_detector(e_proj, 1e-15, states, seed=0)
+        pr.tune_detector(e_proj, 1e-15, states)
         checks.append(check_flag("detector/floor_rejected", False))
     except TuningFailureError as err:
         checks.append(check_flag("detector/floor_rejected", err.best_epsilon > 1e-15,
@@ -897,8 +910,7 @@ def _suite_detector(env: SuiteEnv):
     e3 = basis[:, k2:] @ nk.dagger(basis[:, k2:])
     weights = (1.0, -0.5, 2.0)
     exc = random_excitation(env.state, env.rng, level=env.tower.levels)
-    estimate = pr.recover_observable([e1, e2, e3], weights, exc, eps,
-                                     seed=suite_seed(env.config.seed, "detector:recover"))
+    estimate = pr.recover_observable([e1, e2, e3], weights, exc, eps)
     observable = weights[0] * e1 + weights[1] * e2 + weights[2] * e3
     direct = float(np.real(np.trace(exc.rho @ observable)))
     bound = 3 * np.sqrt(4 * eps) * max(abs(w) for w in weights) + 1e-9
@@ -936,7 +948,7 @@ def _suite_ut_form(env: SuiteEnv):
 
 
 def _suite_vacuum(env: SuiteEnv):
-    det = pr.vacuum_detector(env.state, suite_seed(env.config.seed, "vacuum:build"))
+    det = pr.vacuum_detector(env.state)
     silent = abs(np.trace(env.state.lam @ det.unitary))
     checks = [check_le("vacuum/silent_on_reference", silent, env.tol(1e-10))]
 

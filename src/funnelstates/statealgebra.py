@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkernel as nk
-from .errors import BudgetError, ContractError, FaithfulnessError
+from .errors import BudgetError, ContractError, DegenerateExcitationError, FaithfulnessError
 from .excitations import ExcitationState, make_excitation
 from .funnel import GenericState, LocalOperator
 
 TERM_BUDGET = 64
 _DROP_TOL = 1e-12
 WITNESS_FLOOR = 1e-9
+WITNESS_SHIFTS = (1.0, -1.0, 0.5, -0.5, 2.0)
 
 
 @dataclass
@@ -132,22 +133,22 @@ def _support_form(el: StateAlgebraElement):
     return basis, (bh @ el.left) @ el.core @ nk.dagger(bh @ el.right)
 
 
+def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
+    """The excitation of X = v.reshape(D, D) lam^{-1/2}, for which X.omega = v (normalized)."""
+    op = v.reshape(state.dim, state.dim) @ state.inv_sqrt_lam
+    return make_excitation(state, LocalOperator(state.tower.levels, op))
+
+
 def _eigen_excitations(state, basis, part, drop) -> list:
     """(eigenvalue, excitation) for the eigenvectors of Hermitian ``part`` above ``drop``.
 
-    An eigenvector g gives the doubled-space vector v = basis @ g = X.omega,
-    whose operator X = v.reshape(D, D) lam^{-1/2} is a normalized excitation.
+    An eigenvector g gives the doubled-space vector basis @ g, a normalized excitation.
     """
     if nk.frob(part) <= drop:
         return []
     eig = nk.herm_eig(part)
-    d = state.dim
-    out = []
-    for val, g in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if abs(val) > drop:
-            op = (basis @ g).reshape(d, d) @ state.inv_sqrt_lam
-            out.append((val, make_excitation(state, LocalOperator(state.tower.levels, op))))
-    return out
+    return [(val, _excitation_with_vector(state, basis @ g))
+            for val, g in zip(eig.eigenvalues, eig.eigenvectors.T) if abs(val) > drop]
 
 
 def _canonical_terms(el: StateAlgebraElement) -> tuple:
@@ -300,51 +301,40 @@ def _chain_value(left: ExcitationState, el: StateAlgebraElement, right: Excitati
     return complex(np.vdot(omega, va) * np.vdot(va, el.kernel_apply(vb)) * np.vdot(vb, omega))
 
 
-def faithfulness_probe(el: StateAlgebraElement, rng) -> FaithfulnessWitness:
-    """Find states with |omega(omega_A x psi x omega_B)| above WITNESS_FLOOR.
+def faithfulness_probe(el: StateAlgebraElement) -> FaithfulnessWitness:
+    """States with |omega(omega_A x psi x omega_B)| above WITNESS_FLOOR, by construction.
 
-    Candidates come from the element's own canonical terms; when all of them
-    are annihilated by the reference functional, shifted probes c*1 + A are
-    tried, and a few random excitations serve as a last resort.
+    Let sigma > 0 be the kernel's largest singular value, ``Psi w = sigma u``.
+    The witness is the best over the shifts t in `WITNESS_SHIFTS` of
+    A.omega ~ omega + t u and B.omega ~ omega + t w.  Up to the positive
+    norms of the two vectors the value is the polynomial
+
+        <omega, omega + t u> <omega + t u, Psi (omega + t w)> <omega + t w, omega>
+
+    of degree at most 4 in real t.  Its outer factors have constant term 1 and
+    its middle one has leading coefficient sigma, so it is not identically
+    zero and vanishes at no more than four of the five shifts.  A shift whose
+    vector vanishes is one of those roots and is skipped.  For a kernel
+    orthogonal to omega, t = 1 gives exactly sigma / 4.
     """
     if el.kernel_norm() <= 1e-8:
         raise ContractError("faithfulness probe requires a nonzero element")
-    state = el.state
-    d = state.dim
-    eye = np.eye(d, dtype=complex)
-
-    base_ops = [exc.op.matrix.copy() for _, exc in
-                sorted(el.terms, key=lambda t: -abs(t[0]))[:6]]
-    candidates = []
-    for x in base_ops:
-        for shift in (0.0, 1.0, 0.5, 1.0j, -1.0):
-            try:
-                candidates.append(make_excitation(
-                    state, LocalOperator(level=state.tower.levels, matrix=shift * eye + x)))
-            except Exception:
-                continue
-    for _ in range(4):
-        candidates.append(make_excitation(
-            state, LocalOperator(level=state.tower.levels, matrix=nk.random_complex_matrix(rng, d))))
-
+    uu, _, vh = np.linalg.svd(el.core)
+    u, w = el.left @ uu[:, 0], el.right @ np.conj(vh[0])
+    omega = el.state.omega_vector
     best = None
-    best_val = 0.0
-    for left in candidates:
-        for right in (left,):
-            val = _chain_value(left, el, right)
-            if abs(val) > best_val:
-                best, best_val = FaithfulnessWitness(left, right, val), abs(val)
-        if best_val > 10 * WITNESS_FLOOR:
-            return best
-    for left in candidates[:8]:
-        for right in candidates[:8]:
-            val = _chain_value(left, el, right)
-            if abs(val) > best_val:
-                best, best_val = FaithfulnessWitness(left, right, val), abs(val)
-    if best is not None and best_val > WITNESS_FLOOR:
+    for t in WITNESS_SHIFTS:
+        try:
+            left = _excitation_with_vector(el.state, omega + t * u)
+            right = _excitation_with_vector(el.state, omega + t * w)
+        except DegenerateExcitationError:
+            continue
+        val = _chain_value(left, el, right)
+        if best is None or abs(val) > abs(best.value):
+            best = FaithfulnessWitness(left, right, val)
+    if best is not None and abs(best.value) > WITNESS_FLOOR:
         return best
     raise FaithfulnessError(
         f"no witness above {WITNESS_FLOOR} found for a nonzero element "
         "(genericity breakdown suspected)"
     )
-

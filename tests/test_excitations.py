@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from funnelstates import (
-    AlignmentError,
     ContractError,
     DegenerateExcitationError,
     DegenerateSuperpositionError,
     LocalOperator,
     NotNullCombinationError,
     NotSameRayError,
-    align_phases,
     extremality_check,
     find_null_combination,
     identity_excitation,
@@ -227,51 +225,6 @@ def test_mismatched_reference_states_rejected(state, small_state, rng):
     b = random_excitation(small_state, rng, level=1)
     with pytest.raises(ContractError):
         norm_distance(a, b, scope="top")
-
-
-# -- phase alignment ----------------------------------------------------
-
-
-def test_align_phases_constant_sequence(state, rng):
-    a = random_excitation(state, rng, level=1)
-    phases = align_phases([a, a, a], reference=0)
-    np.testing.assert_allclose(phases, [1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_align_phases_pure_gauge(state, rng):
-    a = random_excitation(state, rng, level=1)
-    thetas = [0.0, 0.4, 1.1, 2.9]
-    reps = [make_excitation(state, LocalOperator(1, np.exp(1j * th) * a.op.matrix))
-            for th in thetas]
-    phases = align_phases(reps, reference=0)
-    # t_m = e^{-i theta_m} up to the global phase fixed by the reference
-    expected = [np.exp(-1j * th) for th in thetas]
-    global_phase = phases[0] / expected[0]
-    for got, want in zip(phases, expected):
-        assert abs(got - global_phase * want) <= 1e-12
-
-
-def test_align_phases_cauchy_decay(state, rng):
-    a = random_excitation(state, rng, level=2)
-    x = nk.random_complex_matrix(rng, 4)
-    reps = [make_excitation(state, LocalOperator(2, a.op.matrix + x / m))
-            for m in range(1, 9)]
-    phases = align_phases(reps, reference=len(reps) - 1)
-    aligned = [t * r.vector for t, r in zip(phases, reps)]
-    tails = [np.linalg.norm(v - aligned[-1]) for v in aligned[:-1]]
-    steps = [np.linalg.norm(aligned[i + 1] - aligned[i]) for i in range(len(aligned) - 1)]
-    assert all(tails[i + 1] <= tails[i] + 1e-12 for i in range(len(tails) - 1))
-    assert all(steps[i + 1] <= steps[i] + 1e-12 for i in range(len(steps) - 1))
-    for t, r in zip(phases, reps):
-        val = np.conj(t) * overlap(r, reps[-1])
-        assert abs(np.imag(val)) <= 1e-12 and np.real(val) > 0
-
-
-def test_align_phases_vanishing_overlap(state, rng):
-    a = random_excitation(state, rng, level=3)
-    b = _orthogonal_partner(state, a, rng)
-    with pytest.raises(AlignmentError):
-        align_phases([a, b], reference=0)
 
 
 # -- null combinations --------------------------------------------------

@@ -65,7 +65,7 @@ def test_survival_probability_is_expectation_squared(state, rng):
 
 def test_silent_unitary_gives_orthogonal_final_state(state, rng):
     a = random_excitation(state, rng, level=3)
-    u = balanced_unitary(a.rho, rng)  # tr(rho_A U) = 0 exactly
+    u = balanced_unitary(a.rho)  # tr(rho_A U) = 0 exactly
     obs = PrimitiveObservable(level=3, unitary=u)
     out = apply_observable(obs, a)
     assert transition_probability(a, out) <= 1e-12
@@ -227,7 +227,7 @@ def _concentrated_states(state, rng, e_proj, count, leak):
 
 def test_tune_detector_identity_projection(state, rng):
     states = [random_excitation(state, rng, level=1)]
-    det = tune_detector(np.eye(16, dtype=complex), 1e-6, states, seed=0)
+    det = tune_detector(np.eye(16, dtype=complex), 1e-6, states)
     np.testing.assert_allclose(det.observable.unitary, np.eye(16), atol=1e-12)
     assert det.worst_leak <= 1e-6
 
@@ -236,7 +236,7 @@ def test_tune_detector_bounds_hold(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = _concentrated_states(state, rng, e, 5, leak=0.01)
     eps = 1e-3
-    det = tune_detector(e, eps, states, seed=3)
+    det = tune_detector(e, eps, states)
     assert det.worst_leak < eps
     assert det.worst_probability_gap < 4 * eps
     # bounds re-checked independently of the tuner's own report
@@ -251,8 +251,8 @@ def test_tune_detector_bounds_hold(state, rng):
 def test_tune_detector_deterministic(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = _concentrated_states(state, rng, e, 3, leak=0.01)
-    d1 = tune_detector(e, 1e-3, states, seed=9)
-    d2 = tune_detector(e, 1e-3, states, seed=9)
+    d1 = tune_detector(e, 1e-3, states)
+    d2 = tune_detector(e, 1e-3, states)
     np.testing.assert_array_equal(d1.observable.unitary, d2.observable.unitary)
 
 
@@ -260,7 +260,7 @@ def test_tune_detector_floor_failure(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = _concentrated_states(state, rng, e, 3, leak=0.01)
     with pytest.raises(TuningFailureError) as err:
-        tune_detector(e, 1e-15, states, seed=0)
+        tune_detector(e, 1e-15, states)
     assert err.value.best_epsilon > 1e-15
 
 
@@ -268,7 +268,7 @@ def test_tune_detector_unconcentrated_failure(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = [random_excitation(state, rng, level=1)]
     with pytest.raises(TuningFailureError):
-        tune_detector(e, 1e-3, states, seed=0)
+        tune_detector(e, 1e-3, states)
 
 
 # -- observable recovery --------------------------------------------------------
@@ -277,7 +277,7 @@ def test_tune_detector_unconcentrated_failure(state, rng):
 def test_recover_single_projection(state, rng):
     e = nk.random_projection(rng, 16, 6)
     a = random_excitation(state, rng, level=2)
-    estimate = recover_observable([e], [1.0], a, 1e-3, seed=0)
+    estimate = recover_observable([e], [1.0], a, 1e-3)
     direct = float(np.real(np.trace(a.rho @ e)))
     assert estimate == pytest.approx(direct, abs=1e-9)
 
@@ -287,7 +287,7 @@ def test_recover_two_outcome_observable(state, rng):
     e1 = basis[:, :9] @ nk.dagger(basis[:, :9])
     e2 = basis[:, 9:] @ nk.dagger(basis[:, 9:])
     a = random_excitation(state, rng, level=1)
-    estimate = recover_observable([e1, e2], [1.0, -1.0], a, 1e-3, seed=0)
+    estimate = recover_observable([e1, e2], [1.0, -1.0], a, 1e-3)
     direct = float(np.real(np.trace(a.rho @ (e1 - e2))))
     assert abs(estimate - direct) <= 2 * np.sqrt(4e-3) + 1e-9
 
@@ -299,7 +299,7 @@ def test_recover_resolution_of_identity(state, rng):
         b = basis[:, lo:hi]
         projections.append(b @ nk.dagger(b))
     a = random_excitation(state, rng, level=2)
-    estimate = recover_observable(projections, [1.0, 1.0, 1.0], a, 1e-3, seed=0)
+    estimate = recover_observable(projections, [1.0, 1.0, 1.0], a, 1e-3)
     assert estimate == pytest.approx(1.0, abs=1e-9)
 
 
@@ -308,21 +308,21 @@ def test_recover_rejects_noncommuting(state, rng):
     e2 = nk.random_projection(rng, 16, 4)
     a = random_excitation(state, rng, level=1)
     with pytest.raises(ContractError):
-        recover_observable([e1, e2], [1.0, -1.0], a, 1e-3, seed=0)
+        recover_observable([e1, e2], [1.0, -1.0], a, 1e-3)
 
 
 # -- vacuum detector ---------------------------------------------------------
 
 
 def test_vacuum_detector_silent(state):
-    det = vacuum_detector(state, seed=21)
+    det = vacuum_detector(state)
     assert abs(np.trace(state.lam @ det.unitary)) <= 1e-10
     ident = identity_excitation(state)
     assert transition_probability(ident, apply_observable(det, ident)) <= 1e-12
 
 
 def test_vacuum_detector_flags_excitations(state, rng):
-    det = vacuum_detector(state, seed=21)
+    det = vacuum_detector(state)
     ident = identity_excitation(state)
     hits = 0
     for _ in range(10):
@@ -335,21 +335,31 @@ def test_vacuum_detector_flags_excitations(state, rng):
 
 def test_vacuum_detector_smallest_tower():
     state2 = sample_generic_state(build_tower((2,)), seed=5)
-    det = vacuum_detector(state2, seed=0)
+    det = vacuum_detector(state2)
     assert abs(np.trace(state2.lam @ det.unitary)) <= 1e-12
 
 
 def test_vacuum_detector_needs_full_rank(pure_state):
     with pytest.raises(ContractError):
-        vacuum_detector(pure_state, seed=0)
+        vacuum_detector(pure_state)
 
 
-def test_balanced_unitary_skewed_spectrum(rng):
+def test_balanced_unitary_skewed_spectrum():
     # spectra violating the polygon inequality still balance exactly
     m = np.diag([0.9, 0.05, 0.03, 0.02]).astype(complex)
-    u = balanced_unitary(m, rng)
+    u = balanced_unitary(m)
     assert abs(np.trace(m @ u)) <= 1e-12
     assert nk.frob(nk.dagger(u) @ u - np.eye(4)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [np.eye(5), np.array([[0.7, 0.2j], [-0.2j, 0.3]]),
+                               np.diag([0.9, 0.05, 0.03, 0.02])],
+                         ids=["degenerate", "2x2", "skewed"])
+def test_balanced_unitary_is_a_silent_shift(m):
+    # the cyclic shift in an eigenbasis has a zero diagonal there, whatever the spectrum
+    u = balanced_unitary(m)
+    assert nk.frob(nk.dagger(u) @ u - np.eye(len(m))) <= 1e-14 * len(m)
+    assert abs(np.trace(m @ u)) <= 1e-14 * nk.frob(m)
 
 
 # -- commensurability ----------------------------------------------------------

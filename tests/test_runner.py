@@ -136,11 +136,15 @@ def test_cli_suites_command(capsys):
     assert "lift" in out and "spectral" in out
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not valid JSON")
+
+
 def test_cli_verify_single_suite(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = main(["verify", "--suite", "lift", "--out", str(out_file)])
     assert code == 0
-    doc = json.loads(out_file.read_text())
+    doc = json.loads(out_file.read_text(), parse_constant=_reject_constant)
     assert doc["counts"]["fail"] == 0
     assert "pass" in capsys.readouterr().out
 
@@ -162,11 +166,20 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("scenario", [{"profile": "nope"}, {"tower_dims": [1, 2]},
-                                      {"tower_dims": [2, 2, 4, 16]}])
+@pytest.mark.parametrize("scenario", [
+    {"profile": "nope"}, {"tower_dims": [1, 2]}, {"tower_dims": [2, 2, 4, 16]},
+    {"suites": ["lift"], "sample_counts": {"lift": 0}},
+    {"sample_counts": {"lift": -3}}, {"sample_counts": {"lift": "abc"}},
+    {"sample_counts": {"lift": True}}, {"sample_counts": {"lift": 2.5}}, {"sample_counts": []},
+    {"tolerance_overrides": {"lift": "x"}}, {"tolerance_overrides": {"lift": 0.0}},
+    {"tolerance_overrides": {"lift": float("nan")}},
+    {"tolerance_overrides": {"lift": float("inf")}},
+    {"tolerance_overrides": {"lift": False}},
+])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
-    # 69 GB: a scenario that slips past admission must fail here, not start a run
+    # 69 GB: a scenario that slips past admission must fail here, not start a run.
+    # A zero count would pass `lift` on no samples with an infinite residual.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))

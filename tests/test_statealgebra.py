@@ -313,7 +313,7 @@ def test_dual_positivity(state, rng):
 
 def test_faithfulness_witness_simple(state, rng):
     psi = sa.excitation_element(random_excitation(state, rng, level=1))
-    witness = sa.faithfulness_probe(psi, rng=rng)
+    witness = sa.faithfulness_probe(psi)
     assert abs(witness.value) > 1e-9
 
 
@@ -327,13 +327,29 @@ def test_faithfulness_witness_traceless_terms(state, rng):
     psi = sa.element_from_terms(state, terms)
     for _, exc in psi.terms:
         pass  # terms may differ from inputs after canonicalization
-    witness = sa.faithfulness_probe(psi, rng=rng)
+    witness = sa.faithfulness_probe(psi)
     assert abs(witness.value) > 1e-9
+
+
+def test_faithfulness_witness_reaches_a_quarter_of_the_top_singular_value(state):
+    # a kernel orthogonal to omega gives exactly sigma_1 / 4 at the shift t = 1
+    eye = np.eye(16, dtype=complex)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(2):
+            x = nk.random_complex_matrix(rng, 16)
+            x -= np.trace(state.lam @ x) * eye
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            terms.append((c, make_excitation(state, LocalOperator(3, x))))
+        psi = sa.element_from_terms(state, terms)
+        sigma = np.linalg.svd(psi.core, compute_uv=False)[0]
+        assert abs(sa.faithfulness_probe(psi).value) >= (1 - 1e-9) * sigma / 4
 
 
 def test_faithfulness_rejects_zero(state, rng):
     with pytest.raises(ContractError):
-        sa.faithfulness_probe(sa.scale(0.0, _element(state, rng)), rng=np.random.default_rng(0))
+        sa.faithfulness_probe(sa.scale(0.0, _element(state, rng)))
 
 
 # -- kernel-picture isomorphism ---------------------------------------------
