@@ -111,6 +111,12 @@ def make_excitation(state: GenericState, op) -> ExcitationState:
                            top=top * scale, mat=mat * scale)
 
 
+def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
+    """The excitation of X = v.reshape(D, D) lam^{-1/2}, for which X.omega = v (normalized)."""
+    op = v.reshape(state.dim, state.dim) @ state.inv_sqrt_lam
+    return make_excitation(state, LocalOperator(state.tower.levels, op))
+
+
 def identity_excitation(state: GenericState) -> ExcitationState:
     return make_excitation(state, LocalOperator(level=1, matrix=np.eye(state.tower.dim_at(1), dtype=complex)))
 

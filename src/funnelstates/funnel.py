@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, ContractError, SamplingError, SizingError
+from .errors import (CapacityError, ConfigurationError, ContractError, DegenerateExcitationError,
+                     SamplingError, SizingError)
 from . import numkernel as nk
 
 # Finite surrogate of the separating property: the spectrum of the reference
@@ -30,7 +31,7 @@ SEPARATION_SCALE = 1e-6
 NEAR_TRACIAL_WEIGHT = 0.1
 MAX_REDRAWS = 8
 INJECTIVITY_GAP = 1e-6
-PHASE_RECOVERY_TOL = 1e-9
+RAY_EQ_TOL = 1e-9
 PROFILES = ("random_full_rank", "near_tracial", "pure")
 
 
@@ -120,14 +121,17 @@ def _embed(tower: FunnelTower, level: int, m: np.ndarray, target_level) -> np.nd
 
 @dataclass
 class GenericState:
-    """Reference state: full-rank spectral data, derived from `lam`, plus its doubled-space vector."""
+    """Reference state: spectral data, doubled-space vector and `separating`, derived from `lam`.
+
+    `separating` means `spectrum[-1] >= eps_sep`; only then is `inv_sqrt_lam` available.
+    """
 
     tower: FunnelTower
     lam: np.ndarray
     profile: str
     seed: int
     eps_sep: float
-    separating: bool
+    separating: bool = field(init=False)
     spectrum: np.ndarray = field(repr=False, init=False)
     basis: np.ndarray = field(repr=False, init=False)
 
@@ -136,6 +140,7 @@ class GenericState:
         eig = nk.herm_eig(self.lam)
         self.spectrum = eig.eigenvalues
         self.basis = eig.eigenvectors
+        self.separating = bool(self.spectrum[-1] >= self.eps_sep)
         d = self.dim
         self._sqrt = (self.basis * np.sqrt(np.clip(self.spectrum, 0.0, None))) @ nk.dagger(self.basis)
         if self.separating:
@@ -196,8 +201,8 @@ def sample_generic_state(tower: FunnelTower, seed: int,
 
     random_full_rank draws a normalized Wishart density and redraws, at most
     MAX_REDRAWS times, until the separation floor and the genericity
-    self-test pass.  pure gives a rank-one density (separating invariant
-    waived, flagged on the state).  near_tracial mixes the tracial state
+    self-test pass.  pure gives a rank-one density, which is not
+    separating (the invariant is waived).  near_tracial mixes the tracial state
     with a random density at weight NEAR_TRACIAL_WEIGHT.
     """
     if profile not in PROFILES:
@@ -209,8 +214,7 @@ def sample_generic_state(tower: FunnelTower, seed: int,
     if profile == "pure":
         v = nk.random_unit_vector(rng, d)
         lam = np.outer(v, np.conj(v))
-        return GenericState(tower=tower, lam=lam, profile=profile, seed=seed,
-                            eps_sep=eps, separating=False)
+        return GenericState(tower=tower, lam=lam, profile=profile, seed=seed, eps_sep=eps)
 
     last_failure = "no draw attempted"
     for _ in range(MAX_REDRAWS):
@@ -219,12 +223,10 @@ def sample_generic_state(tower: FunnelTower, seed: int,
             lam = (1.0 - NEAR_TRACIAL_WEIGHT) * np.eye(d, dtype=complex) / d + NEAR_TRACIAL_WEIGHT * r
         else:
             lam = r
-        min_eig = float(np.linalg.eigvalsh(lam)[0])
-        if min_eig < eps:
-            last_failure = f"spectrum floor {min_eig:.3e} below eps_sep {eps:.3e}"
+        state = GenericState(tower=tower, lam=lam, profile=profile, seed=seed, eps_sep=eps)
+        if not state.separating:
+            last_failure = f"spectrum floor {state.spectrum[-1]:.3e} below eps_sep {eps:.3e}"
             continue
-        state = GenericState(tower=tower, lam=lam, profile=profile, seed=seed,
-                             eps_sep=eps, separating=True)
         report = check_genericity(state, trials=6, rng=rng)
         if report.passed:
             return state
@@ -334,42 +336,26 @@ class GenericityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _excitation_density(state: GenericState, top_matrix: np.ndarray) -> np.ndarray:
-    """Density of the normalized excitation by a top-level operator."""
-    rho = top_matrix @ state.lam @ nk.dagger(top_matrix)
-    tr = float(np.real(np.trace(rho)))
-    if tr <= 1e-12:
-        raise ContractError("operator annihilates the reference state")
-    return rho / tr
-
-def _ray_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    z = np.trace(nk.dagger(a) @ b)
-    if abs(z) <= 1e-9:
-        return nk.frob(a) <= 1e-9 and nk.frob(b) <= 1e-9
-    t = z / abs(z)
-    return nk.frob(b - t * a) <= 1e-9 * max(nk.frob(a), 1.0)
-
-
 def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
-    """Operational genericity: separation floor, valid extension projections,
-    and injectivity of the state-to-ray lift on random pairs at every level.
+    """Operational genericity, checked on the excitation model it certifies.
 
-    Pairs are drawn half Gaussian, half Haar unitary; unitary pairs are the
-    ones that expose tracial-product degeneracies, where conjugation leaves
-    the reference density invariant.
+    `separating`: the spectrum floor is at least eps_sep.  `extension_projection:n`
+    (n < L): the rank-one projection above level n compresses every level-n
+    matrix unit C to omega(C) E.  `lift_injectivity:n` (n <= L): pairs of
+    level-n operators, half Gaussian, half Haar unitary (these expose tracial
+    products, whose density conjugation leaves invariant), built with
+    `make_excitation`, are more than INJECTIVITY_GAP apart unless one ray
+    (canonical matrices equal within RAY_EQ_TOL, relative).  Phase recovery is
+    not re-proved: once omega(A*A) = 1, omega(A*(tA)) = t by linearity; the
+    `lift` suite checks it operationally through `lift_phase`.
     """
-    tower = state.tower
-    checks = []
+    # excitations imports this module, so its constructors are bound at call time
+    from .excitations import make_excitation, norm_distance
 
-    min_eig = float(state.spectrum[-1])
-    checks.append(
-        GenericityCheck(
-            check_id="separating",
-            passed=min_eig >= state.eps_sep,
-            residual=min_eig,
-            witness=None if min_eig >= state.eps_sep else {"min_eig": min_eig, "eps_sep": state.eps_sep},
-        )
-    )
+    tower = state.tower
+    floor = float(state.spectrum[-1])
+    witness = None if state.separating else {"min_eig": floor, "eps_sep": state.eps_sep}
+    checks = [GenericityCheck("separating", state.separating, floor, witness)]
 
     for n in range(1, tower.levels):
         try:
@@ -384,54 +370,26 @@ def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
 
     for level in range(1, tower.levels + 1):
         d = tower.dim_at(level)
-        worst_gap = math.inf
-        witness = None
-        ok = True
+        worst, worst_kind = math.inf, None
         for trial in range(max(trials, 2)):
-            kind = "unitary" if trial % 2 else "gaussian"
-            if kind == "unitary":
-                a = nk.haar_unitary(rng, d)
-                b = nk.haar_unitary(rng, d)
-            else:
-                a = nk.random_complex_matrix(rng, d)
-                b = nk.random_complex_matrix(rng, d)
-            a_top = embed_matrix(tower, level, a)
-            b_top = embed_matrix(tower, level, b)
+            kind, draw = (("unitary", nk.haar_unitary) if trial % 2
+                          else ("gaussian", nk.random_complex_matrix))
+            a, b = draw(rng, d), draw(rng, d)
             try:
-                rho_a = _excitation_density(state, a_top)
-                rho_b = _excitation_density(state, b_top)
-            except ContractError:
+                exc_a = make_excitation(state, LocalOperator(level, a))
+                exc_b = make_excitation(state, LocalOperator(level, b))
+            except DegenerateExcitationError:
                 continue
-            norm_a = a / np.sqrt(np.real(np.trace(state.lam @ nk.dagger(a_top) @ a_top)))
-            norm_b = b / np.sqrt(np.real(np.trace(state.lam @ nk.dagger(b_top) @ b_top)))
-            if _ray_equal(norm_a, norm_b):
+            ca, cb = exc_a.canonical_matrix, exc_b.canonical_matrix
+            if nk.frob(ca - cb) <= RAY_EQ_TOL * nk.frob(ca):
                 continue
-            gap = nk.trace_norm(rho_a - rho_b)
-            if gap < worst_gap:
-                worst_gap = gap
-                witness = {"level": level, "kind": kind, "distance": gap}
-            if gap <= INJECTIVITY_GAP:
-                ok = False
+            gap = norm_distance(exc_a, exc_b, scope="top")
+            if gap < worst:
+                worst, worst_kind = gap, kind
+        ok = worst > INJECTIVITY_GAP
         checks.append(GenericityCheck(
             check_id=f"lift_injectivity:{level}", passed=ok,
-            residual=worst_gap if worst_gap < math.inf else 0.0,
-            witness=witness if not ok else None))
-
-    # Phase recovery: omega(A^* (tA)) must return t exactly on equal rays.
-    level = 1
-    d = tower.dim_at(level)
-    worst = 0.0
-    for theta in (0.0, 0.37, 2.1):
-        a = nk.random_complex_matrix(rng, d)
-        a_top = embed_matrix(tower, level, a)
-        nrm = np.sqrt(np.real(np.trace(state.lam @ nk.dagger(a_top) @ a_top)))
-        if nrm <= 1e-12:
-            continue
-        a_top = a_top / nrm
-        t = np.exp(1j * theta)
-        recovered = np.trace(state.lam @ nk.dagger(a_top) @ (t * a_top))
-        worst = max(worst, abs(recovered - t))
-    checks.append(GenericityCheck(
-        check_id="phase_recovery", passed=worst <= PHASE_RECOVERY_TOL, residual=worst))
+            residual=worst if worst < math.inf else 0.0,
+            witness=None if ok else {"level": level, "kind": worst_kind, "distance": worst}))
 
     return GenericityReport(passed=all(c.passed for c in checks), checks=checks)

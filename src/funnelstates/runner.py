@@ -39,6 +39,7 @@ from .funnel import (
     sample_generic_state,
 )
 from .excitations import (
+    _excitation_with_vector,
     compression_check,
     extremality_check,
     find_null_combination,
@@ -105,6 +106,9 @@ class ScenarioConfig:
         for sid in list(self.suites) + list(self.tolerance_overrides) + list(self.sample_counts):
             if sid not in known:
                 raise ConfigurationError(f"unknown suite id {sid!r}")
+        # determinism reruns a fixed sub-scenario, so an entry for it would be ignored
+        if "determinism" in self.tolerance_overrides or "determinism" in self.sample_counts:
+            raise ConfigurationError("suite 'determinism' takes no tolerance or sample count")
         # a zero count would pass a suite on no samples, an infinite tolerance any check
         for sid, count in self.sample_counts.items():
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
@@ -627,11 +631,9 @@ def _suite_state_algebra(env: SuiteEnv):
     checks.append(check_le("state_algebra/quadruple_product", worst_quad, tol))
 
     # an orthogonal pair: a1.omega is a seeded vector with its a0.omega component removed
-    top, d = env.tower.levels, env.state.dim
-    a0 = random_excitation(env.state, env.rng, level=top)
+    a0 = random_excitation(env.state, env.rng, level=env.tower.levels)
     w = nk.random_unit_vector(env.rng, env.state.doubled_dim)
-    w = w - np.vdot(a0.vector, w) * a0.vector
-    a1 = make_excitation(env.state, LocalOperator(top, w.reshape(d, d) @ env.state.inv_sqrt_lam))
+    a1 = _excitation_with_vector(env.state, w - np.vdot(a0.vector, w) * a0.vector)
     prod = sa.times(sa.excitation_element(a0), sa.excitation_element(a1))
     checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), tol))
 
@@ -724,6 +726,14 @@ def _suite_spectral(env: SuiteEnv):
     return checks
 
 
+def _traceless_excitation(env: SuiteEnv):
+    """Excitation of X - omega(X) 1 for a seeded top-level X, an operator omega annihilates."""
+    d = env.state.dim
+    x = nk.random_complex_matrix(env.rng, d)
+    x = x - np.trace(env.state.lam @ x) * np.eye(d, dtype=complex)
+    return make_excitation(env.state, LocalOperator(env.tower.levels, x))
+
+
 def _suite_duality(env: SuiteEnv):
     n = env.count(50)
     worst_link = 0.0
@@ -731,7 +741,7 @@ def _suite_duality(env: SuiteEnv):
         a, b = env.pair(level=1 + int(env.rng.integers(env.tower.levels)))
         val = sa.dual_state_apply(a, sa.excitation_element(b))
         worst_link = max(worst_link, abs(val - transition_probability(a, b)))
-    checks = [check_le("duality/transition_link", worst_link, 1e-12)]
+    checks = [check_le("duality/transition_link", worst_link, env.tol(1e-12))]
 
     exc = random_excitation(env.state, env.rng, level=1)
     self_val = sa.dual_state_apply(exc, sa.excitation_element(exc))
@@ -756,16 +766,12 @@ def _suite_duality(env: SuiteEnv):
 
     found = 0
     total = env.count(30)
-    d = env.state.dim
-    eye = np.eye(d, dtype=complex)
     for k in range(total):
         if k % 3 == 2:  # traceless construction: omega annihilates every term
             terms = []
             for _ in range(2):
-                x = nk.random_complex_matrix(env.rng, d)
-                x = x - np.trace(env.state.lam @ x) * eye
-                terms.append((complex(env.rng.standard_normal(), env.rng.standard_normal()),
-                              make_excitation(env.state, LocalOperator(env.tower.levels, x))))
+                exc = _traceless_excitation(env)
+                terms.append((complex(env.rng.standard_normal(), env.rng.standard_normal()), exc))
             psi = sa.element_from_terms(env.state, terms)
         else:
             psi = env.element(n_terms=2)
@@ -806,11 +812,7 @@ def _suite_w_isomorphism(env: SuiteEnv):
         "w_isomorphism/identity_to_omega",
         float(np.linalg.norm(sa.w_isomorphism(ident) - env.state.omega_vector)), 1e-12))
 
-    d = env.state.dim
-    eye = np.eye(d, dtype=complex)
-    x = nk.random_complex_matrix(env.rng, d)
-    x = x - np.trace(env.state.lam @ x) * eye
-    null_el = sa.excitation_element(make_excitation(env.state, LocalOperator(env.tower.levels, x)))
+    null_el = sa.excitation_element(_traceless_excitation(env))
     checks.append(check_le("w_isomorphism/null_class",
                            float(np.linalg.norm(sa.w_isomorphism(null_el))), 1e-10))
     return checks
@@ -1004,7 +1006,7 @@ def _suite_commensurability(env: SuiteEnv):
     e1 = nk.random_projection(env.rng, d2, 2)
     probe = pr.commensurable_projection_probe(e1, e1.copy(), level=2)
     checks.append(check_le("commensurability/probe_same_projection",
-                           max(r for _, r in probe["rows"]), 1e-10,
+                           max(r for _, r in probe["rows"]), env.tol(1e-10),
                            witness={"commutator_norm": probe["commutator_norm"]}))
     return checks
 

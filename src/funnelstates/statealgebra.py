@@ -29,8 +29,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import BudgetError, ContractError, DegenerateExcitationError, FaithfulnessError
-from .excitations import ExcitationState, make_excitation
-from .funnel import GenericState, LocalOperator
+from .excitations import ExcitationState, _excitation_with_vector
+from .funnel import GenericState
 
 TERM_BUDGET = 64
 _DROP_TOL = 1e-12
@@ -131,12 +131,6 @@ def _support_form(el: StateAlgebraElement):
     basis, _ = _orthonormal_basis(np.hstack([el.left, el.right]))
     bh = nk.dagger(basis)
     return basis, (bh @ el.left) @ el.core @ nk.dagger(bh @ el.right)
-
-
-def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
-    """The excitation of X = v.reshape(D, D) lam^{-1/2}, for which X.omega = v (normalized)."""
-    op = v.reshape(state.dim, state.dim) @ state.inv_sqrt_lam
-    return make_excitation(state, LocalOperator(state.tower.levels, op))
 
 
 def _eigen_excitations(state, basis, part, drop) -> list:

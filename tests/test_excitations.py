@@ -106,7 +106,7 @@ def test_lift_phase_flags_degenerate_reference(rng):
     tau /= np.trace(tau).real
     degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau),
                               profile="random_full_rank", seed=0,
-                              eps_sep=1e-12, separating=True)
+                              eps_sep=1e-12)
     a = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
     b = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
     with pytest.raises(GenericityViolationError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from funnelstates import (
     relative_commutant_basis,
     sample_generic_state,
 )
-from funnelstates import funnel
+from funnelstates import excitations, funnel
 from funnelstates import numkernel as nk
 from funnelstates.errors import SizingError
 from funnelstates.funnel import (
@@ -171,10 +173,52 @@ def test_genericity_tracial_product_fails_lift(tower):
     tau /= np.trace(tau).real
     lam = np.kron(np.eye(2) / 2, tau)
     state = GenericState(tower=tower, lam=lam, profile="random_full_rank",
-                         seed=0, eps_sep=1e-12, separating=True)
+                         seed=0, eps_sep=1e-12)
     report = check_genericity(state, trials=20, rng=np.random.default_rng(0))
     failed = {c.check_id for c in report.failures}
     assert "lift_injectivity:1" in failed
+
+
+def test_genericity_reports_its_checks_on_make_excitation(state, monkeypatch):
+    built = []
+    make = excitations.make_excitation
+    monkeypatch.setattr(excitations, "make_excitation",
+                        lambda st, op: built.append(op.level) or make(st, op))
+    report = check_genericity(state, trials=4, rng=np.random.default_rng(0))
+    levels = state.tower.levels
+    assert [c.check_id for c in report.checks] == (
+        ["separating"] + [f"extension_projection:{n}" for n in range(1, levels)]
+        + [f"lift_injectivity:{n}" for n in range(1, levels + 1)])
+    assert report.passed
+    assert sorted(set(built)) == list(range(1, levels + 1))
+
+
+def test_separating_is_derived_from_the_spectrum(tower):
+    d = tower.top_dim
+    v = nk.random_unit_vector(np.random.default_rng(0), d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rank_one = GenericState(tower=tower, lam=np.outer(v, np.conj(v)),
+                                profile="random_full_rank", seed=0, eps_sep=1e-12)
+        assert rank_one.separating is False
+        with pytest.raises(ContractError):
+            rank_one.inv_sqrt_lam
+        full = GenericState(tower=tower, lam=np.eye(d) / d, profile="random_full_rank",
+                            seed=0, eps_sep=1e-12)
+        assert full.separating is True
+        assert np.all(np.isfinite(full.inv_sqrt_lam))
+    with pytest.raises(TypeError):
+        GenericState(tower=tower, lam=np.eye(d) / d, profile="random_full_rank",
+                     seed=0, eps_sep=1e-12, separating=True)
+
+
+def test_sampler_reads_the_floor_from_the_state(tower, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    state = sample_generic_state(tower, seed=42)
+    assert state.separating
+    assert calls == []
 
 
 def test_extension_projection_schmidt_weights(state):

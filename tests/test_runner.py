@@ -90,6 +90,18 @@ def test_failed_checks_carry_witnesses():
     assert all(c.witness is not None for c in failed)
 
 
+@pytest.mark.parametrize("suite, check_id", [
+    ("duality", "duality/transition_link"),
+    ("commensurability", "commensurability/probe_same_projection"),
+])
+def test_tolerance_override_governs_its_check(suite, check_id):
+    report = run(ScenarioConfig(suites=(suite,), tolerance_overrides={suite: 1e-300}))
+    check = next(c for c in report.suites[0].checks if c.check_id == check_id)
+    assert check.tolerance == 1e-300
+    # the same projection commutes with its copy exactly, so that residual is 0.0
+    assert (check.status == "fail") == (check.residual > 1e-300)
+
+
 def test_suite_exception_is_recorded_not_raised(tmp_path, monkeypatch):
     def broken(env):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -175,11 +187,13 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"tolerance_overrides": {"lift": float("nan")}},
     {"tolerance_overrides": {"lift": float("inf")}},
     {"tolerance_overrides": {"lift": False}},
+    {"tolerance_overrides": {"determinism": 1e-300}}, {"sample_counts": {"determinism": 3}},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
     # 69 GB: a scenario that slips past admission must fail here, not start a run.
     # A zero count would pass `lift` on no samples with an infinite residual.
+    # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))

@@ -12,6 +12,7 @@ from funnelstates import (
     overlap,
     transition_probability,
 )
+from funnelstates import excitations
 from funnelstates import statealgebra as sa
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
@@ -73,7 +74,8 @@ def test_operations_build_no_excitation(state, rng, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sa, "make_excitation", counted(sa.make_excitation))
+    # statealgebra builds excitations only through excitations._excitation_with_vector
+    monkeypatch.setattr(excitations, "make_excitation", counted(excitations.make_excitation))
     monkeypatch.setattr(nk, "herm_eig", counted(nk.herm_eig))
     monkeypatch.setattr(nk, "gram_schmidt", counted(nk.gram_schmidt))
     op = LocalOperator(1, nk.random_complex_matrix(rng, 2))
