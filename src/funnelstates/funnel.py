@@ -167,7 +167,8 @@ class GenericState:
     def inv_sqrt_lam(self) -> np.ndarray:
         if self._inv_sqrt is None:
             raise ContractError(
-                "reference state is rank deficient (pure profile); inverse square root unavailable"
+                f"reference state is not separating: spectrum floor {self.spectrum[-1]:.3e} "
+                f"below eps_sep {self.eps_sep:.3e}; inverse square root unavailable"
             )
         return self._inv_sqrt
 

@@ -912,7 +912,7 @@ def _suite_detector(env: SuiteEnv):
     e3 = basis[:, k2:] @ nk.dagger(basis[:, k2:])
     weights = (1.0, -0.5, 2.0)
     exc = random_excitation(env.state, env.rng, level=env.tower.levels)
-    estimate = pr.recover_observable([e1, e2, e3], weights, exc, eps)
+    estimate = pr.recover_observable([e1, e2, e3], weights, exc)
     observable = weights[0] * e1 + weights[1] * e2 + weights[2] * e3
     direct = float(np.real(np.trace(exc.rho @ observable)))
     bound = 3 * np.sqrt(4 * eps) * max(abs(w) for w in weights) + 1e-9
@@ -1003,9 +1003,11 @@ def _suite_commensurability(env: SuiteEnv):
     checks.append(check_flag("commensurability/random_rejected", false_count == n))
     checks.append(check_ge("commensurability/random_residual", min_residual, 1e-3))
 
+    # E2 = E1 + vv*, v a unit vector in ran(1 - E1): distinct projections that commute
     e1 = nk.random_projection(env.rng, d2, 2)
-    probe = pr.commensurable_projection_probe(e1, e1.copy(), level=2)
-    checks.append(check_le("commensurability/probe_same_projection",
+    v = nk.herm_eig(np.eye(d2, dtype=complex) - e1).eigenvectors[:, :1]
+    probe = pr.commensurable_projection_probe(e1, e1 + v @ nk.dagger(v), level=2)
+    checks.append(check_le("commensurability/probe_commuting_projections",
                            max(r for _, r in probe["rows"]), env.tol(1e-10),
                            witness={"commutator_norm": probe["commutator_norm"]}))
     return checks

@@ -212,6 +212,21 @@ def test_separating_is_derived_from_the_spectrum(tower):
                      seed=0, eps_sep=1e-12, separating=True)
 
 
+def test_non_separating_message_names_floor_and_threshold(tower):
+    # full rank, but the floor sits below eps_sep: the state is not pure
+    d = tower.top_dim
+    spectrum = np.full(d, 1e-4)
+    spectrum[0] = 1.0 - (d - 1) * 1e-4
+    state = GenericState(tower=tower, lam=np.diag(spectrum), profile="random_full_rank",
+                         seed=0, eps_sep=1e-3)
+    assert state.separating is False
+    with pytest.raises(ContractError) as err:
+        state.inv_sqrt_lam
+    message = str(err.value)
+    assert "1.000e-04" in message and "1.000e-03" in message
+    assert "pure profile" not in message
+
+
 def test_sampler_reads_the_floor_from_the_state(tower, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh

@@ -248,6 +248,27 @@ def test_tune_detector_bounds_hold(state, rng):
         assert abs(transition_probability(exc, final) - mass**2) < 4 * eps
 
 
+def test_tune_detector_rows_meet_the_construction_identities(state, rng):
+    # (1-E)U = B with B*B = 1-E, so the leak is the state's own 1 - mass, and
+    # |omega_A(B)| <= 1 - mass bounds the probability gap
+    e = nk.random_projection(rng, 16, 4)
+    eps = 1e-3
+    det = tune_detector(e, eps, _concentrated_states(state, rng, e, 10, leak=0.01))
+    for row in det.rows:
+        assert abs(row.leak - (1.0 - row.mass)) <= 1e-12
+        assert row.probability_gap <= 2 * eps * row.mass + eps**2
+
+
+def test_tune_detector_rank_one_complement_takes_phase_minus_one(state, rng):
+    basis = nk.haar_unitary(rng, 16)
+    e = basis[:, :15] @ nk.dagger(basis[:, :15])
+    states = _concentrated_states(state, rng, e, 3, leak=0.001)
+    det = tune_detector(e, 1e-3, states)
+    comp = np.eye(16) - e
+    np.testing.assert_allclose(det.observable.unitary @ comp, -comp, atol=1e-12)
+    assert det.worst_leak < 1e-3
+
+
 def test_tune_detector_deterministic(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = _concentrated_states(state, rng, e, 3, leak=0.01)
@@ -277,7 +298,7 @@ def test_tune_detector_unconcentrated_failure(state, rng):
 def test_recover_single_projection(state, rng):
     e = nk.random_projection(rng, 16, 6)
     a = random_excitation(state, rng, level=2)
-    estimate = recover_observable([e], [1.0], a, 1e-3)
+    estimate = recover_observable([e], [1.0], a)
     direct = float(np.real(np.trace(a.rho @ e)))
     assert estimate == pytest.approx(direct, abs=1e-9)
 
@@ -287,7 +308,7 @@ def test_recover_two_outcome_observable(state, rng):
     e1 = basis[:, :9] @ nk.dagger(basis[:, :9])
     e2 = basis[:, 9:] @ nk.dagger(basis[:, 9:])
     a = random_excitation(state, rng, level=1)
-    estimate = recover_observable([e1, e2], [1.0, -1.0], a, 1e-3)
+    estimate = recover_observable([e1, e2], [1.0, -1.0], a)
     direct = float(np.real(np.trace(a.rho @ (e1 - e2))))
     assert abs(estimate - direct) <= 2 * np.sqrt(4e-3) + 1e-9
 
@@ -299,8 +320,27 @@ def test_recover_resolution_of_identity(state, rng):
         b = basis[:, lo:hi]
         projections.append(b @ nk.dagger(b))
     a = random_excitation(state, rng, level=2)
-    estimate = recover_observable(projections, [1.0, 1.0, 1.0], a, 1e-3)
+    estimate = recover_observable(projections, [1.0, 1.0, 1.0], a)
     assert estimate == pytest.approx(1.0, abs=1e-9)
+
+
+def test_recover_three_blocks_is_exact(state, rng):
+    # B_m is balanced against the state's own leak density, so tr(rho_A B_m) = 0
+    basis = np.eye(16, dtype=complex)
+    projections = [basis[:, lo:hi] @ nk.dagger(basis[:, lo:hi])
+                   for lo, hi in ((0, 6), (6, 11), (11, 16))]
+    weights = (1.0, -0.5, 2.0)
+    for _ in range(20):
+        a = random_excitation(state, rng, level=3)
+        direct = sum(o * float(np.real(a.evaluate(LocalOperator(3, p))))
+                     for o, p in zip(weights, projections))
+        assert abs(recover_observable(projections, weights, a) - direct) <= 1e-12
+
+
+def test_recover_rejects_lower_level_projections(state, rng):
+    a = random_excitation(state, rng, level=1)
+    with pytest.raises(ContractError, match="top-level"):
+        recover_observable([np.eye(2, dtype=complex)], [1.0], a)
 
 
 def test_recover_rejects_noncommuting(state, rng):
@@ -308,7 +348,7 @@ def test_recover_rejects_noncommuting(state, rng):
     e2 = nk.random_projection(rng, 16, 4)
     a = random_excitation(state, rng, level=1)
     with pytest.raises(ContractError):
-        recover_observable([e1, e2], [1.0, -1.0], a, 1e-3)
+        recover_observable([e1, e2], [1.0, -1.0], a)
 
 
 # -- vacuum detector ---------------------------------------------------------
