@@ -94,11 +94,6 @@ def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> n
     return _embed(tower, level, nk.as_cmatrix(matrix), target_level)
 
 
-def embed_operator(tower: FunnelTower, op: LocalOperator, target_level=None) -> np.ndarray:
-    # the operator's matrix was validated when the operator was built
-    return _embed(tower, op.level, op.matrix, target_level)
-
-
 def _embed(tower: FunnelTower, level: int, m: np.ndarray, target_level) -> np.ndarray:
     """a -> a (x) 1 on a validated complex matrix, bit-equal to np.kron(a, eye)."""
     target = tower.levels if target_level is None else target_level
@@ -178,7 +173,8 @@ class GenericState:
 
     def embed(self, op) -> np.ndarray:
         if isinstance(op, LocalOperator):
-            return embed_operator(self.tower, op)
+            # the operator's matrix was validated when the operator was built
+            return _embed(self.tower, op.level, op.matrix, None)
         return embed_matrix(self.tower, self.tower.levels, op)
 
     def expect(self, op) -> complex:

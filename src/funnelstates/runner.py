@@ -241,8 +241,6 @@ class VerificationReport:
     scenario: dict
     suites: list
     wall_clock_seconds: float
-    engine_version: str = ENGINE_VERSION
-    schema_version: str = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -259,8 +257,8 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "engine_version": self.engine_version,
+            "schema_version": SCHEMA_VERSION,
+            "engine_version": ENGINE_VERSION,
             "scenario": self.scenario,
             "suites": [s.to_dict() for s in self.suites],
             "counts": self.counts(),
@@ -516,18 +514,15 @@ def _suite_uhlmann(env: SuiteEnv):
 
 
 def _member_concentration(family, k: int) -> float:
-    """sum_{m != k} |<v_m, v_k>|^2 over a family: the weight member k puts elsewhere.
+    """sum_{m != k} |<v_m, v_k>|^2 over a block family: the weight member k puts elsewhere.
 
-    On a block family they are column k % D of the block, and 0 outside it.
-    The self term is removed before the sum, not subtracted after it: beside
-    a self term of 1 the true value (about 1e-32) would round to 0.
+    Member k is e_{k // D} (x) q_{k % D}, so the weights are column k % D of
+    the block, and 0 outside it.  The self term is removed before the sum,
+    not subtracted after it: beside a self term of 1 the true value (about
+    1e-32) would round to 0.
     """
-    if family.block is None:
-        column = family.coefficients(family.vectors[k])
-    else:
-        k %= len(family.block)
-        column = family.block[:, k]
-    return float(np.delete(np.abs(column) ** 2, k).sum())
+    k %= len(family.block)
+    return float(np.delete(np.abs(family.block[:, k]) ** 2, k).sum())
 
 
 def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):

@@ -10,7 +10,7 @@ from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
 from .excitations import (ExcitationState, _gauge_phase, _require_shared_state,
                           make_excitation, norm_distance, overlap)
-from .funnel import GenericState, LocalOperator, embed_matrix, matrix_units
+from .funnel import GenericState, LocalOperator, embed_matrix
 
 
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
@@ -28,27 +28,26 @@ class OrthogonalFamily:
     Rows: the members' vectors, stacked from hand-built `members` that excite
     one reference state.  Block (the default family): members e_i (x) q_k for
     the columns of a D x D `q`, overlaps kron(1, block), block = q^* q.
-    Reflectors (other generators): compact-WY blocks of one Householder QR
+    Reflectors (caller generators): compact-WY blocks of one Householder QR
     and the phases diag(R)/|diag(R)| that make it Gram-Schmidt.  `vectors`,
     `members` (`mat` views of the rows) and `overlaps` are derived on first
     read and memoised.
     """
 
     def __init__(self, members: list = None, overlaps: np.ndarray = None, *,
-                 state: GenericState = None, vectors: np.ndarray = None,
-                 q: np.ndarray = None, reflectors: tuple = None):
+                 state: GenericState = None, q: np.ndarray = None, reflectors: tuple = None):
+        vectors = None
         if members is not None:
             if any(m.state is not members[0].state for m in members[1:]):
                 raise ContractError("family members refer to different reference states")
             state = members[0].state if members else None
             vectors = np.array([m.vector for m in members], dtype=complex)
-        if vectors is not None:
             vectors.setflags(write=False)
         self.state = state
         self.q = q
         self.block = None if q is None else nk.dagger(q) @ q
         self._reflectors = reflectors  # (compact-WY blocks, phases)
-        self._size = len(vectors) if vectors is not None else state.dim ** 2
+        self._size = len(members) if members is not None else state.dim ** 2
         self._vectors = vectors
         self._members = members
         self._overlaps = overlaps
@@ -154,31 +153,38 @@ def _reflect(blocks: list, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _householder_basis(columns: np.ndarray, mode: str):
-    """`np.linalg.qr(columns, mode)` and the phases diag(R)/|diag(R)| that make Q Gram-Schmidt.
+def _householder_basis(columns: np.ndarray):
+    """The raw `np.linalg.qr(columns)` and the phases diag(R)/|diag(R)| that make Q Gram-Schmidt.
 
-    None when some |R_kk| <= 10 CONTRACT_TOL ||g_k||: near that threshold
-    only `nk.gram_schmidt` decides which columns count as dependent.
+    Raises where |R_kk| <= 10 CONTRACT_TOL ||g_k||: g_k is then dependent on the columns before it.
     """
     norms = np.linalg.norm(columns, axis=0)  # its temporaries before the QR's
-    first, second = np.linalg.qr(columns, mode=mode)
-    diag = (second if mode == "reduced" else first).diagonal()  # R's, or h's
-    if not np.all(np.abs(diag) > 10.0 * nk.CONTRACT_TOL * norms):
-        return None
-    return first, second, diag / np.abs(diag)
+    h, tau = np.linalg.qr(columns, mode="raw")
+    diag = h.diagonal()  # R's diagonal
+    dependent = np.flatnonzero(np.abs(diag) <= 10.0 * nk.CONTRACT_TOL * norms)
+    if len(dependent):
+        raise CompletenessUnavailableError(
+            f"generators span only {len(diag) - len(dependent)} of {len(diag)} directions: "
+            f"generator {dependent[0]} has |R_kk| <= 10 CONTRACT_TOL ||g_k||")
+    return h, tau, diag / np.abs(diag)
 
 
 def _family_form(state: GenericState, generators) -> dict:
-    """The orthonormalized generator vectors A.omega as `OrthogonalFamily` keywords."""
+    """The orthonormalized generator vectors A.omega as `OrthogonalFamily` keywords.
+
+    Default: vec(E_ij sqrt(lam)) = e_i (x) sqrt(lam)[j, :], so the family is
+    e_i (x) q_k, q_k the orthonormalized rows of sqrt(lam): one reduced QR of
+    sqrt(lam)^T, with no conditioning test.  None is needed: |R_kk| >=
+    sigma_min(sqrt(lam)) = sqrt(lam_min) >= sqrt(eps_sep) (1.25e-4 at D=64)
+    on a separating state, and column k has norm sqrt(lam_kk) <= 1, so
+    |R_kk| / ||g_k|| always passes the generators' 1e-9 rule.  Caller
+    generators: exactly D^2, streamed into one array and factored by one raw QR.
+    """
     d = state.dim
     sqrt_lam = state.sqrt_lam
     if generators is None:
-        # vec(E_ij sqrt(lam)) = e_i (x) sqrt(lam)[j, :], so the family is
-        # e_i (x) q_k with q_k the orthonormalized rows of sqrt(lam)
-        basis = _householder_basis(sqrt_lam.T, "reduced")
-        if basis is not None:
-            return {"q": basis[0] * basis[2]}
-        generators = matrix_units(d)
+        q, r = np.linalg.qr(sqrt_lam.T)
+        return {"q": q * (r.diagonal() / np.abs(r.diagonal()))}
     # the generators are streamed into one array: a list of D^2 matrices
     # would stay live beside the QR's own D^2 x D^2 copies
     generators = iter(generators)
@@ -187,18 +193,13 @@ def _family_form(state: GenericState, generators) -> dict:
     for row, g in zip(gen_rows, generators):
         row[:] = (state.embed(g) @ sqrt_lam).ravel()
         count += 1
-    basis = _householder_basis(gen_rows.T, "raw") if count == d * d else None
-    if basis is not None:
-        del gen_rows, row  # before the reflectors' copies, not beside them
-        return {"reflectors": (_wy_blocks(*basis[:2]), basis[2])}
-    # generators past the first D^2 only matter to the Gram-Schmidt fallback
-    tail = [(state.embed(g) @ sqrt_lam).ravel() for g in generators]
-    gs = nk.gram_schmidt(list(gen_rows[:count]) + tail)
-    if len(gs.vectors) != d * d:
+    if count < d * d or next(generators, None) is not None:
         raise CompletenessUnavailableError(
-            f"generators span only {len(gs.vectors)} of {d * d} directions"
-        )
-    return {"vectors": np.array(gs.vectors)}
+            f"a complete family needs exactly {d * d} generators, got "
+            f"{count if count < d * d else 'more'}")
+    h, tau, phases = _householder_basis(gen_rows.T)
+    del gen_rows, row  # before the reflectors' copies, not beside them
+    return {"reflectors": (_wy_blocks(h, tau), phases)}
 
 
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:
@@ -210,7 +211,7 @@ def build_complete_family(state: GenericState, generators=None) -> OrthogonalFam
     sum_m omega_B . omega_{A_m} equals 1 for every probe.  Defaults to the
     matrix-unit basis of the top algebra in lexicographic order.  The
     members are the Gram-Schmidt orthonormalization of the generators, taken
-    from one QR factorisation whenever that is well conditioned.
+    from one QR factorisation; anything but D^2 independent generators raises.
     """
     if not state.separating:
         raise CompletenessUnavailableError(

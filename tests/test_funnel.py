@@ -20,7 +20,6 @@ from funnelstates import numkernel as nk
 from funnelstates.errors import SizingError
 from funnelstates.funnel import (
     embed_matrix,
-    embed_operator,
     extension_projection_residual,
     matrix_units,
 )
@@ -105,10 +104,11 @@ def test_embed_matrix_equals_kron(dims, rng):
             k = tower.dim_at(target) // d
             assert np.array_equal(embed_matrix(tower, level, a, target), np.kron(a, np.eye(k)))
             op = LocalOperator(level=level, matrix=a)
-            assert np.array_equal(embed_operator(tower, op, target), np.kron(a, np.eye(k)))
+            assert np.array_equal(embed_matrix(tower, op.level, op.matrix, target),
+                                  np.kron(a, np.eye(k)))
 
 
-def test_embedding_rejects_non_finite_and_misshapen_matrices(tower):
+def test_embedding_rejects_non_finite_and_misshapen_matrices(tower, state):
     bad = np.eye(4, dtype=complex)
     bad[1, 2] = np.nan
     with pytest.raises(ContractError):
@@ -119,9 +119,10 @@ def test_embedding_rejects_non_finite_and_misshapen_matrices(tower):
         LocalOperator(level=2, matrix=np.ones(4))
     with pytest.raises(ContractError):
         embed_matrix(tower, 2, np.eye(3))
-    # a validated operator of the wrong size still fails on the unchecked path
+    # a validated operator of the wrong size still fails on the state's
+    # unchecked path, which skips as_cmatrix
     with pytest.raises(ContractError):
-        embed_operator(tower, LocalOperator(level=2, matrix=np.eye(3)))
+        state.embed(LocalOperator(level=2, matrix=np.eye(3)))
 
 
 def test_dim_at_is_int_and_range_checked(tower):
@@ -138,7 +139,8 @@ def test_embedding_sizing_error_reads_the_limit_at_call_time(tower, monkeypatch)
     with pytest.raises(SizingError):
         embed_matrix(tower, 1, np.eye(2))
     with pytest.raises(SizingError):
-        embed_operator(tower, LocalOperator(level=2, matrix=np.eye(4)))
+        op = LocalOperator(level=2, matrix=np.eye(4))
+        embed_matrix(tower, op.level, op.matrix)
     assert embed_matrix(tower, 1, np.eye(2), target_level=2).shape == (4, 4)
 
 

@@ -337,14 +337,21 @@ def test_gram_oracle_equals_dense_spectrum(dims, monkeypatch):
     np.testing.assert_allclose(oracle, dense, rtol=0, atol=1e-13)
 
 
-def test_member_concentration_keeps_tiny_off_self_weights():
+def _off_self_weights(vectors, k):
+    return sum(abs(np.vdot(vectors[m], vectors[k])) ** 2 for m in range(len(vectors)) if m != k)
+
+
+def test_member_concentration_keeps_tiny_off_self_weights(small_state):
+    # a hand-made q whose columns 1 and 2 lean on column 0 by about 1e-20:
+    # the off-self weights, about 1e-40, survive beside a self term of 1
     eps = 1e-20 * np.exp(0.3j)
-    vectors = np.array([[1, 0, 0], [eps, 1, 0], [np.conj(eps), 0, 1]], dtype=complex)
-    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    for k in range(3):
-        explicit = sum(abs(np.vdot(vectors[m], vectors[k])) ** 2 for m in range(3) if m != k)
-        assert explicit > 0.0
-        family = OrthogonalFamily(vectors=vectors)
+    q = np.eye(4, dtype=complex)
+    q[0, 1], q[0, 2] = eps, np.conj(eps)
+    q /= np.linalg.norm(q, axis=0)
+    family = OrthogonalFamily(state=small_state, q=q)
+    for k in range(16):
+        explicit = _off_self_weights(family.vectors, k)
+        assert (explicit > 0.0) == (k % 4 != 3)
         assert runner._member_concentration(family, k) == pytest.approx(explicit, rel=1e-6)
 
 
@@ -354,9 +361,8 @@ def test_member_concentration_reads_the_block(state):
     family = build_complete_family(state)
     values = [runner._member_concentration(family, k) for k in (3, 16 * 5 + 7)]
     assert family._vectors is None
-    rows = OrthogonalFamily(state=state, vectors=family.vectors)
     for k, value in zip((3, 16 * 5 + 7), values):
-        assert value == pytest.approx(runner._member_concentration(rows, k), rel=0, abs=1e-30)
+        assert value == pytest.approx(_off_self_weights(family.vectors, k), rel=0, abs=1e-30)
 
 
 def test_completeness_holds_one_family_at_a_time(monkeypatch):

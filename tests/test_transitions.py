@@ -134,18 +134,48 @@ def test_family_matches_gram_schmidt(family_state, order):
         np.testing.assert_allclose(member.op.matrix, ref.op.matrix, atol=1e-10)
 
 
-def test_family_duplicate_generator_falls_back(family_state):
+def _count_gram_schmidt(monkeypatch) -> list:
+    calls = []
+    gram_schmidt = nk.gram_schmidt
+    monkeypatch.setattr(nk, "gram_schmidt",
+                        lambda vectors: calls.append(len(vectors)) or gram_schmidt(vectors))
+    return calls
+
+
+@pytest.mark.parametrize("profile", ["random_full_rank", "near_tracial"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 4), (2, 2, 5)])
+def test_default_family_qr_clears_the_rule_by_sqrt_eps_sep(dims, profile, monkeypatch):
+    # |R_kk| >= sigma_min(sqrt(lam)) >= sqrt(eps_sep) and ||g_k|| <= 1: the
+    # default QR needs no conditioning test on any admitted tower
+    calls = _count_gram_schmidt(monkeypatch)
+    state = sample_generic_state(build_tower(dims), seed=42, profile=profile)
+    family = build_complete_family(state)
+    assert family.q is not None and family._reflectors is None
+    columns = state.sqrt_lam.T
+    _, r = np.linalg.qr(columns)
+    margin = np.min(np.abs(r.diagonal()) / np.linalg.norm(columns, axis=0))
+    assert margin >= np.sqrt(state.eps_sep) > 10 * nk.CONTRACT_TOL
+    assert calls == []
+
+
+def test_family_duplicate_generator_falls_back(family_state, monkeypatch):
     from funnelstates.funnel import matrix_units
 
-    units = list(matrix_units(family_state.dim))
-    # a duplicate among the first D^2 generators, the missing unit appended
-    gens = units[:5] + [units[3]] + units[6:] + [units[5]]
-    gens = [LocalOperator(family_state.tower.levels, g) for g in gens]
-    family = build_complete_family(family_state, generators=gens)
-    reference = _gram_schmidt_family(family_state, gens)
-    assert len(family) == family_state.dim ** 2
-    for member, ref in zip(family.members, reference):
-        assert np.max(np.abs(member.vector - ref.vector)) <= 1e-12
+    # nothing to fall back to: a duplicate among the first D^2 generators
+    # raises at the duplicate, and D^2 + 1 generators raise on the count
+    calls = _count_gram_schmidt(monkeypatch)
+    d2 = family_state.dim ** 2
+    level = family_state.tower.levels
+    units = [LocalOperator(level, g) for g in matrix_units(family_state.dim)]
+    with pytest.raises(CompletenessUnavailableError,
+                       match=f"span only {d2 - 1} of {d2} directions: generator 5 "):
+        build_complete_family(family_state, generators=units[:5] + [units[3]] + units[6:])
+    padded = units[:5] + [units[3]] + units[6:] + [units[5]]
+    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
+        build_complete_family(family_state, generators=padded)
+    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
+        build_complete_family(family_state, generators=iter(units + [units[0]]))
+    assert calls == []
 
 
 def test_family_rank_deficient_generators(family_state):
@@ -153,9 +183,10 @@ def test_family_rank_deficient_generators(family_state):
 
     d2 = family_state.dim ** 2
     units = list(matrix_units(family_state.dim))
-    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
+    with pytest.raises(CompletenessUnavailableError,
+                       match=f"span only {d2 - 1} of {d2} directions: generator 4 "):
         build_complete_family(family_state, generators=units[:4] + [units[2]] + units[5:])
-    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
+    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got {d2 - 1}"):
         build_complete_family(family_state, generators=units[1:])
 
 
@@ -319,27 +350,22 @@ def test_generic_family_holds_only_its_reflectors(state):
 def test_family_forms_and_their_fallback(small_state, monkeypatch):
     from funnelstates.funnel import matrix_units
 
-    calls = []
-    gram_schmidt = nk.gram_schmidt
-    monkeypatch.setattr(nk, "gram_schmidt",
-                        lambda vectors: calls.append(len(vectors)) or gram_schmidt(vectors))
+    calls = _count_gram_schmidt(monkeypatch)
     d2 = small_state.dim ** 2
     level = small_state.tower.levels
     units = [LocalOperator(level, g) for g in matrix_units(small_state.dim)]
     default = build_complete_family(small_state)
     generic = build_complete_family(small_state, generators=units[::-1])
-    assert calls == []
     assert default.q is not None and default._reflectors is None
     assert generic.q is None and generic._reflectors is not None
-    # a duplicate among the first D^2 generators fails the conditioning rule:
-    # Gram-Schmidt takes all D^2 + 1 generators, and the family keeps rows
-    fallback = build_complete_family(
-        small_state, generators=units[:5] + [units[3]] + units[6:] + [units[5]])
-    assert calls == [d2 + 1]
-    assert fallback.q is None and fallback._reflectors is None and fallback._vectors.shape == (d2, d2)
+    # the input that once fell back to Gram-Schmidt rows now raises, and no
+    # build, good or bad, calls gram_schmidt
+    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
+        build_complete_family(
+            small_state, generators=units[:5] + [units[3]] + units[6:] + [units[5]])
     with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
         build_complete_family(small_state, generators=units[:4] + [units[2]] + units[5:])
-    assert calls == [d2 + 1, d2]
+    assert calls == []
 
 
 def test_completeness_sum_hand_built_family(small_state):
