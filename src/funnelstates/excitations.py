@@ -43,16 +43,16 @@ class ExcitationState:
     `op` is the normalized operator exactly as supplied (its phase is the
     caller's); `canonical_phase` is the gauge factor that maps it onto the
     deterministic ray representative, so equality tests do not depend on the
-    input phase.  `top` is the embedding into the top algebra and
-    `mat = top @ sqrt(lam)` the matrix whose vectorization is the
-    doubled-space vector A.omega.  `rho`, the reduced density on the top
-    algebra, is derived from `mat` on first read and memoised.
+    input phase.  `mat = (A (x) 1) sqrt(lam)` is the D x D matrix whose
+    vectorization is the doubled-space vector A.omega; A itself is never
+    embedded, it acts through `GenericState.act`.  `rho`, the reduced
+    density on the top algebra, is derived from `mat` on first read and
+    memoised.
     """
 
     state: GenericState
     op: LocalOperator
     canonical_phase: complex
-    top: np.ndarray = field(repr=False)
     mat: np.ndarray = field(repr=False)
     # a declared field rather than functools.cached_property: a key added to
     # the instance __dict__ later slows every attribute read on the instance
@@ -79,8 +79,8 @@ class ExcitationState:
         return self.op.level
 
     def evaluate(self, c) -> complex:
-        """omega_A(C) = tr(rho_A C)."""
-        return complex(np.trace(self.rho @ self.state.embed(c)))
+        """omega_A(C) = tr(rho_A C) = <mat, C mat>."""
+        return complex(np.vdot(self.mat, self.state.act(c, self.mat)))
 
 
 def _gauge_phase(vector: np.ndarray) -> complex:
@@ -97,8 +97,7 @@ def make_excitation(state: GenericState, op) -> ExcitationState:
     """Normalize an operator into an excitation state and record its gauge."""
     if not isinstance(op, LocalOperator):
         op = LocalOperator(level=state.tower.levels, matrix=op)
-    top = state.embed(op)
-    mat = top @ state.sqrt_lam
+    mat = state.act(op, state.sqrt_lam)
     norm_sq = float(np.real(np.vdot(mat.ravel(), mat.ravel())))
     if norm_sq <= 1e-12:
         raise DegenerateExcitationError(
@@ -107,8 +106,7 @@ def make_excitation(state: GenericState, op) -> ExcitationState:
     scale = 1.0 / np.sqrt(norm_sq)
     phase = _gauge_phase(mat.ravel() * scale)
     op_norm = LocalOperator(level=op.level, matrix=op.matrix * scale)
-    return ExcitationState(state=state, op=op_norm, canonical_phase=phase,
-                           top=top * scale, mat=mat * scale)
+    return ExcitationState(state=state, op=op_norm, canonical_phase=phase, mat=mat * scale)
 
 
 def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
@@ -174,7 +172,9 @@ def lift_phase(a: ExcitationState, b: ExcitationState) -> complex:
             f"equal states but |omega(A*B)| = {abs(t):.12f} far from 1; "
             "reference state fails the lift property"
         )
-    if nk.frob(b.top - t * a.top) > OP_RECOVERY_TOL * max(nk.frob(a.top), 1.0):
+    level = max(a.level, b.level)
+    a_op, b_op = (embed_matrix(e.state.tower, e.level, e.op.matrix, level) for e in (a, b))
+    if nk.frob(b_op - t * a_op) > OP_RECOVERY_TOL * max(nk.frob(a_op), 1.0):
         raise GenericityViolationError(
             "equal states whose representatives are not phase multiples"
         )
@@ -249,28 +249,28 @@ def null_combination_transfer(coeffs, excs, trials: int, rng) -> TransferReport:
 
     For `trials` random operators C (cycling through the tower levels below
     the top and the top itself) the report records
-    max ||sum_m c_m A_m* C A_m||_F / ||C||_F.
+    max ||sum_m c_m A_m* C A_m||_F / ||C||_F at the common level of C and the
+    A_m; embedding all of them higher scales both norms alike.
     """
     pre = functional_norm(coeffs, excs)
     if pre > STATE_EQ_TOL:
         raise NotNullCombinationError(
             f"functional norm of the combination is {pre:.3e} > {STATE_EQ_TOL}"
         )
-    state = excs[0].state
-    tower = state.tower
-    tops = np.stack([e.top for e in excs])
-    tops_h = np.conj(tops.transpose(0, 2, 1))
+    tower = excs[0].state.tower
+    a_level = max(e.level for e in excs)
     worst = 0.0
     witness = None
     for trial in range(trials):
         level = 1 + (trial % tower.levels)
-        c = nk.random_complex_matrix(rng, tower.dim_at(level))
-        c_top = embed_matrix(tower, level, c)
+        common = max(level, a_level)
+        c = embed_matrix(tower, level, nk.random_complex_matrix(rng, tower.dim_at(level)), common)
+        a_ops = np.stack([embed_matrix(tower, e.level, e.op.matrix, common) for e in excs])
         # every A_m* C A_m from one batched product, summed in member order
-        acc = np.zeros_like(c_top)
-        for cm, prod in zip(coeffs, tops_h @ c_top @ tops):
+        acc = np.zeros_like(c)
+        for cm, prod in zip(coeffs, np.conj(a_ops.transpose(0, 2, 1)) @ c @ a_ops):
             acc = acc + cm * prod
-        ratio = nk.frob(acc) / nk.frob(c_top)
+        ratio = nk.frob(acc) / nk.frob(c)
         if ratio > worst:
             worst = ratio
             witness = {"trial": trial, "level": level, "ratio": ratio}

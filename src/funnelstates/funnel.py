@@ -90,12 +90,8 @@ class LocalOperator:
 
 
 def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> np.ndarray:
-    """Embed a level-`level` matrix into a higher level (default: top)."""
-    return _embed(tower, level, nk.as_cmatrix(matrix), target_level)
-
-
-def _embed(tower: FunnelTower, level: int, m: np.ndarray, target_level) -> np.ndarray:
-    """a -> a (x) 1 on a validated complex matrix, bit-equal to np.kron(a, eye)."""
+    """a -> a (x) 1 into a higher level (default: top), bit-equal to np.kron(a, eye)."""
+    m = nk.as_cmatrix(matrix)
     target = tower.levels if target_level is None else target_level
     d_from = tower.dim_at(level)
     d_to = tower.dim_at(target)
@@ -171,15 +167,24 @@ class GenericState:
     def omega_vector(self) -> np.ndarray:
         return self._omega
 
-    def embed(self, op) -> np.ndarray:
+    def act(self, op, x: np.ndarray) -> np.ndarray:
+        """(A (x) 1) x for x a D x D matrix or a (D^2, r) block, A a `LocalOperator` or top matrix.
+
+        A acts on x reshaped to (D_n, -1), with no embedding: D_n D^2 work per column, not D^3.
+        """
         if isinstance(op, LocalOperator):
-            # the operator's matrix was validated when the operator was built
-            return _embed(self.tower, op.level, op.matrix, None)
-        return embed_matrix(self.tower, self.tower.levels, op)
+            level, m = op.level, op.matrix  # validated when the operator was built
+        else:
+            level, m = self.tower.levels, nk.as_cmatrix(op)
+        d = self.tower.dim_at(level)
+        # the reshape reads only d: a mislabelled matrix would act at the wrong level
+        if m.shape != (d, d):
+            raise ContractError(f"matrix shape {m.shape} does not match level {level} dimension {d}")
+        return (m @ x.reshape(d, -1)).reshape(x.shape)
 
     def expect(self, op) -> complex:
-        """omega(A) = tr(lam A) for A given at any level."""
-        return complex(np.trace(self.lam @ self.embed(op)))
+        """omega(A) = tr(lam A) = <sqrt(lam), A sqrt(lam)> for A given at any level."""
+        return complex(np.vdot(self._sqrt, self.act(op, self._sqrt)))
 
     def reduced(self, level: int) -> np.ndarray:
         """Restriction of the reference density to the first `level` factors."""
@@ -301,12 +306,11 @@ def extension_projection_residual(state: GenericState, proj: MinimalExtensionPro
     tower = state.tower
     n = proj.level
     worst = 0.0
-    e_local = proj.projector
+    e = proj.projector
     for unit in matrix_units(tower.dim_at(n)):
-        c_next = _embed(tower, n, unit, n + 1)
-        lhs = e_local @ c_next @ e_local
+        lhs = e @ embed_matrix(tower, n, unit, n + 1) @ e
         omega_c = state.expect(LocalOperator(level=n, matrix=unit))
-        worst = max(worst, nk.frob(lhs - omega_c * e_local))
+        worst = max(worst, nk.frob(lhs - omega_c * e))
     return worst
 
 

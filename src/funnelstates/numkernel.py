@@ -182,11 +182,6 @@ def random_complex_matrix(rng: np.random.Generator, rows: int, cols=None) -> CMa
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> CMatrix:
-    g = random_complex_matrix(rng, n)
-    return (g + dagger(g)) / 2.0
-
-
 def haar_unitary(rng: np.random.Generator, n: int) -> CMatrix:
     g = random_complex_matrix(rng, n)
     q, r = np.linalg.qr(g)

@@ -282,15 +282,14 @@ def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
     e = require_projection(e_proj)
     tower = exc.state.tower
     rho = exc.rho
-    e_top = embed_matrix(tower, tower.levels, e)
-    basis = _range_basis(e_top)
+    target = float(np.real(exc.evaluate(e)))  # a raw matrix must be top-level
+    basis = _range_basis(e)
     g = rho @ basis
     p_svd, _, q_svd = np.linalg.svd(g, full_matrices=False)
     f_stack = p_svd @ q_svd
     v = basis @ nk.dagger(f_stack)
     iso = PartialIsometry(level=tower.levels, matrix=v)
     value = abs(np.trace(rho @ v))
-    target = float(np.real(np.trace(rho @ e_top)))
     return iso, float(value), target
 
 

@@ -32,6 +32,7 @@ from .funnel import (
     build_tower,
     check_factor_dims,
     check_genericity,
+    embed_matrix,
     matrix_units,
     minimal_extension_projection,
     extension_projection_residual,
@@ -398,9 +399,8 @@ def _suite_min_projection(env: SuiteEnv):
         com_worst = 0.0
         for rc in itertools.islice(relative_commutant_basis(env.tower, n), 4):
             for unit in list(matrix_units(env.tower.dim_at(n)))[:4]:
-                u_emb = env.state.embed(LocalOperator(level=n, matrix=unit))
-                r_emb = env.state.embed(rc)
-                com_worst = max(com_worst, nk.frob(u_emb @ r_emb - r_emb @ u_emb))
+                u_up = embed_matrix(env.tower, n, unit, n + 1)
+                com_worst = max(com_worst, nk.frob(u_up @ rc.matrix - rc.matrix @ u_up))
         checks.append(check_le(f"min_projection/commutant_blocks:{n}", com_worst, 1e-12))
     return checks
 
@@ -449,7 +449,7 @@ def _fuchs_stats(state, rng, n):
         p_ba = abs(overlap(b, a)) ** 2
         worst_sym = max(worst_sym, abs(p_ab - p_ba))
         raw_range = max(raw_range, -p_ab, p_ab - 1.0)
-        reduced = abs(np.trace(state.lam @ nk.dagger(a.top) @ b.top)) ** 2
+        reduced = abs(state.expect(LocalOperator(a.level, nk.dagger(a.op.matrix) @ b.op.matrix))) ** 2
         worst_chain = max(worst_chain, abs(reduced - p_ab))
         rep = fuchs_bound_check(a, b)
         min_slack = min(min_slack, rep.slack)
@@ -864,16 +864,22 @@ def _suite_dilation(env: SuiteEnv):
     return checks
 
 
-def _concentrated_states(env: SuiteEnv, e_proj, count: int, leak: float):
+def _concentrated_states(env: SuiteEnv, e_proj, fractions):
+    """Excitations of E G + s (1 - E) H, one per fraction f, leaking exactly f outside E.
+
+    E G sqrt(lam) and (1 - E) H sqrt(lam) are orthogonal, of norms a and b, so the leak
+    s^2 b^2 / (a^2 + s^2 b^2) is f for s = sqrt(f / (1 - f)) a / b, at any rank of lam.
+    """
     d = e_proj.shape[0]
-    eye = np.eye(d, dtype=complex)
-    comp = eye - e_proj
+    comp = np.eye(d, dtype=complex) - e_proj
     states = []
-    for _ in range(count):
+    for f in fractions:
         g = nk.random_complex_matrix(env.rng, d)
         h = nk.random_complex_matrix(env.rng, d)
-        op = e_proj @ g + leak * comp @ h
-        states.append(make_excitation(env.state, LocalOperator(env.tower.levels, op)))
+        inside, outside = e_proj @ g, comp @ h
+        s = np.sqrt(f / (1.0 - f)) * (nk.frob(inside @ env.state.sqrt_lam)
+                                      / nk.frob(outside @ env.state.sqrt_lam))
+        states.append(make_excitation(env.state, LocalOperator(env.tower.levels, inside + s * outside)))
     return states
 
 
@@ -883,10 +889,9 @@ def _suite_detector(env: SuiteEnv):
     d = env.tower.top_dim
     # Rank and cut points follow D so that the projection stays proper and
     # the three recovery blocks non-empty; at D=16 they are 4 and 6/5/5.
-    # The states leak about 1e-4 (D - rank) / rank outside E: past eps at
-    # D=48 for rank 4, so from D=40 the rank is D/8, holding it near 7e-4.
-    e_proj = nk.random_projection(env.rng, d, max(min(4, d // 2), d // 8))
-    states = _concentrated_states(env, e_proj, n_states, leak=0.01)
+    # The states leak the fractions 0.9 eps (k + 1) / n outside E, below eps at any D.
+    e_proj = nk.random_projection(env.rng, d, min(4, d // 2))
+    states = _concentrated_states(env, e_proj, 0.9 * eps * np.arange(1, n_states + 1) / n_states)
     det = pr.tune_detector(e_proj, eps, states)
     checks = [
         check_le("detector/leak_bound", det.worst_leak, eps),

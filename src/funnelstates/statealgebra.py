@@ -30,7 +30,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import BudgetError, ContractError, DegenerateExcitationError, FaithfulnessError
 from .excitations import ExcitationState, _excitation_with_vector
-from .funnel import GenericState
+from .funnel import GenericState, LocalOperator
 
 TERM_BUDGET = 64
 _DROP_TOL = 1e-12
@@ -70,18 +70,13 @@ class StateAlgebraElement:
 
     def evaluate(self, c) -> complex:
         """psi(C) = tr(Psi (C (x) 1))."""
-        acted = _left_multiply(self.state.embed(c), self.left)
+        acted = self.state.act(c, self.left)
         return complex(np.trace(self.core @ nk.dagger(self.right) @ acted))
 
     # -- convenience arithmetic ---------------------------------------------
 
     def __add__(self, other):
         return add(self, other)
-
-
-def _left_multiply(m: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Apply ``m (x) 1`` to every doubled-space column of ``block``: vec(M) -> vec(m M)."""
-    return (m @ block.reshape(m.shape[0], -1)).reshape(block.shape)
 
 
 def _orthonormal_basis(v: np.ndarray):
@@ -243,12 +238,13 @@ def bimodule_act(side: str, op, el: StateAlgebraElement) -> StateAlgebraElement:
     """
     if side not in ("left", "right"):
         raise ContractError(f"side must be 'left' or 'right', got {side!r}")
-    a_top = el.state.embed(op)
+    if not isinstance(op, LocalOperator):
+        op = LocalOperator(el.state.tower.levels, op)
     if side == "left":
         # K' = K (A (x) 1): columns of the right factor get hit by (A* (x) 1).
-        return _orthonormalised(el.state, el.left, el.core,
-                                _left_multiply(nk.dagger(a_top), el.right))
-    return _orthonormalised(el.state, _left_multiply(a_top, el.left), el.core, el.right)
+        adjoint = LocalOperator(op.level, nk.dagger(op.matrix))
+        return _orthonormalised(el.state, el.left, el.core, el.state.act(adjoint, el.right))
+    return _orthonormalised(el.state, el.state.act(op, el.left), el.core, el.right)
 
 
 def dual_state_apply(exc: ExcitationState, el: StateAlgebraElement) -> complex:

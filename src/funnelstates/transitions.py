@@ -89,8 +89,7 @@ class OrthogonalFamily:
             for row in self.vectors:
                 mat = row.reshape(d, d)
                 op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
-                members.append(ExcitationState(state=self.state, op=op, top=op.matrix, mat=mat,
-                                               canonical_phase=_gauge_phase(row)))
+                members.append(ExcitationState(self.state, op, _gauge_phase(row), mat))
             self._members = members
         return self._members
 
@@ -191,7 +190,7 @@ def _family_form(state: GenericState, generators) -> dict:
     gen_rows = np.empty((d * d, d * d), dtype=complex)
     count = 0
     for row, g in zip(gen_rows, generators):
-        row[:] = (state.embed(g) @ sqrt_lam).ravel()
+        row[:] = state.act(g, sqrt_lam).ravel()
         count += 1
     if count < d * d or next(generators, None) is not None:
         raise CompletenessUnavailableError(
@@ -252,10 +251,6 @@ class FuchsReport:
     bound: float
     slack: float
     pure_equality_residual: float = None
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= -1e-10
 
 
 def fuchs_bound_check(a: ExcitationState, b: ExcitationState) -> FuchsReport:

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from funnelstates import build_tower, sample_generic_state
+from funnelstates import numkernel as nk
+
+
+def random_hermitian(rng, n: int) -> np.ndarray:
+    """Seeded Hermitian test matrix (G + G*) / 2."""
+    g = nk.random_complex_matrix(rng, n)
+    return (g + nk.dagger(g)) / 2.0
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,14 @@ from funnelstates.excitations import (
     functional_norm,
     random_excitation,
 )
+from funnelstates.funnel import embed_matrix
+
+from conftest import random_hermitian
 
 
 def test_identity_excitation_reproduces_reference(state, rng):
     ident = identity_excitation(state)
-    c = nk.random_hermitian(rng, 16)
+    c = random_hermitian(rng, 16)
     assert abs(ident.evaluate(c) - np.trace(state.lam @ c)) <= 1e-12
 
 
@@ -42,7 +45,8 @@ def test_scaling_gives_same_state(state):
 
 def test_density_is_normalized_conjugation(state, rng):
     exc = random_excitation(state, rng, level=1)
-    rho = exc.top @ state.lam @ nk.dagger(exc.top)
+    a_top = embed_matrix(state.tower, 1, exc.op.matrix)
+    rho = a_top @ state.lam @ nk.dagger(a_top)
     np.testing.assert_allclose(exc.rho, rho, atol=1e-12)
     assert np.trace(exc.rho).real == pytest.approx(1.0, abs=1e-10)
     assert exc.evaluate(LocalOperator(1, np.eye(2))) == pytest.approx(1.0, abs=1e-12)
@@ -58,7 +62,7 @@ def test_degenerate_excitation_rejected(pure_state):
 
 def test_evaluate_hermitian_is_real(state, rng):
     exc = random_excitation(state, rng, level=2)
-    c = nk.random_hermitian(rng, 4)
+    c = random_hermitian(rng, 4)
     assert abs(np.imag(exc.evaluate(LocalOperator(2, c)))) <= 1e-12
 
 
@@ -213,7 +217,7 @@ def test_norm_distance_variational_sweep(state, rng):
     eig = nk.herm_eig(delta)
     candidates = [eig.eigenvectors @ np.diag(np.sign(eig.eigenvalues)) @ nk.dagger(eig.eigenvectors)]
     for _ in range(500):
-        h = nk.random_hermitian(rng, 16)
+        h = random_hermitian(rng, 16)
         candidates.append(h / np.linalg.norm(h, 2))
     values = [abs(np.trace(delta @ c)) for c in candidates]
     assert max(values) <= tn + 1e-10
@@ -259,22 +263,22 @@ def test_null_combination_found_and_transfers(state, rng):
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_null_transfer_batched_matches_per_matrix_loop(state, rng, level):
-    from funnelstates.funnel import embed_matrix
-
     excs = _dependent_family(state, rng, level=level)
     coeffs = find_null_combination(excs)
     report = null_combination_transfer(coeffs, excs, trials=30, rng=np.random.default_rng(9))
-    # the same trials, one A_m* C A_m product per member
+    # the same trials, one A_m* C A_m product per member at the common level
     trial_rng = np.random.default_rng(9)
     tower = state.tower
     worst = 0.0
     for trial in range(30):
         lvl = 1 + (trial % tower.levels)
-        c_top = embed_matrix(tower, lvl, nk.random_complex_matrix(trial_rng, tower.dim_at(lvl)))
-        acc = np.zeros_like(c_top)
+        common = max(lvl, level)
+        c = embed_matrix(tower, lvl, nk.random_complex_matrix(trial_rng, tower.dim_at(lvl)), common)
+        acc = np.zeros_like(c)
         for cm, exc in zip(coeffs, excs):
-            acc = acc + cm * (nk.dagger(exc.top) @ c_top @ exc.top)
-        worst = max(worst, nk.frob(acc) / nk.frob(c_top))
+            a = embed_matrix(tower, level, exc.op.matrix, common)
+            acc = acc + cm * (nk.dagger(a) @ c @ a)
+        worst = max(worst, nk.frob(acc) / nk.frob(c))
     assert report.max_ratio == worst
     assert report.max_ratio > 0.0
 

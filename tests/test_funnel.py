@@ -119,10 +119,33 @@ def test_embedding_rejects_non_finite_and_misshapen_matrices(tower, state):
         LocalOperator(level=2, matrix=np.ones(4))
     with pytest.raises(ContractError):
         embed_matrix(tower, 2, np.eye(3))
-    # a validated operator of the wrong size still fails on the state's
-    # unchecked path, which skips as_cmatrix
+    # a validated operator of the wrong size still fails when it acts: the
+    # state's path skips as_cmatrix but keeps the shape check
     with pytest.raises(ContractError):
-        state.embed(LocalOperator(level=2, matrix=np.eye(3)))
+        state.act(LocalOperator(level=2, matrix=np.eye(3)), state.sqrt_lam)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 2, 8)])
+def test_act_equals_the_dense_embedding(dims, rng):
+    # (A (x) 1) x through a reshape, against embed_matrix applied to x's D x D
+    # matrix (for a block, to each column's), at every level: exactly equal
+    state = sample_generic_state(build_tower(dims), seed=3)
+    tower, d = state.tower, state.dim
+    for level in range(1, tower.levels + 1):
+        a = nk.random_complex_matrix(rng, tower.dim_at(level))
+        emb = embed_matrix(tower, level, a)
+        op = LocalOperator(level, a)
+        x = nk.random_complex_matrix(rng, d)
+        block = nk.random_complex_matrix(rng, d * d, 3)
+        assert np.array_equal(state.act(op, x), emb @ x)
+        dense = np.column_stack([(emb @ col.reshape(d, d)).ravel() for col in block.T])
+        assert np.array_equal(state.act(op, block), dense)
+    # a raw matrix is a top-level operator
+    assert np.array_equal(state.act(a, x), emb @ x)
+    # the reshape reads only the operator's size: a mismatch with its level raises
+    for bad in (LocalOperator(2, np.eye(2)), LocalOperator(1, np.eye(4)), np.eye(4)):
+        with pytest.raises(ContractError):
+            state.act(bad, x)
 
 
 def test_dim_at_is_int_and_range_checked(tower):
@@ -147,12 +170,13 @@ def test_embedding_sizing_error_reads_the_limit_at_call_time(tower, monkeypatch)
 def test_expectation_three_ways_agree(state, rng):
     a = nk.random_complex_matrix(rng, 4)
     op = LocalOperator(level=2, matrix=a)
-    a_top = state.embed(op)
+    a_top = embed_matrix(state.tower, 2, a)
     direct = np.trace(state.lam @ a_top)
     doubled = np.vdot(state.omega_vector, np.kron(a_top, np.eye(16)) @ state.omega_vector)
     reduced = np.trace(state.reduced(2) @ a)
     assert abs(direct - doubled) <= 1e-12
     assert abs(direct - reduced) <= 1e-12
+    assert abs(state.expect(op) - direct) <= 1e-12
 
 
 def test_genericity_passes_for_random_state(state, rng):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from funnelstates import numkernel as nk
 from funnelstates.errors import ContractError
 
+from conftest import random_hermitian
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -54,7 +56,7 @@ def test_herm_eig_flip():
 
 def test_herm_eig_reconstruction_seed7():
     rng = np.random.default_rng(7)
-    m = nk.random_hermitian(rng, 8)
+    m = random_hermitian(rng, 8)
     eig = nk.herm_eig(m)
     q = eig.eigenvectors
     assert nk.frob((q * eig.eigenvalues) @ nk.dagger(q) - m) <= 1e-10 * nk.frob(m)
@@ -67,7 +69,7 @@ def test_herm_eig_rejects_non_hermitian(rng):
 
 
 def test_herm_eig_deterministic_phases(rng):
-    m = nk.random_hermitian(rng, 6)
+    m = random_hermitian(rng, 6)
     e1 = nk.herm_eig(m)
     e2 = nk.herm_eig(m.copy())
     np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)

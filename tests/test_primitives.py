@@ -28,6 +28,8 @@ from funnelstates import (
 )
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
+
+from conftest import random_hermitian
 from funnelstates.primitives import (
     balanced_unitary,
     commensurable_projection_probe,
@@ -114,7 +116,7 @@ def test_ut_minus_one_closed_form(state, rng):
 def test_ut_rejects_non_projection(state, rng):
     a = random_excitation(state, rng, level=1)
     with pytest.raises(ContractError):
-        ut_probability(nk.random_hermitian(rng, 16), 1j, a)
+        ut_probability(random_hermitian(rng, 16), 1j, a)
 
 
 # -- dilation ----------------------------------------------------------------

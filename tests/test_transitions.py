@@ -20,6 +20,7 @@ from funnelstates import (
 )
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
+from funnelstates.funnel import embed_matrix
 
 
 def test_transition_self_is_one(state, rng):
@@ -41,7 +42,9 @@ def test_transition_two_evaluation_paths(state, rng):
         a = random_excitation(state, rng, level=2)
         b = random_excitation(state, rng, level=2)
         doubled = abs(np.vdot(a.vector, b.vector)) ** 2
-        reduced = abs(np.trace(state.lam @ nk.dagger(a.top) @ b.top)) ** 2
+        a_top = embed_matrix(state.tower, 2, a.op.matrix)
+        b_top = embed_matrix(state.tower, 2, b.op.matrix)
+        reduced = abs(np.trace(state.lam @ nk.dagger(a_top) @ b_top)) ** 2
         assert abs(doubled - reduced) <= 1e-12
         assert abs(transition_probability(a, b) - doubled) <= 1e-12
 
@@ -104,7 +107,9 @@ def test_family_generator_ordering_invariance(small_state):
 def _gram_schmidt_family(state, generators):
     """Members of the reference construction: Gram-Schmidt, then make_excitation."""
     d = state.dim
-    gs = nk.gram_schmidt([(state.embed(g) @ state.sqrt_lam).ravel() for g in generators])
+    top = state.tower.levels
+    gs = nk.gram_schmidt([(embed_matrix(state.tower, top, g) @ state.sqrt_lam).ravel()
+                          for g in generators])
     return [make_excitation(state, LocalOperator(state.tower.levels,
                                                  v.reshape(d, d) @ state.inv_sqrt_lam))
             for v in gs.vectors]
@@ -227,7 +232,6 @@ def test_family_members_on_first_read(state):
     for row, member in zip(family.vectors, members):
         assert np.shares_memory(member.mat, row)
         assert np.array_equal(member.op.matrix, row.reshape(d, d) @ state.inv_sqrt_lam)
-        assert member.top is member.op.matrix
         assert member.canonical_phase == _gauge_phase(row)
         assert member.level == state.tower.levels
 
@@ -311,7 +315,7 @@ def test_family_coefficients_match_the_dense_rows(ladder_state):
     hand_built = OrthogonalFamily(members=default.members[:7])
     # dense references: kron(1, q^T), and the phase-rotated Q of a reduced
     # QR of the generator vectors
-    cols = np.array([(state.embed(LocalOperator(state.tower.levels, g)) @ state.sqrt_lam).ravel()
+    cols = np.array([(embed_matrix(state.tower, state.tower.levels, g) @ state.sqrt_lam).ravel()
                      for g in units]).T
     q, r = np.linalg.qr(cols)
     q *= r.diagonal() / np.abs(r.diagonal())
@@ -484,7 +488,6 @@ def test_fuchs_bound_holds_and_gaps(state, rng):
         a = random_excitation(state, rng, level=2)
         b = random_excitation(state, rng, level=2)
         rep = fuchs_bound_check(a, b)
-        assert rep.holds
         min_slack = min(min_slack, rep.slack)
         max_slack = max(max_slack, rep.slack)
     assert min_slack >= -1e-10
