@@ -72,7 +72,6 @@ from .primitives import (
     apply_observable,
     clock_and_shift,
     commensurable,
-    detector_bound_probe,
     dilate_to_unitaries,
     increasing_projection_schedule,
     recover_observable,

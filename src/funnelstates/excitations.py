@@ -261,11 +261,14 @@ def null_combination_transfer(coeffs, excs, trials: int, rng) -> TransferReport:
     a_level = max(e.level for e in excs)
     worst = 0.0
     witness = None
+    stacks = {}  # the embedded A_m, one stack per common level
     for trial in range(trials):
         level = 1 + (trial % tower.levels)
         common = max(level, a_level)
         c = embed_matrix(tower, level, nk.random_complex_matrix(rng, tower.dim_at(level)), common)
-        a_ops = np.stack([embed_matrix(tower, e.level, e.op.matrix, common) for e in excs])
+        if common not in stacks:
+            stacks[common] = np.stack([embed_matrix(tower, e.level, e.op.matrix, common) for e in excs])
+        a_ops = stacks[common]
         # every A_m* C A_m from one batched product, summed in member order
         acc = np.zeros_like(c)
         for cm, prod in zip(coeffs, np.conj(a_ops.transpose(0, 2, 1)) @ c @ a_ops):

@@ -119,7 +119,6 @@ class GenericState:
 
     tower: FunnelTower
     lam: np.ndarray
-    profile: str
     seed: int
     eps_sep: float
     separating: bool = field(init=False)
@@ -216,7 +215,7 @@ def sample_generic_state(tower: FunnelTower, seed: int,
     if profile == "pure":
         v = nk.random_unit_vector(rng, d)
         lam = np.outer(v, np.conj(v))
-        return GenericState(tower=tower, lam=lam, profile=profile, seed=seed, eps_sep=eps)
+        return GenericState(tower=tower, lam=lam, seed=seed, eps_sep=eps)
 
     last_failure = "no draw attempted"
     for _ in range(MAX_REDRAWS):
@@ -225,7 +224,7 @@ def sample_generic_state(tower: FunnelTower, seed: int,
             lam = (1.0 - NEAR_TRACIAL_WEIGHT) * np.eye(d, dtype=complex) / d + NEAR_TRACIAL_WEIGHT * r
         else:
             lam = r
-        state = GenericState(tower=tower, lam=lam, profile=profile, seed=seed, eps_sep=eps)
+        state = GenericState(tower=tower, lam=lam, seed=seed, eps_sep=eps)
         if not state.separating:
             last_failure = f"spectrum floor {state.spectrum[-1]:.3e} below eps_sep {eps:.3e}"
             continue

@@ -149,126 +149,42 @@ def _validate_schedule(v: PartialIsometry, schedule):
     return mats
 
 
-@dataclass
-class DilationStep:
-    index: int
-    unitary: PrimitiveObservable
-    on_step_residual: float   # ||(U_m - V) E_m||_F, zero by construction
-    on_initial_residual: float  # ||(U_m - V) F||_F, zero at the final step
-
-
-@dataclass
-class DilationResult:
-    steps: list
-
-    @property
-    def final(self) -> PrimitiveObservable:
-        return self.steps[-1].unitary
-
-
-def dilate_to_unitaries(v: PartialIsometry, schedule) -> DilationResult:
+def dilate_to_unitaries(v: PartialIsometry, schedule) -> list:
     """Unitaries U_m = V E_m + W_m converging to V on its initial subspace.
 
     W_m is the partial isometry from ran(1 - E_m) onto ran(1 - V E_m V*)
     given by -V on the not-yet-covered part ran(F - E_m) and by a fixed
     pairing W0 of the deterministic bases of ran(1 - F) and ran(1 - E),
     whose ranks match because V*V and VV* share their nonzero spectrum.  So
-    every U_m is exactly unitary, the final one restricts to V on ran F, and
-    the convergence tables are non-increasing by construction:
+    every U_m is exactly unitary with (U_m - V) E_m = 0, and
     (U_m - V) F = -2 V (F - E_m) with the projections F - E_m decreasing
-    along the schedule.
+    along the schedule to 0: the final U_m restricts to V on ran F.  The
+    report measures both residuals in `dilation/on_schedule_exact` and
+    `dilation/final_matches`.
     """
     mats = _validate_schedule(v, schedule)
     d = v.matrix.shape[0]
     eye = np.eye(d, dtype=complex)
     f = v.initial
     w0 = _range_basis(eye - v.range_projection) @ nk.dagger(_range_basis(eye - f))
-    steps = []
-    for idx, e_m in enumerate(mats):
+    unitaries = []
+    for e_m in mats:
         w_m = -v.matrix @ (f - e_m) + w0
-        u_m = PrimitiveObservable(level=v.level, unitary=v.matrix @ e_m + w_m)
-        steps.append(DilationStep(
-            index=idx,
-            unitary=u_m,
-            on_step_residual=nk.frob((u_m.unitary - v.matrix) @ e_m),
-            on_initial_residual=nk.frob((u_m.unitary - v.matrix) @ v.initial),
-        ))
-    return DilationResult(steps=steps)
+        unitaries.append(PrimitiveObservable(level=v.level, unitary=v.matrix @ e_m + w_m))
+    return unitaries
 
 
-@dataclass
-class TunedFamilyRow:
-    index: int
-    weak: float     # max |<x, (V_m - E) y>| over the probe vectors
-    strong: float   # max ||(V_m^* - E) x|| over the probe vectors
+def tuned_isometries(v: PartialIsometry, unitaries) -> list:
+    """Partial isometries V_m = V U_m* with common range projection E = VV*.
 
-
-@dataclass
-class TunedFamily:
-    isometries: list
-    rows: list
-
-
-def tuned_isometries(v: PartialIsometry, schedule, seed: int) -> TunedFamily:
-    """Partial isometries V_m = V U_m* with common range projection E.
-
-    Each member has range E because V U*U V* = VV* = E.  Along the schedule
-    the family converges to E: weakly in the probe table, strongly for the
-    adjoints, exactly at the final step.  The tables are maxima over three
-    seeded unit vectors.
+    Each member has range E because V U_m*U_m V* = VV*.  For the unitaries of
+    `dilate_to_unitaries` the family converges to E along the schedule and
+    reaches it at the final step: there U F = V, so V U* = U F U* = VV* = E.
+    The report measures the weak and strong residuals per step in
+    `dilation/tuned_envelope_monotone` and `dilation/tuned_final_exact`.
     """
-    dilation = dilate_to_unitaries(v, schedule)
-    e = v.range_projection
-    rng = np.random.default_rng(seed)
-    d = v.matrix.shape[0]
-    probes = [nk.random_unit_vector(rng, d) for _ in range(3)]
-    isometries = []
-    rows = []
-    for idx, step in enumerate(dilation.steps):
-        v_m = v.matrix @ nk.dagger(step.unitary.unitary)
-        iso = PartialIsometry(level=v.level, matrix=v_m)
-        diff = v_m - e
-        weak = max(abs(np.vdot(x, diff @ y)) for x in probes for y in probes)
-        strong = max(float(np.linalg.norm((nk.dagger(v_m) - e) @ x)) for x in probes)
-        isometries.append(iso)
-        rows.append(TunedFamilyRow(index=idx, weak=weak, strong=strong))
-    return TunedFamily(isometries=isometries, rows=rows)
-
-
-@dataclass
-class DetectorBoundRow:
-    index: int
-    value: float
-    gap: float
-
-
-@dataclass
-class DetectorBoundReport:
-    target: float
-    rows: list
-    final_gap: float
-
-
-def detector_bound_probe(e_proj, exc: ExcitationState, family) -> DetectorBoundReport:
-    """|omega_A(V_m)| against omega_A(E) for a tuned family with top-level range E.
-
-    Only the tuned family is assessed; the supremum over arbitrary partial
-    isometries is not asserted (it can exceed omega_A(E) in finite
-    dimension, see `partial_isometry_sup_witness`).
-    """
-    e = require_projection(e_proj)
-    target = float(np.real(exc.evaluate(LocalOperator(level=exc.state.tower.levels, matrix=e))))
-    rows = []
-    for idx, iso in enumerate(family):
-        if nk.frob(iso.range_projection - e) > PROJECTION_TOL:
-            raise ContractError(f"family member {idx} does not have range projection E")
-        value = abs(exc.evaluate(LocalOperator(level=iso.level, matrix=iso.matrix)))
-        rows.append(DetectorBoundRow(index=idx, value=value, gap=abs(value - target)))
-    return DetectorBoundReport(
-        target=target,
-        rows=rows,
-        final_gap=rows[-1].gap if rows else 0.0,
-    )
+    return [PartialIsometry(level=v.level, matrix=v.matrix @ nk.dagger(u.unitary))
+            for u in unitaries]
 
 
 def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
@@ -335,29 +251,7 @@ def vacuum_detector(state: GenericState) -> PrimitiveObservable:
     return PrimitiveObservable(level=state.tower.levels, unitary=balanced_unitary(state.lam))
 
 
-@dataclass
-class DetectorStateRow:
-    index: int
-    mass: float        # omega_A(E)
-    leak: float        # omega_{UA}(1 - E)
-    probability_gap: float  # | omega_A . omega_{UA} - omega_A(E)^2 |
-
-
-@dataclass
-class TunedDetector:
-    observable: PrimitiveObservable
-    rows: list
-
-    @property
-    def worst_leak(self) -> float:
-        return max((r.leak for r in self.rows), default=0.0)
-
-    @property
-    def worst_probability_gap(self) -> float:
-        return max((r.probability_gap for r in self.rows), default=0.0)
-
-
-def tune_detector(e_proj, epsilon: float, states) -> TunedDetector:
+def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
     """Detector unitary U = E + B with omega_{UA}(1-E) < eps and matched probabilities.
 
     E is a nonzero top-level projection.  At truncation a unitary can only
@@ -369,8 +263,9 @@ def tune_detector(e_proj, epsilon: float, states) -> TunedDetector:
     checks in `dilation/tuned_final_exact`.  B is phase-balanced against the
     mean leak density on the complement.
 
-    Once the states are captured both bounds hold by construction; the rows
-    measure them, and accuracy bounds belong to the caller:
+    Once the states are captured both bounds hold by construction, and the
+    report measures them in `detector/leak_bound` and
+    `detector/probability_bound`:
     - leak: (1-E)U = B and B*B = 1-E, so omega_{UA}(1-E) = 1 - mass < eps;
     - probability: |omega_A(B)| <= omega_A(1-E) < eps, so the gap is at most
       2 eps mass + eps^2 < 4 eps.
@@ -383,8 +278,7 @@ def tune_detector(e_proj, epsilon: float, states) -> TunedDetector:
     e = require_projection(e_proj)
     e_local = LocalOperator(level=level, matrix=e)
 
-    masses = [float(np.real(exc.evaluate(e_local))) for exc in states]
-    best = max(1.0 - m for m in masses)
+    best = max(1.0 - float(np.real(exc.evaluate(e_local))) for exc in states)
     if best >= epsilon:
         raise TuningFailureError(
             f"states carry leak {best:.3e} outside E; epsilon {epsilon:.3e} unreachable "
@@ -397,18 +291,7 @@ def tune_detector(e_proj, epsilon: float, states) -> TunedDetector:
     # E is top-level (evaluating it above checked the shape), so 1 - E needs no embedding
     comp = np.eye(e.shape[0], dtype=complex) - e
     mean_leak = sum(comp @ exc.rho @ comp for exc in states) / len(states)
-    obs = _tuned_unitary(e, mean_leak, level)
-
-    rows = []
-    complement = LocalOperator(level=level, matrix=comp)
-    for idx, exc in enumerate(states):
-        final = apply_observable(obs, exc)
-        leak = float(np.real(final.evaluate(complement)))
-        prob = abs(np.vdot(exc.vector, final.vector)) ** 2
-        gap = abs(prob - masses[idx] ** 2)
-        rows.append(DetectorStateRow(index=idx, mass=masses[idx], leak=leak,
-                                     probability_gap=gap))
-    return TunedDetector(observable=obs, rows=rows)
+    return _tuned_unitary(e, mean_leak, level)
 
 
 def recover_observable(projections, weights, exc: ExcitationState) -> float:
@@ -471,7 +354,6 @@ def commensurable(obs1, obs2) -> CommensurabilityResult:
         raise ContractError("unitaries must act on the same space")
     x = u1 @ u2
     y = u2 @ u1
-    d = x.shape[0]
     z = np.trace(nk.dagger(x) @ y)
     phase = z / abs(z) if abs(z) > 1e-14 else 1.0 + 0.0j
     residual = nk.frob(y - phase * x) / nk.frob(x)
@@ -490,21 +372,3 @@ def clock_and_shift(dim: int):
     clock = np.diag(np.exp(2j * np.pi * idx / dim))
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     return clock, shift
-
-
-def commensurable_projection_probe(e1_proj, e2_proj, level: int):
-    """Exploratory probe relating commensurability of U_t pairs to [E1, E2].
-
-    Returns rows of (t, commensurability residual), for t in 1, i, -1 and
-    exp(0.3i), together with the commutator norm of the projections; no
-    claim is asserted.
-    """
-    e1 = require_projection(e1_proj)
-    e2 = require_projection(e2_proj)
-    commutator = nk.frob(e1 @ e2 - e2 @ e1)
-    rows = []
-    for t in (1.0, 1j, -1.0, np.exp(0.3j)):
-        u1 = ut_unitary(e1, t, level)
-        u2 = ut_unitary(e2, t, level)
-        rows.append((complex(t), commensurable(u1, u2).residual))
-    return {"commutator_norm": float(commutator), "rows": rows}

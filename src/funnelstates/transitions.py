@@ -14,12 +14,16 @@ from .funnel import GenericState, LocalOperator, embed_matrix
 
 
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
-    """|omega(A* B)|^2, clamped into [0, 1] for reporting."""
+    """|omega(A* B)|^2, clamped to at most 1 for reporting.
+
+    A hand-built ExcitationState need not be normalised, so a probability
+    above 1 beyond rounding is rejected.
+    """
     _require_shared_state(a, b)
     p = abs(overlap(a, b)) ** 2
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ContractError(f"transition probability {p!r} outside the unit interval")
-    return float(min(max(p, 0.0), 1.0))
+    if p > 1.0 + 1e-12:
+        raise ContractError(f"transition probability {p!r} exceeds 1")
+    return float(min(p, 1.0))
 
 
 class OrthogonalFamily:

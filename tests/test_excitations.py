@@ -19,6 +19,7 @@ from funnelstates import (
     overlap,
     superpose,
 )
+from funnelstates import excitations
 from funnelstates import numkernel as nk
 from funnelstates.excitations import (
     compression_check,
@@ -108,8 +109,7 @@ def test_lift_phase_flags_degenerate_reference(rng):
     tau = nk.random_complex_matrix(rng, 8)
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
-    degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau),
-                              profile="random_full_rank", seed=0,
+    degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau), seed=0,
                               eps_sep=1e-12)
     a = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
     b = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
@@ -281,6 +281,20 @@ def test_null_transfer_batched_matches_per_matrix_loop(state, rng, level):
         worst = max(worst, nk.frob(acc) / nk.frob(c))
     assert report.max_ratio == worst
     assert report.max_ratio > 0.0
+
+
+def test_null_transfer_embeds_each_stack_once_per_level(state, rng, monkeypatch):
+    # the embedded A_m depend only on the common level, so each of the at most
+    # `levels` stacks is built once; every trial embeds its own C
+    excs = _dependent_family(state, rng)
+    coeffs = find_null_combination(excs)
+    calls = []
+    embed = excitations.embed_matrix
+    monkeypatch.setattr(excitations, "embed_matrix",
+                        lambda *args: calls.append(args) or embed(*args))
+    report = null_combination_transfer(coeffs, excs, trials=50, rng=rng)
+    assert len(calls) <= 50 + len(excs) * state.tower.levels
+    assert report.max_ratio <= 1e-7
 
 
 def test_independent_family_rejected(state, rng):

@@ -198,8 +198,7 @@ def test_genericity_tracial_product_fails_lift(tower):
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
     lam = np.kron(np.eye(2) / 2, tau)
-    state = GenericState(tower=tower, lam=lam, profile="random_full_rank",
-                         seed=0, eps_sep=1e-12)
+    state = GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12)
     report = check_genericity(state, trials=20, rng=np.random.default_rng(0))
     failed = {c.check_id for c in report.failures}
     assert "lift_injectivity:1" in failed
@@ -224,18 +223,15 @@ def test_separating_is_derived_from_the_spectrum(tower):
     v = nk.random_unit_vector(np.random.default_rng(0), d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rank_one = GenericState(tower=tower, lam=np.outer(v, np.conj(v)),
-                                profile="random_full_rank", seed=0, eps_sep=1e-12)
+        rank_one = GenericState(tower=tower, lam=np.outer(v, np.conj(v)), seed=0, eps_sep=1e-12)
         assert rank_one.separating is False
         with pytest.raises(ContractError):
             rank_one.inv_sqrt_lam
-        full = GenericState(tower=tower, lam=np.eye(d) / d, profile="random_full_rank",
-                            seed=0, eps_sep=1e-12)
+        full = GenericState(tower=tower, lam=np.eye(d) / d, seed=0, eps_sep=1e-12)
         assert full.separating is True
         assert np.all(np.isfinite(full.inv_sqrt_lam))
     with pytest.raises(TypeError):
-        GenericState(tower=tower, lam=np.eye(d) / d, profile="random_full_rank",
-                     seed=0, eps_sep=1e-12, separating=True)
+        GenericState(tower=tower, lam=np.eye(d) / d, seed=0, eps_sep=1e-12, separating=True)
 
 
 def test_non_separating_message_names_floor_and_threshold(tower):
@@ -243,8 +239,7 @@ def test_non_separating_message_names_floor_and_threshold(tower):
     d = tower.top_dim
     spectrum = np.full(d, 1e-4)
     spectrum[0] = 1.0 - (d - 1) * 1e-4
-    state = GenericState(tower=tower, lam=np.diag(spectrum), profile="random_full_rank",
-                         seed=0, eps_sep=1e-3)
+    state = GenericState(tower=tower, lam=np.diag(spectrum), seed=0, eps_sep=1e-3)
     assert state.separating is False
     with pytest.raises(ContractError) as err:
         state.inv_sqrt_lam

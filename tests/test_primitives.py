@@ -11,7 +11,6 @@ from funnelstates import (
     build_tower,
     clock_and_shift,
     commensurable,
-    detector_bound_probe,
     dilate_to_unitaries,
     identity_excitation,
     increasing_projection_schedule,
@@ -32,7 +31,6 @@ from funnelstates.excitations import random_excitation
 from conftest import random_hermitian
 from funnelstates.primitives import (
     balanced_unitary,
-    commensurable_projection_probe,
     hermitian_parts,
     partial_isometry_sup_witness,
 )
@@ -125,8 +123,8 @@ def test_ut_rejects_non_projection(state, rng):
 def test_dilation_of_unitary_is_identity_schedule(rng):
     u = nk.haar_unitary(rng, 4)
     v = PartialIsometry(level=2, matrix=u)
-    result = dilate_to_unitaries(v, [np.eye(4, dtype=complex)])
-    assert nk.frob(result.final.unitary - u) <= 1e-12
+    (final,) = dilate_to_unitaries(v, [np.eye(4, dtype=complex)])
+    assert nk.frob(final.unitary - u) <= 1e-12
 
 
 def test_dilation_rank_one_on_c4():
@@ -136,8 +134,7 @@ def test_dilation_rank_one_on_c4():
     f1[2] = 1.0
     v = PartialIsometry(level=2, matrix=f1 @ nk.dagger(e1))  # maps e1 -> f1
     zero = np.zeros((4, 4), dtype=complex)
-    result = dilate_to_unitaries(v, [zero, v.initial])
-    final = result.final.unitary
+    final = dilate_to_unitaries(v, [zero, v.initial])[-1].unitary
     assert nk.frob((final - v.matrix) @ v.initial) <= 1e-12
     np.testing.assert_allclose(final @ e1, f1, atol=1e-12)
 
@@ -145,12 +142,13 @@ def test_dilation_rank_one_on_c4():
 def test_dilation_zero_on_each_schedule_step(rng):
     v = _random_partial_isometry(rng, 16, 6, 3)
     schedule = increasing_projection_schedule(v.initial, steps=4)
-    result = dilate_to_unitaries(v, schedule)
-    for step in result.steps:
-        assert step.on_step_residual <= 1e-12
-        u = step.unitary.unitary
+    unitaries = dilate_to_unitaries(v, schedule)
+    assert len(unitaries) == len(schedule)
+    for obs, e_m in zip(unitaries, schedule):
+        u = obs.unitary
+        assert nk.frob((u - v.matrix) @ e_m) <= 1e-12
         assert nk.frob(nk.dagger(u) @ u - np.eye(16)) <= 1e-12
-    assert result.steps[-1].on_initial_residual <= 1e-12
+    assert nk.frob((unitaries[-1].unitary - v.matrix) @ v.initial) <= 1e-12
 
 
 def test_dilation_rejects_bad_schedule(rng):
@@ -164,46 +162,39 @@ def test_dilation_rejects_bad_schedule(rng):
 
 def test_tuned_isometries_common_range_and_final(rng):
     v = _random_partial_isometry(rng, 16, 5, 3)
-    family = tuned_isometries(v, increasing_projection_schedule(v.initial, steps=4), seed=0)
-    for iso in family.isometries:
+    schedule = increasing_projection_schedule(v.initial, steps=4)
+    family = tuned_isometries(v, dilate_to_unitaries(v, schedule))
+    assert len(family) == len(schedule)
+    for iso in family:
         assert nk.frob(iso.range_projection - v.range_projection) <= 1e-9
-    assert nk.frob(family.isometries[-1].matrix - v.range_projection) <= 1e-12
-    assert family.rows[-1].weak <= 1e-12
-    assert family.rows[-1].strong <= 1e-12
+    # the final member is E itself, so its weak and strong residuals vanish
+    final = family[-1].matrix
+    assert nk.frob(final - v.range_projection) <= 1e-12
+    assert nk.frob(nk.dagger(final) - v.range_projection) <= 1e-12
 
 
 def test_tuned_isometries_unitary_case(rng):
     u = nk.haar_unitary(rng, 4)
     v = PartialIsometry(level=2, matrix=u)
-    family = tuned_isometries(v, [np.eye(4, dtype=complex)], seed=0)
-    m = family.isometries[-1].matrix
+    (iso,) = tuned_isometries(v, dilate_to_unitaries(v, [np.eye(4, dtype=complex)]))
+    m = iso.matrix
     assert nk.frob(nk.dagger(m) @ m - np.eye(4)) <= 1e-12
 
 
-def test_detector_bound_probe_unitaries(state, rng):
+def test_unitary_detector_values_are_bounded_by_one(state, rng):
     a = random_excitation(state, rng, level=1)
-    eye = np.eye(16, dtype=complex)
-    family = [PartialIsometry(level=3, matrix=nk.haar_unitary(rng, 16)) for _ in range(5)]
-    report = detector_bound_probe(eye, a, family)
-    assert report.target == pytest.approx(1.0, abs=1e-10)
-    for row in report.rows:
-        assert row.value <= 1.0 + 1e-10
+    assert a.evaluate(np.eye(16, dtype=complex)) == pytest.approx(1.0, abs=1e-10)
+    for _ in range(5):
+        assert abs(a.evaluate(LocalOperator(3, nk.haar_unitary(rng, 16)))) <= 1.0 + 1e-10
 
 
-def test_detector_bound_probe_tuned_family(state, rng):
+def test_tuned_family_final_value_matches_projection_mass(state, rng):
     a = random_excitation(state, rng, level=3)
     v = _random_partial_isometry(rng, 16, 4, 3)
-    family = tuned_isometries(v, increasing_projection_schedule(v.initial, steps=4), seed=0)
-    report = detector_bound_probe(v.range_projection, a, family.isometries)
-    assert report.final_gap <= 1e-9
-
-
-def test_detector_bound_probe_rejects_wrong_range(state, rng):
-    a = random_excitation(state, rng, level=3)
-    v = _random_partial_isometry(rng, 16, 4, 3)
-    other = _random_partial_isometry(rng, 16, 4, 3)
-    with pytest.raises(ContractError):
-        detector_bound_probe(v.range_projection, a, [other])
+    schedule = increasing_projection_schedule(v.initial, steps=4)
+    final = tuned_isometries(v, dilate_to_unitaries(v, schedule))[-1]
+    mass = float(np.real(a.evaluate(LocalOperator(3, v.range_projection))))
+    assert abs(abs(a.evaluate(LocalOperator(3, final.matrix))) - mass) <= 1e-9
 
 
 def test_sup_witness_exceeds_projection_mass(state, rng):
@@ -227,27 +218,31 @@ def _concentrated_states(state, rng, e_proj, count, leak):
     return out
 
 
+def _mass_leak_gap(obs, e, exc):
+    """omega_A(E), omega_{UA}(1 - E) and |omega_A . omega_{UA} - omega_A(E)^2|."""
+    final = apply_observable(obs, exc)
+    mass = float(np.real(exc.evaluate(LocalOperator(3, e))))
+    leak = float(np.real(final.evaluate(LocalOperator(3, np.eye(16) - e))))
+    return mass, leak, abs(transition_probability(exc, final) - mass**2)
+
+
 def test_tune_detector_identity_projection(state, rng):
     states = [random_excitation(state, rng, level=1)]
-    det = tune_detector(np.eye(16, dtype=complex), 1e-6, states)
-    np.testing.assert_allclose(det.observable.unitary, np.eye(16), atol=1e-12)
-    assert det.worst_leak <= 1e-6
+    e = np.eye(16, dtype=complex)
+    obs = tune_detector(e, 1e-6, states)
+    np.testing.assert_allclose(obs.unitary, np.eye(16), atol=1e-12)
+    assert _mass_leak_gap(obs, e, states[0])[1] <= 1e-6
 
 
 def test_tune_detector_bounds_hold(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = _concentrated_states(state, rng, e, 5, leak=0.01)
     eps = 1e-3
-    det = tune_detector(e, eps, states)
-    assert det.worst_leak < eps
-    assert det.worst_probability_gap < 4 * eps
-    # bounds re-checked independently of the tuner's own report
-    for exc, row in zip(states, det.rows):
-        final = apply_observable(det.observable, exc)
-        leak = float(np.real(final.evaluate(LocalOperator(3, np.eye(16) - e))))
+    obs = tune_detector(e, eps, states)
+    for exc in states:
+        _, leak, gap = _mass_leak_gap(obs, e, exc)
         assert leak < eps
-        mass = float(np.real(exc.evaluate(LocalOperator(3, e))))
-        assert abs(transition_probability(exc, final) - mass**2) < 4 * eps
+        assert gap < 4 * eps
 
 
 def test_tune_detector_rows_meet_the_construction_identities(state, rng):
@@ -255,20 +250,22 @@ def test_tune_detector_rows_meet_the_construction_identities(state, rng):
     # |omega_A(B)| <= 1 - mass bounds the probability gap
     e = nk.random_projection(rng, 16, 4)
     eps = 1e-3
-    det = tune_detector(e, eps, _concentrated_states(state, rng, e, 10, leak=0.01))
-    for row in det.rows:
-        assert abs(row.leak - (1.0 - row.mass)) <= 1e-12
-        assert row.probability_gap <= 2 * eps * row.mass + eps**2
+    states = _concentrated_states(state, rng, e, 10, leak=0.01)
+    obs = tune_detector(e, eps, states)
+    for exc in states:
+        mass, leak, gap = _mass_leak_gap(obs, e, exc)
+        assert abs(leak - (1.0 - mass)) <= 1e-12
+        assert gap <= 2 * eps * mass + eps**2
 
 
 def test_tune_detector_rank_one_complement_takes_phase_minus_one(state, rng):
     basis = nk.haar_unitary(rng, 16)
     e = basis[:, :15] @ nk.dagger(basis[:, :15])
     states = _concentrated_states(state, rng, e, 3, leak=0.001)
-    det = tune_detector(e, 1e-3, states)
+    obs = tune_detector(e, 1e-3, states)
     comp = np.eye(16) - e
-    np.testing.assert_allclose(det.observable.unitary @ comp, -comp, atol=1e-12)
-    assert det.worst_leak < 1e-3
+    np.testing.assert_allclose(obs.unitary @ comp, -comp, atol=1e-12)
+    assert max(_mass_leak_gap(obs, e, exc)[1] for exc in states) < 1e-3
 
 
 def test_tune_detector_deterministic(state, rng):
@@ -276,7 +273,7 @@ def test_tune_detector_deterministic(state, rng):
     states = _concentrated_states(state, rng, e, 3, leak=0.01)
     d1 = tune_detector(e, 1e-3, states)
     d2 = tune_detector(e, 1e-3, states)
-    np.testing.assert_array_equal(d1.observable.unitary, d2.observable.unitary)
+    np.testing.assert_array_equal(d1.unitary, d2.unitary)
 
 
 def test_tune_detector_floor_failure(state, rng):
@@ -429,12 +426,13 @@ def test_generic_pair_not_commensurable(rng):
     assert res.residual > 1e-3
 
 
-def test_commensurable_projection_probe_reports(rng):
+def test_ut_pairs_follow_the_projection_commutator(rng):
+    def residuals(e1, e2):
+        return [commensurable(ut_unitary(e1, t, 2), ut_unitary(e2, t, 2)).residual
+                for t in (1.0, 1j, -1.0, np.exp(0.3j))]
+
     e1 = nk.random_projection(rng, 4, 2)
     e2 = nk.random_projection(rng, 4, 2)
-    data = commensurable_projection_probe(e1, e2, level=2)
-    assert data["commutator_norm"] > 1e-3
-    assert any(r > 1e-3 for _, r in data["rows"])
-    same = commensurable_projection_probe(e1, e1.copy(), level=2)
-    assert same["commutator_norm"] <= 1e-12
-    assert all(r <= 1e-10 for _, r in same["rows"])
+    assert nk.frob(e1 @ e2 - e2 @ e1) > 1e-3
+    assert any(r > 1e-3 for r in residuals(e1, e2))
+    assert all(r <= 1e-10 for r in residuals(e1, e1.copy()))

@@ -259,6 +259,22 @@ def test_randomness_is_passed_in_explicitly():
     assert defaulted == []
 
 
+def test_primitives_draw_nothing():
+    # primitives build operators from what they are given; any random probe
+    # belongs to the suite that measures them
+    tree = ast.parse(Path(runner.pr.__file__).read_text())
+    drawing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            drawing += [f"{node.name}({a.arg})" for a in args.posonlyargs + args.args + args.kwonlyargs
+                        if a.arg in ("rng", "seed")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "default_rng"):
+            drawing.append(f"line {node.lineno}: default_rng")
+    assert drawing == []
+
+
 def _guard_only_parameters(fn: ast.FunctionDef):
     """Parameters whose every read sits in an `if <test>: raise` naming only that parameter."""
     params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
@@ -327,6 +343,18 @@ def test_every_definition_is_named_outside_itself():
                and not (node.name.startswith("__") and node.name.endswith("__"))
                and named[node.name] - _identifiers(node)[node.name] <= 0]
     assert unnamed == []
+
+
+def test_dilation_suite_dilates_once(monkeypatch):
+    # the tuned family is built from the suite's own unitaries, not a second dilation
+    calls = []
+    dilate = runner.pr.dilate_to_unitaries
+    monkeypatch.setattr(runner.pr, "dilate_to_unitaries",
+                        lambda v, schedule: calls.append(v) or dilate(v, schedule))
+    (suite,) = run(ScenarioConfig(suites=("dilation",))).suites
+    assert suite.error is None
+    assert [c.check_id for c in suite.checks if c.status != "pass"] == []
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 12), (2, 2, 16)])
