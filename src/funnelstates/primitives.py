@@ -196,17 +196,13 @@ def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
     the polar angles of rho_A E.
     """
     e = require_projection(e_proj)
-    tower = exc.state.tower
-    rho = exc.rho
-    target = float(np.real(exc.evaluate(e)))  # a raw matrix must be top-level
+    d = exc.state.tower.top_dim
+    if e.shape != (d, d):
+        raise ContractError(f"E must be top-level, of dimension {d}")
     basis = _range_basis(e)
-    g = rho @ basis
-    p_svd, _, q_svd = np.linalg.svd(g, full_matrices=False)
-    f_stack = p_svd @ q_svd
-    v = basis @ nk.dagger(f_stack)
-    iso = PartialIsometry(level=tower.levels, matrix=v)
-    value = abs(np.trace(rho @ v))
-    return iso, float(value), target
+    p_svd, _, q_svd = np.linalg.svd(exc.rho @ basis, full_matrices=False)
+    v = basis @ nk.dagger(p_svd @ q_svd)
+    return PartialIsometry(level=exc.state.tower.levels, matrix=v)
 
 
 def balanced_unitary(weight_matrix) -> np.ndarray:

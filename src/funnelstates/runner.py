@@ -877,9 +877,10 @@ def _suite_dilation(env: SuiteEnv):
     gap = abs(abs(exc.evaluate(LocalOperator(level=top, matrix=family[-1].matrix))) - mass)
     checks.append(check_le("dilation/tuned_bound_final_gap", gap, 1e-9))
 
-    iso, value, target = pr.partial_isometry_sup_witness(v.range_projection, exc)
-    checks.append(check_ge("dilation/sup_witness_exceeds", value - target, 0.0,
-                           witness={"value": value, "target": target}))
+    iso = pr.partial_isometry_sup_witness(v.range_projection, exc)
+    value = float(abs(np.trace(exc.rho @ iso.matrix)))
+    checks.append(check_ge("dilation/sup_witness_exceeds", value - mass, 0.0,
+                           witness={"value": value, "target": mass}))
     return checks
 
 

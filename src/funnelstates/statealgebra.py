@@ -95,9 +95,10 @@ def _orthonormalised(state, left, core, right) -> StateAlgebraElement:
 
     This is the only constructor that can widen the factors, so it enforces
     `TERM_BUDGET` on the kernel rank, counted as the width of the wider factor.
+    One factor passed for both sides is orthonormalised once, and stays shared.
     """
     ql, bl = _orthonormal_basis(left)
-    qr, br = _orthonormal_basis(right)
+    qr, br = (ql, bl) if right is left else _orthonormal_basis(right)
     rank = max(ql.shape[1], qr.shape[1])
     if rank > TERM_BUDGET:
         raise BudgetError(f"kernel rank {rank} exceeds the budget {TERM_BUDGET}",
@@ -165,8 +166,10 @@ def add(a: StateAlgebraElement, b: StateAlgebraElement) -> StateAlgebraElement:
     core = np.zeros((ra + rb, ca + cb), dtype=complex)
     core[:ra, :ca] = a.core
     core[ra:, ca:] = b.core
-    return _orthonormalised(a.state, np.hstack([a.left, b.left]), core,
-                            np.hstack([a.right, b.right]))
+    left = np.hstack([a.left, b.left])
+    shared = a.left is a.right and b.left is b.right  # one stack, orthonormalised once
+    right = left if shared else np.hstack([a.right, b.right])
+    return _orthonormalised(a.state, left, core, right)
 
 
 def scale(c, el: StateAlgebraElement) -> StateAlgebraElement:

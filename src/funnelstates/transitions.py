@@ -32,8 +32,9 @@ class OrthogonalFamily:
     Rows: the members' vectors, stacked from hand-built `members` that excite
     one reference state.  Block (the default family): members e_i (x) q_k for
     the columns of a D x D `q`, overlaps kron(1, block), block = q^* q.
-    Reflectors (caller generators): compact-WY blocks of one Householder QR
-    and the phases diag(R)/|diag(R)| that make it Gram-Schmidt.  `vectors`,
+    Reflectors (caller generators): the generator rows factored in place by
+    a Householder QR, the T^* of its compact-WY blocks, and the phases
+    diag(R)/|diag(R)| that make it Gram-Schmidt.  `vectors`,
     `members` (`mat` views of the rows) and `overlaps` are derived on first
     read and memoised.
     """
@@ -50,7 +51,7 @@ class OrthogonalFamily:
         self.state = state
         self.q = q
         self.block = None if q is None else nk.dagger(q) @ q
-        self._reflectors = reflectors  # (compact-WY blocks, phases)
+        self._reflectors = reflectors  # (factored generator rows, T^* blocks, phases)
         self._size = len(members) if members is not None else state.dim ** 2
         self._vectors = vectors
         self._members = members
@@ -63,8 +64,8 @@ class OrthogonalFamily:
             d = len(self.q)
             return (x.reshape(d, d) @ np.conj(self.q)).ravel()
         if self._reflectors is not None:
-            blocks, phases = self._reflectors
-            return _reflect(blocks, x) * np.conj(phases)
+            rows, t_blocks, phases = self._reflectors
+            return _reflect(rows, t_blocks, x) * np.conj(phases)
         return np.conj(self.vectors @ np.conj(x))
 
     @property
@@ -77,8 +78,8 @@ class OrthogonalFamily:
                 vectors.reshape(d, d, d, d)[range(d), :, range(d)] = self.q.T
             else:
                 # row m is conj(<v_m, e_j>) over the unit vectors e_j
-                blocks, phases = self._reflectors
-                vectors = np.conj(_reflect(blocks, np.eye(len(phases)))) * phases[:, None]
+                rows, t_blocks, phases = self._reflectors
+                vectors = np.conj(_reflect(rows, t_blocks, np.eye(len(phases)))) * phases[:, None]
             vectors.setflags(write=False)
             self._vectors = vectors
         return self._vectors
@@ -126,50 +127,51 @@ class OrthogonalFamily:
         return float(np.max(np.abs(np.diag(overlaps) - 1.0)))
 
 
-_WY_BLOCK = 32  # Householder reflectors applied together
+_WY_BLOCK = 64  # Householder reflectors factored and applied together
+_UPDATE_ROWS = 128  # trailing rows per block update: its temporaries are this many rows
 
 
-def _wy_blocks(h, tau) -> list:
-    """Reflectors H_k = 1 - tau_k v_k v_k^* of `np.linalg.qr(mode="raw")` as blocks (V, T^*).
-
-    v_k is 1 at k, 0 above, h[k, k+1:] below; H_j...H_{j+b-1} = 1 - V T V^*
-    on rows j: (LAPACK's zlarft).  V is copied: products with h's slices are 3x slower.
-    """
-    blocks = []
-    for j in range(0, len(tau), _WY_BLOCK):
-        v = np.tril(h[j:j + _WY_BLOCK, j:].T, -1)
-        np.fill_diagonal(v, 1.0)
-        s = nk.dagger(v) @ v
-        t = np.diag(tau[j:j + _WY_BLOCK])
-        for i in range(1, len(t)):
-            t[:i, i] = -t[i, i] * (t[:i, :i] @ s[:i, i])
-        blocks.append((v, nk.dagger(t)))
-    return blocks
-
-
-def _reflect(blocks: list, x: np.ndarray) -> np.ndarray:
-    """Q^* x for the Q of compact-WY `blocks`; x a vector or a matrix of columns."""
+def _reflect(rows: np.ndarray, t_blocks: list, x: np.ndarray) -> np.ndarray:
+    """Q^* x for the Q that `_factor_rows` left in `rows`; x a vector or a matrix of columns."""
     y = np.array(x, dtype=complex)
-    for v, t_star in blocks:
-        # x[j:] -= V (T^* (V^* x[j:])), with no conjugated copy of V
-        y[-len(v):] -= v @ (t_star @ np.conj(v.T @ np.conj(y[-len(v):])))
+    for j, t_star in zip(range(0, len(rows), _WY_BLOCK), t_blocks):
+        vt = rows[j:j + len(t_star), j:]
+        # y[j:] -= V (T^* (V^* y[j:])), with no conjugated copy of V
+        y[j:] -= vt.T @ (t_star @ np.conj(vt @ np.conj(y[j:])))
     return y
 
 
-def _householder_basis(columns: np.ndarray):
-    """The raw `np.linalg.qr(columns)` and the phases diag(R)/|diag(R)| that make Q Gram-Schmidt.
+def _factor_rows(rows: np.ndarray):
+    """Householder QR of `rows.T` in place, one panel of _WY_BLOCK rows at a time.
 
-    Raises where |R_kk| <= 10 CONTRACT_TOL ||g_k||: g_k is then dependent on the columns before it.
+    Returns R's diagonal and the T^* of each block: H_j...H_{j+b-1} = 1 - V T V^*
+    on rows j: (LAPACK's zlarft).  rows ends as `np.linalg.qr(rows.T, mode="raw")`
+    leaves h, except that each panel's b x b head holds V^T's unit upper
+    triangle where R's lower one was: V^T is the view rows[j:j+b, j:].  Each
+    panel's raw QR copies only the panel; the trailing rows take the block,
+    rows -= rows conj(V) conj(T) V^T, _UPDATE_ROWS at a time, so no
+    temporary is larger than one chunk of rows.
     """
-    norms = np.linalg.norm(columns, axis=0)  # its temporaries before the QR's
-    h, tau = np.linalg.qr(columns, mode="raw")
-    diag = h.diagonal()  # R's diagonal
-    dependent = np.flatnonzero(np.abs(diag) <= 10.0 * nk.CONTRACT_TOL * norms)
-    if len(dependent):
-        raise CompletenessUnavailableError(
-            f"generators span only {len(diag) - len(dependent)} of {len(diag)} directions: "
-            f"generator {dependent[0]} has |R_kk| <= 10 CONTRACT_TOL ||g_k||")
-    return h, tau, diag / np.abs(diag)
+    n = len(rows)
+    diag = np.empty(n, dtype=complex)
+    t_blocks = []
+    for j in range(0, n, _WY_BLOCK):
+        b = min(_WY_BLOCK, n - j)
+        vt = rows[j:j + b, j:]
+        vt[:], tau = np.linalg.qr(vt.T, mode="raw")
+        head = vt[:, :b]
+        diag[j:j + b] = head.diagonal()
+        head[:] = np.triu(head, 1) + np.eye(b)
+        conj_vt = np.conj(vt)
+        s = conj_vt @ vt.T  # V^* V
+        t = np.diag(tau)
+        for i in range(1, b):
+            t[:i, i] = -t[i, i] * (t[:i, :i] @ s[:i, i])
+        t_blocks.append(nk.dagger(t))
+        for r in range(j + b, n, _UPDATE_ROWS):
+            part = rows[r:r + _UPDATE_ROWS, j:]
+            part -= ((part @ conj_vt.T) @ np.conj(t)) @ vt
+    return diag, t_blocks
 
 
 def _family_form(state: GenericState, generators) -> dict:
@@ -181,28 +183,35 @@ def _family_form(state: GenericState, generators) -> dict:
     sigma_min(sqrt(lam)) = sqrt(lam_min) >= sqrt(eps_sep) (1.25e-4 at D=64)
     on a separating state, and column k has norm sqrt(lam_kk) <= 1, so
     |R_kk| / ||g_k|| always passes the generators' 1e-9 rule.  Caller
-    generators: exactly D^2, streamed into one array and factored by one raw QR.
+    generators: exactly D^2, streamed into one array and factored in place;
+    one with |R_kk| <= 10 CONTRACT_TOL ||g_k|| depends on those before it and raises.
     """
     d = state.dim
     sqrt_lam = state.sqrt_lam
     if generators is None:
         q, r = np.linalg.qr(sqrt_lam.T)
         return {"q": q * (r.diagonal() / np.abs(r.diagonal()))}
-    # the generators are streamed into one array: a list of D^2 matrices
-    # would stay live beside the QR's own D^2 x D^2 copies
+    # the generators are streamed into the one array that is factored: a
+    # list of D^2 matrices would stay live beside it
     generators = iter(generators)
-    gen_rows = np.empty((d * d, d * d), dtype=complex)
+    rows = np.empty((d * d, d * d), dtype=complex)
+    norms = np.empty(d * d)
     count = 0
-    for row, g in zip(gen_rows, generators):
+    for row, g in zip(rows, generators):
         row[:] = state.act(g, sqrt_lam).ravel()
+        norms[count] = np.linalg.norm(row)
         count += 1
     if count < d * d or next(generators, None) is not None:
         raise CompletenessUnavailableError(
             f"a complete family needs exactly {d * d} generators, got "
             f"{count if count < d * d else 'more'}")
-    h, tau, phases = _householder_basis(gen_rows.T)
-    del gen_rows, row  # before the reflectors' copies, not beside them
-    return {"reflectors": (_wy_blocks(h, tau), phases)}
+    diag, t_blocks = _factor_rows(rows)
+    dependent = np.flatnonzero(np.abs(diag) <= 10.0 * nk.CONTRACT_TOL * norms)
+    if len(dependent):
+        raise CompletenessUnavailableError(
+            f"generators span only {len(diag) - len(dependent)} of {len(diag)} directions: "
+            f"generator {dependent[0]} has |R_kk| <= 10 CONTRACT_TOL ||g_k||")
+    return {"reflectors": (rows, t_blocks, diag / np.abs(diag))}
 
 
 def build_complete_family(state: GenericState, generators=None) -> OrthogonalFamily:

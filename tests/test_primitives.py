@@ -200,9 +200,13 @@ def test_tuned_family_final_value_matches_projection_mass(state, rng):
 def test_sup_witness_exceeds_projection_mass(state, rng):
     a = random_excitation(state, rng, level=1)
     e = nk.random_projection(rng, 16, 4)
-    iso, value, target = partial_isometry_sup_witness(e, a)
+    iso = partial_isometry_sup_witness(e, a)
     assert nk.frob(iso.range_projection - e) <= 1e-10
-    assert value > target + 1e-3
+    # |tr(rho_A V)| exceeds omega_A(E)
+    value = abs(np.trace(a.rho @ iso.matrix))
+    assert value > np.real(a.evaluate(LocalOperator(3, e))) + 1e-3
+    with pytest.raises(ContractError, match="top-level"):
+        partial_isometry_sup_witness(np.eye(4), a)
 
 
 # -- tuned detectors -----------------------------------------------------------

@@ -64,6 +64,18 @@ def test_budget_is_enforced_on_kernel_rank(state, rng):
     assert err.value.suggested_budget == 80
 
 
+def test_symmetric_elements_share_one_factorisation(state, rng, monkeypatch):
+    a, b = _element(state, rng), _element(state, rng)
+    assert a.right is a.left and b.right is b.left
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    # a - b stacks one factor for both sides, so one thin SVD serves both
+    distance = sa.kernel_distance(a, b)
+    assert len(calls) == 1
+    assert abs(distance - np.linalg.norm(a.kernel() - b.kernel())) <= 1e-12
+
+
 def test_operations_build_no_excitation(state, rng, monkeypatch):
     p1, p2, p3 = (_element(state, rng) for _ in range(3))
     calls = []

@@ -21,6 +21,7 @@ from funnelstates import (
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
 from funnelstates.funnel import embed_matrix
+from funnelstates.transitions import _WY_BLOCK
 
 
 def test_transition_self_is_one(state, rng):
@@ -195,6 +196,20 @@ def test_family_rank_deficient_generators(family_state):
         build_complete_family(family_state, generators=units[1:])
 
 
+def test_family_dependent_generator_in_a_later_panel(state):
+    from funnelstates.funnel import matrix_units
+
+    # at (2,2,4) the 256 generators fill four panels; the duplicate sits in
+    # the third, after two trailing updates
+    d2 = state.dim ** 2
+    k = 2 * _WY_BLOCK + 5
+    units = list(matrix_units(state.dim))
+    assert d2 // _WY_BLOCK > 2
+    with pytest.raises(CompletenessUnavailableError,
+                       match=f"span only {d2 - 1} of {d2} directions: generator {k} "):
+        build_complete_family(state, generators=units[:k] + [units[3]] + units[k + 1:])
+
+
 def test_family_members_view_stored_vectors(small_state):
     family = build_complete_family(small_state)
     assert not family.vectors.flags.writeable
@@ -345,10 +360,30 @@ def test_generic_family_holds_only_its_reflectors(state):
     finally:
         tracemalloc.stop()
     assert family._vectors is None and family._members is None and family._overlaps is None
-    # the raw factor h is n x n, tau has n entries, and the T blocks n x 32
-    h, tau, t_blocks = n * n * 16, n * 16, n * 32 * 16
+    # the factored rows are n x n, the phases n entries, and the T blocks n x _WY_BLOCK
+    h, tau, t_blocks = n * n * 16, n * 16, n * _WY_BLOCK * 16
     assert live <= h + tau + t_blocks + 64 * 1024
     assert len(family) == n and family._vectors is None  # len forms nothing
+
+
+def test_generic_family_factors_in_place():
+    import tracemalloc
+
+    # streamed generators: the factored array is the one D^2 x D^2 allocation,
+    # beside temporaries of one panel or one chunk of trailing rows
+    state = sample_generic_state(build_tower((2, 2, 8)), seed=7)
+    d2 = state.dim ** 2
+    units = (LocalOperator(state.tower.levels,
+                           np.eye(1, d2, k, dtype=complex).reshape(state.dim, state.dim))
+             for k in reversed(range(d2)))
+    tracemalloc.start()
+    try:
+        family = build_complete_family(state, generators=units)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == d2
+    assert peak <= 1.3 * d2 * d2 * 16
 
 
 def test_family_forms_and_their_fallback(small_state, monkeypatch):
