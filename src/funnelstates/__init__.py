@@ -31,13 +31,11 @@ from .funnel import (
 )
 from .excitations import (
     ExcitationState,
-    extremality_check,
     find_null_combination,
     lift_phase,
     make_excitation,
     identity_excitation,
     norm_distance,
-    null_combination_transfer,
     overlap,
     superpose,
 )
@@ -45,13 +43,10 @@ from .transitions import (
     OrthogonalFamily,
     build_complete_family,
     completeness_sum,
-    fuchs_bound_check,
-    local_continuity_probe,
     transition_probability,
     uhlmann_fidelity,
 )
 from .statealgebra import (
-    SpectralDecomposition,
     StateAlgebraElement,
     bimodule_act,
     dagger,

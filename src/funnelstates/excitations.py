@@ -21,13 +21,7 @@ from .errors import (
     NotNullCombinationError,
     NotSameRayError,
 )
-from .funnel import (
-    FunnelTower,
-    GenericState,
-    LocalOperator,
-    MinimalExtensionProjection,
-    embed_matrix,
-)
+from .funnel import GenericState, LocalOperator, embed_matrix, is_integer
 
 # State equality is tested at 1e-9 in functional norm; operator recovery is
 # allowed 1e-7 because it passes through the conditioning of sqrt(lam).
@@ -137,11 +131,15 @@ def _require_shared_state(a: ExcitationState, b: ExcitationState) -> None:
 def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     """Distance between the states, by scope.
 
-    Integer scope n restricts both densities to the first n factors; "top"
-    takes the trace norm on the full top algebra; "full_bh" the vector-state
-    distance 2 sqrt(1 - |<A.omega, B.omega>|^2) on the doubled space.
+    Integer scope n in 1..L restricts both densities to the first n factors;
+    "top" takes the trace norm on the full top algebra; "full_bh" the
+    vector-state distance 2 sqrt(1 - |<A.omega, B.omega>|^2) on the doubled
+    space.  Any other scope raises.
     """
     _require_shared_state(a, b)
+    levels = a.state.tower.levels
+    if scope not in ("top", "full_bh") and not (is_integer(scope) and 1 <= scope <= levels):
+        raise ContractError(f"scope must be 'top', 'full_bh' or a level in 1..{levels}, got {scope!r}")
     if scope == "top":
         return nk.trace_norm(a.rho - b.rho)
     if scope == "full_bh":
@@ -150,9 +148,8 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
         ov = (abs(np.vdot(a.vector, b.vector)) ** 2
               / (np.vdot(a.vector, a.vector).real * np.vdot(b.vector, b.vector).real))
         return 2.0 * np.sqrt(max(0.0, 1.0 - min(ov, 1.0)))
-    level = int(scope)
     dims = a.state.tower.factor_dims
-    keep = range(level)
+    keep = range(scope)
     ra = nk.partial_trace(a.rho, dims, keep)
     rb = nk.partial_trace(b.rho, dims, keep)
     return nk.trace_norm(ra - rb)
@@ -202,14 +199,8 @@ def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState
 
 
 # ---------------------------------------------------------------------------
-# Null combinations and their operator transfer
+# Null combinations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TransferReport:
-    max_ratio: float
-    worst_witness: dict
 
 
 def functional_norm(coeffs, excs) -> float:
@@ -229,6 +220,8 @@ def find_null_combination(excs):
     family is independent.
     """
     m = len(excs)
+    if not m:
+        raise ContractError("a null combination needs at least one excitation")
     gram = np.zeros((m, m), dtype=complex)
     for j in range(m):
         for k in range(m):
@@ -242,121 +235,6 @@ def find_null_combination(excs):
         )
     coeffs = eig.eigenvectors[:, -1]
     return coeffs / np.linalg.norm(coeffs)
-
-
-def null_combination_transfer(coeffs, excs, trials: int, rng) -> TransferReport:
-    """Verify that a null combination of states kills every compressed operator.
-
-    For `trials` random operators C (cycling through the tower levels below
-    the top and the top itself) the report records
-    max ||sum_m c_m A_m* C A_m||_F / ||C||_F at the common level of C and the
-    A_m; embedding all of them higher scales both norms alike.
-    """
-    pre = functional_norm(coeffs, excs)
-    if pre > STATE_EQ_TOL:
-        raise NotNullCombinationError(
-            f"functional norm of the combination is {pre:.3e} > {STATE_EQ_TOL}"
-        )
-    tower = excs[0].state.tower
-    a_level = max(e.level for e in excs)
-    worst = 0.0
-    witness = None
-    stacks = {}  # the embedded A_m, one stack per common level
-    for trial in range(trials):
-        level = 1 + (trial % tower.levels)
-        common = max(level, a_level)
-        c = embed_matrix(tower, level, nk.random_complex_matrix(rng, tower.dim_at(level)), common)
-        if common not in stacks:
-            stacks[common] = np.stack([embed_matrix(tower, e.level, e.op.matrix, common) for e in excs])
-        a_ops = stacks[common]
-        # every A_m* C A_m from one batched product, summed in member order
-        acc = np.zeros_like(c)
-        for cm, prod in zip(coeffs, np.conj(a_ops.transpose(0, 2, 1)) @ c @ a_ops):
-            acc = acc + cm * prod
-        ratio = nk.frob(acc) / nk.frob(c)
-        if ratio > worst:
-            worst = ratio
-            witness = {"trial": trial, "level": level, "ratio": ratio}
-    return TransferReport(max_ratio=worst, worst_witness=witness)
-
-
-# ---------------------------------------------------------------------------
-# Extreme points
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CompressionCheck:
-    leading_singular: float
-    second_singular: float
-    expected_leading: float
-
-
-@dataclass
-class ExtremalityReport:
-    is_representation: bool
-    mixture_distance: float
-    ray_phases: list
-    ray_failures: list
-
-    @property
-    def passed(self) -> bool:
-        return self.is_representation and not self.ray_failures
-
-
-def compression_check(exc: ExcitationState, proj: MinimalExtensionProjection) -> CompressionCheck:
-    """Rank-one check for A* E_n A one level above the operator.
-
-    `proj` is `minimal_extension_projection(exc.state, n)` at the operator's
-    level n; a caller checking many operators builds it once per level.
-    """
-    state = exc.state
-    n = exc.level
-    if proj.level != n:
-        raise ContractError(f"compression check at level {n} got the level-{proj.level} projection")
-    a_up = embed_matrix(state.tower, n, exc.op.matrix, n + 1)
-    compressed = nk.dagger(a_up) @ proj.projector @ a_up
-    svals = np.linalg.svd(compressed, compute_uv=False)
-    expected = float(np.real(exc.state.expect(
-        LocalOperator(level=n, matrix=exc.op.matrix @ nk.dagger(exc.op.matrix)))))
-    return CompressionCheck(
-        leading_singular=float(svals[0]),
-        second_singular=float(svals[1]) if len(svals) > 1 else 0.0,
-        expected_leading=expected,
-    )
-
-
-def extremality_check(target: ExcitationState, candidates) -> ExtremalityReport:
-    """Test a convex decomposition of an excitation state.
-
-    When the mixture reproduces the state, every component must be ray-equal
-    to it (extremality); otherwise the report carries the distance witness.
-    """
-    probs = np.array([p for p, _ in candidates], dtype=float)
-    if np.any(probs <= 0):
-        raise ContractError("mixture weights must be positive")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ContractError(f"mixture weights sum to {probs.sum()!r}, not 1")
-    mix = np.zeros_like(target.rho)
-    for p, exc in candidates:
-        _require_shared_state(target, exc)
-        mix = mix + p * exc.rho
-    dist = nk.trace_norm(mix - target.rho)
-    is_rep = dist <= STATE_EQ_TOL
-    phases = []
-    failures = []
-    if is_rep:
-        for idx, (_, exc) in enumerate(candidates):
-            try:
-                phases.append(lift_phase(exc, target))
-            except (NotSameRayError, GenericityViolationError) as err:
-                failures.append({"index": idx, "error": str(err)})
-    return ExtremalityReport(
-        is_representation=is_rep,
-        mixture_distance=dist,
-        ray_phases=phases,
-        ray_failures=failures,
-    )
 
 
 def random_excitation(state: GenericState, rng, level: int) -> ExcitationState:

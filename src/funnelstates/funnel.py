@@ -17,6 +17,7 @@ then ``<omega, (A (x) 1) omega> = tr(lam A)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,18 @@ class FunnelTower:
         return self.dim_at(self.levels)
 
 
+def is_integer(x) -> bool:
+    """An integral number that is not a bool: 2.9 and True are not factor dimensions or seeds."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def check_factor_dims(dims) -> tuple:
-    """The schedule as int tuple: a level or more, factors >= 2, capacity k_{n+1} >= D_n."""
+    """The schedule as int tuple: a level or more, integer factors >= 2, capacity k_{n+1} >= D_n."""
+    if isinstance(dims, (str, bytes)) or not hasattr(dims, "__iter__"):
+        raise ConfigurationError(f"the factor dimensions must be a list of integers, got {dims!r}")
+    dims = tuple(dims)
+    if not all(is_integer(d) for d in dims):
+        raise ConfigurationError(f"every factor dimension must be an integer, got {dims}")
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ConfigurationError("tower needs at least one level")
@@ -245,7 +256,6 @@ class MinimalExtensionProjection:
     level: int
     vector: np.ndarray
     projector: np.ndarray       # inside the level-(n+1) algebra
-    schmidt_weights: np.ndarray
 
 
 def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensionProjection:
@@ -278,7 +288,6 @@ def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensio
         level=n,
         vector=psi,
         projector=np.outer(psi, np.conj(psi)),
-        schmidt_weights=weights[:rank],
     )
 
 

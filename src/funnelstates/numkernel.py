@@ -119,7 +119,6 @@ def trace_norm(m) -> float:
 class GramSchmidtResult:
     vectors: list = field(default_factory=list)
     dropped: list = field(default_factory=list)
-    all_zero: bool = False
 
 
 def gram_schmidt(vectors) -> GramSchmidtResult:
@@ -132,15 +131,12 @@ def gram_schmidt(vectors) -> GramSchmidtResult:
     vectors = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     result = GramSchmidtResult()
     if not vectors:
-        result.all_zero = True
         return result
     dim = vectors[0].size
     basis = np.zeros((dim, len(vectors)), dtype=complex)
     count = 0
-    norms = []
     for idx, v in enumerate(vectors):
         n0 = float(np.linalg.norm(v))
-        norms.append(n0)
         if n0 <= CONTRACT_TOL:
             result.dropped.append(idx)
             continue
@@ -156,7 +152,6 @@ def gram_schmidt(vectors) -> GramSchmidtResult:
         basis[:, count] = w / n
         count += 1
     result.vectors = [basis[:, j].copy() for j in range(count)]
-    result.all_zero = count == 0 and all(n <= CONTRACT_TOL for n in norms)
     return result
 
 

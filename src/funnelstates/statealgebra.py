@@ -193,36 +193,22 @@ def times(a: StateAlgebraElement, b: StateAlgebraElement) -> StateAlgebraElement
     return StateAlgebraElement(a.state, a.left, core, b.right)
 
 
-@dataclass
-class SpectralDecomposition:
-    weights: np.ndarray
-    states: list
-    is_convex_mixture: bool
-    reconstruction_residual: float
-
-
-def spectral_decompose(el: StateAlgebraElement) -> SpectralDecomposition:
+def spectral_decompose(el: StateAlgebraElement) -> list:
     """Diagonalize a symmetric element into orthogonal excitation states.
 
-    Orthonormal eigenvectors of the kernel on its support give mutually
-    orthogonal states; the eigenvalues are the weights.  Inputs from the
-    convex hull come out with nonnegative weights summing to one.
+    Returns the (weight, excitation) pairs: orthonormal eigenvectors of the
+    kernel on its support give mutually orthogonal states, and the
+    eigenvalues are the weights, so `element_from_terms` of the pairs gives
+    the element back.  Inputs from the convex hull come out with nonnegative
+    weights summing to one.
     """
-    state = el.state
     basis, s_mat = _support_form(el)
     scale_f = max(nk.frob(s_mat), 1.0)
     asym = nk.frob(s_mat - nk.dagger(s_mat))
     if asym > 1e-10 * scale_f:
         raise ContractError(f"element is not symmetric: ||psi - dagger(psi)|| = {asym:.3e}")
-    pairs = _eigen_excitations(state, basis, (s_mat + nk.dagger(s_mat)) / 2.0,
-                               _DROP_TOL * scale_f)
-    weights = np.array([float(val) for val, _ in pairs])
-    residual = kernel_distance(element_from_terms(state, pairs), el)
-    is_convex = bool(len(weights) and np.all(weights >= -1e-10)
-                     and abs(weights.sum() - 1.0) <= 1e-9)
-    return SpectralDecomposition(weights=weights, states=[exc for _, exc in pairs],
-                                 is_convex_mixture=is_convex,
-                                 reconstruction_residual=residual)
+    return _eigen_excitations(el.state, basis, (s_mat + nk.dagger(s_mat)) / 2.0,
+                              _DROP_TOL * scale_f)
 
 
 def kernel_distance(a: StateAlgebraElement, b: StateAlgebraElement) -> float:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import (ExcitationState, _gauge_phase, _require_shared_state,
-                          make_excitation, norm_distance, overlap)
-from .funnel import GenericState, LocalOperator, embed_matrix
+from .excitations import ExcitationState, _gauge_phase, _require_shared_state, overlap
+from .funnel import GenericState, LocalOperator
 
 
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
@@ -255,69 +252,3 @@ def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:
     """
     _require_shared_state(a, b)
     return float(nk.trace_norm(nk.dagger(a.mat) @ b.mat) ** 2)
-
-
-@dataclass
-class FuchsReport:
-    transition: float
-    distance: float
-    bound: float
-    slack: float
-    pure_equality_residual: float = None
-
-
-def fuchs_bound_check(a: ExcitationState, b: ExcitationState) -> FuchsReport:
-    """Check omega_A . omega_B <= 1 - (1/4) ||omega_A - omega_B||^2.
-
-    The distance is the top-algebra functional norm.  For a pure reference
-    state that norm coincides with the doubled-space vector-state distance
-    and the bound is an identity, reported as an equality residual.
-    """
-    tp = transition_probability(a, b)
-    dist = norm_distance(a, b, scope="top")
-    bound = 1.0 - 0.25 * dist**2
-    report = FuchsReport(transition=tp, distance=dist, bound=bound, slack=bound - tp)
-    if not a.state.separating:
-        report.pure_equality_residual = abs(bound - tp)
-    return report
-
-
-@dataclass
-class ContinuityRow:
-    scale: float
-    deviation: float
-
-
-@dataclass
-class ContinuityReport:
-    rows: list
-    envelope_coefficient: float
-
-    def deviations(self):
-        return [r.deviation for r in self.rows]
-
-
-def local_continuity_probe(base: ExcitationState, probe: ExcitationState,
-                           direction, scales) -> ContinuityReport:
-    """Decay of |omega_{A_m}.omega_B - omega_A.omega_B| along a perturbation.
-
-    A_m = normalize(A + X / m) for m in `scales`; the report carries the
-    deviation table and the fitted envelope constant c = max_m m*deviation.
-    """
-    state = base.state
-    tower = state.tower
-    if not isinstance(direction, LocalOperator):
-        direction = LocalOperator(level=base.level, matrix=direction)
-    ref = transition_probability(base, probe)
-    rows = []
-    coeff = 0.0
-    level = max(base.level, direction.level)
-    a_mat = embed_matrix(tower, base.level, base.op.matrix, level)
-    x_mat = embed_matrix(tower, direction.level, direction.matrix, level)
-    for m in scales:
-        perturbed = make_excitation(
-            state, LocalOperator(level=level, matrix=a_mat + x_mat / float(m)))
-        dev = abs(transition_probability(perturbed, probe) - ref)
-        rows.append(ContinuityRow(scale=float(m), deviation=dev))
-        coeff = max(coeff, dev * float(m))
-    return ContinuityReport(rows=rows, envelope_coefficient=coeff)

@@ -8,24 +8,18 @@ from funnelstates import (
     LocalOperator,
     NotNullCombinationError,
     NotSameRayError,
-    extremality_check,
     find_null_combination,
     identity_excitation,
     lift_phase,
     make_excitation,
     minimal_extension_projection,
     norm_distance,
-    null_combination_transfer,
     overlap,
     superpose,
 )
-from funnelstates import excitations
 from funnelstates import numkernel as nk
-from funnelstates.excitations import (
-    compression_check,
-    functional_norm,
-    random_excitation,
-)
+from funnelstates import runner
+from funnelstates.excitations import STATE_EQ_TOL, functional_norm, random_excitation
 from funnelstates.funnel import embed_matrix
 
 from conftest import random_hermitian
@@ -191,6 +185,14 @@ def test_norm_distance_zero_on_self(state, rng):
         assert norm_distance(a, a, scope=scope) <= 1e-12
 
 
+@pytest.mark.parametrize("scope", [0, -1, 4, True, 1.0, "bogus"])
+def test_norm_distance_rejects_meaningless_scope(state, rng, scope):
+    # a scope is "top", "full_bh" or a level 1..L of the (2, 2, 4) tower
+    a = random_excitation(state, rng, level=1)
+    with pytest.raises(ContractError):
+        norm_distance(a, a, scope=scope)
+
+
 def test_norm_distance_orthogonal_full_bh(state, rng):
     a = random_excitation(state, rng, level=3)
     b = _orthogonal_partner(state, a, rng)
@@ -246,105 +248,128 @@ def _dependent_family(state, rng, level=1, count=5):
     return out
 
 
+def _transfer_ratio(coeffs, excs, c_op) -> float:
+    """||sum_m c_m A_m* C A_m||_F / ||C||_F, one product per member at the common level."""
+    tower = excs[0].state.tower
+    common = max([c_op.level] + [e.level for e in excs])
+    c = embed_matrix(tower, c_op.level, c_op.matrix, common)
+    acc = np.zeros_like(c)
+    for cm, exc in zip(coeffs, excs):
+        a = embed_matrix(tower, exc.level, exc.op.matrix, common)
+        acc = acc + cm * (nk.dagger(a) @ c @ a)
+    return nk.frob(acc) / nk.frob(c)
+
+
+def _random_operator(tower, rng, level):
+    return LocalOperator(level, nk.random_complex_matrix(rng, tower.dim_at(level)))
+
+
 def test_exact_pair_cancellation(state, rng):
     a = random_excitation(state, rng, level=1)
-    report = null_combination_transfer([1.0, -1.0], [a, a], trials=20, rng=rng)
-    assert report.max_ratio <= 1e-14
+    for trial in range(20):
+        c_op = _random_operator(state.tower, rng, 1 + trial % state.tower.levels)
+        assert _transfer_ratio([1.0, -1.0], [a, a], c_op) <= 1e-14
 
 
 def test_null_combination_found_and_transfers(state, rng):
     excs = _dependent_family(state, rng)
     coeffs = find_null_combination(excs)
     assert functional_norm(coeffs, excs) <= 1e-9
-    report = null_combination_transfer(coeffs, excs, trials=50, rng=rng)
-    assert report.max_ratio <= 1e-7
-    assert report.worst_witness is not None
+    worst = max(_transfer_ratio(coeffs, excs, _random_operator(state.tower, rng, 1 + t % 3))
+                for t in range(50))
+    assert 0.0 < worst <= 1e-7
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_null_transfer_batched_matches_per_matrix_loop(state, rng, level):
-    excs = _dependent_family(state, rng, level=level)
-    coeffs = find_null_combination(excs)
-    report = null_combination_transfer(coeffs, excs, trials=30, rng=np.random.default_rng(9))
-    # the same trials, one A_m* C A_m product per member at the common level
-    trial_rng = np.random.default_rng(9)
-    tower = state.tower
+def _null_transfer_env(state, combos):
+    config = runner.ScenarioConfig(suites=("null_transfer",), sample_counts={"null_transfer": combos})
+    return runner.SuiteEnv(config, "null_transfer", np.random.default_rng(9), state.tower, state)
+
+
+@pytest.mark.parametrize("combos", [1, 2])
+def test_null_transfer_batched_matches_per_matrix_loop(state, combos):
+    # the suite's first combos null combinations sit at levels 1..combos
+    checks = runner._suite_null_transfer(_null_transfer_env(state, combos))
+    # the same draws, one A_m* C A_m product per member
+    env = _null_transfer_env(state, combos)
+    levels = state.tower.levels
     worst = 0.0
-    for trial in range(30):
-        lvl = 1 + (trial % tower.levels)
-        common = max(lvl, level)
-        c = embed_matrix(tower, lvl, nk.random_complex_matrix(trial_rng, tower.dim_at(lvl)), common)
-        acc = np.zeros_like(c)
-        for cm, exc in zip(coeffs, excs):
-            a = embed_matrix(tower, level, exc.op.matrix, common)
-            acc = acc + cm * (nk.dagger(a) @ c @ a)
-        worst = max(worst, nk.frob(acc) / nk.frob(c))
-    assert report.max_ratio == worst
-    assert report.max_ratio > 0.0
+    for k in range(combos):
+        excs = runner._null_family(env, 1 + k)
+        coeffs = find_null_combination(excs)
+        for trial in range(50):
+            c_op = _random_operator(state.tower, env.rng, 1 + trial % levels)
+            worst = max(worst, _transfer_ratio(coeffs, excs, c_op))
+    assert checks[0].check_id == "null_transfer/max_ratio"
+    assert checks[0].residual == worst
+    assert checks[0].witness["ratio"] == worst > 0.0
 
 
-def test_null_transfer_embeds_each_stack_once_per_level(state, rng, monkeypatch):
-    # the embedded A_m depend only on the common level, so each of the at most
-    # `levels` stacks is built once; every trial embeds its own C
-    excs = _dependent_family(state, rng)
-    coeffs = find_null_combination(excs)
+def test_null_transfer_embeds_each_stack_once_per_level(state, monkeypatch):
+    # the embedded A_m depend only on the common level, so each combination
+    # builds at most `levels` stacks; every trial embeds its own C
     calls = []
-    embed = excitations.embed_matrix
-    monkeypatch.setattr(excitations, "embed_matrix",
-                        lambda *args: calls.append(args) or embed(*args))
-    report = null_combination_transfer(coeffs, excs, trials=50, rng=rng)
-    assert len(calls) <= 50 + len(excs) * state.tower.levels
-    assert report.max_ratio <= 1e-7
+    embed = runner.embed_matrix
+    monkeypatch.setattr(runner, "embed_matrix", lambda *args: calls.append(args) or embed(*args))
+    checks = runner._suite_null_transfer(_null_transfer_env(state, 2))
+    assert len(calls) <= 2 * (50 + 5 * state.tower.levels)
+    assert [c.status for c in checks] == ["pass", "pass"]
 
 
-def test_independent_family_rejected(state, rng):
+def test_independent_family_rejected(state, rng, monkeypatch):
     excs = [random_excitation(state, rng, level=1) for _ in range(3)]
     with pytest.raises(NotNullCombinationError):
         find_null_combination(excs)
+    assert functional_norm([1.0, 1.0, 1.0], excs) > STATE_EQ_TOL
+    # the suite transfers only a combination whose functional vanishes
+    monkeypatch.setattr(runner, "find_null_combination", lambda family: np.ones(len(family)))
     with pytest.raises(NotNullCombinationError):
-        null_combination_transfer([1.0, 1.0, 1.0], excs, trials=5, rng=rng)
+        runner._suite_null_transfer(_null_transfer_env(state, 1))
+
+
+def test_null_combination_of_nothing_rejected():
+    with pytest.raises(ContractError):
+        find_null_combination([])
 
 
 # -- extremality --------------------------------------------------------
 
 
+def _mixture_distance(target, candidates) -> float:
+    return nk.trace_norm(sum(p * exc.rho for p, exc in candidates) - target.rho)
+
+
 def test_extremality_trivial_decomposition(state, rng):
     a = random_excitation(state, rng, level=1)
-    report = extremality_check(a, [(1.0, a)])
-    assert report.passed and report.is_representation
+    assert _mixture_distance(a, [(1.0, a)]) <= STATE_EQ_TOL
+    assert lift_phase(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extremality_phase_collapse(state, rng):
     a = random_excitation(state, rng, level=1)
     b = make_excitation(state, LocalOperator(1, 1j * a.op.matrix))
-    report = extremality_check(a, [(0.5, a), (0.5, b)])
-    assert report.passed
-    assert len(report.ray_phases) == 2
+    assert _mixture_distance(a, [(0.5, a), (0.5, b)]) <= STATE_EQ_TOL
+    # both components lie on the target's ray
+    assert lift_phase(a, a) == pytest.approx(1.0, abs=1e-9)
+    assert lift_phase(b, a) == pytest.approx(-1j, abs=1e-9)
 
 
 def test_extremality_rejects_distinct_mixture(state, rng):
     a = random_excitation(state, rng, level=1)
     c = random_excitation(state, rng, level=1)
     d = random_excitation(state, rng, level=1)
-    report = extremality_check(a, [(0.5, c), (0.5, d)])
-    assert not report.is_representation
-    assert report.mixture_distance > 1e-6
-
-
-def test_extremality_weight_contract(state, rng):
-    a = random_excitation(state, rng, level=1)
-    with pytest.raises(ContractError):
-        extremality_check(a, [(0.7, a), (0.7, a)])
+    assert _mixture_distance(a, [(0.5, c), (0.5, d)]) > 1e-6
 
 
 def test_compression_is_rank_one(state, rng):
+    # A* E_n A, one level above the operator, is rank one with weight omega(A A*)
     for level in (1, 2):
         exc = random_excitation(state, rng, level=level)
-        comp = compression_check(exc, minimal_extension_projection(state, level))
-        assert comp.second_singular <= 1e-9
-        assert comp.leading_singular == pytest.approx(comp.expected_leading, abs=1e-9)
-    with pytest.raises(ContractError):
-        compression_check(exc, minimal_extension_projection(state, 1))
+        e = minimal_extension_projection(state, level).projector
+        a_up = embed_matrix(state.tower, level, exc.op.matrix, level + 1)
+        svals = np.linalg.svd(nk.dagger(a_up) @ e @ a_up, compute_uv=False)
+        expected = state.expect(LocalOperator(level, exc.op.matrix @ nk.dagger(exc.op.matrix)))
+        assert svals[1] <= 1e-9
+        assert svals[0] == pytest.approx(expected.real, abs=1e-9)
 
 
 def test_lift_soundness_sweep(state, rng):

@@ -46,6 +46,16 @@ def test_build_tower_rejects_trivial_factors():
         build_tower((2, 1, 4))
 
 
+@pytest.mark.parametrize("dims", [(2, 2.9), (2, 4.0), (True, 2), ("2", "2"), 4, "224"])
+def test_build_tower_rejects_non_integer_factors(dims):
+    with pytest.raises(ConfigurationError):
+        build_tower(dims)
+
+
+def test_build_tower_accepts_numpy_integers():
+    assert build_tower(np.array([2, 2])).factor_dims == (2, 2)
+
+
 def test_sample_deterministic(tower):
     s1 = sample_generic_state(tower, seed=5)
     s2 = sample_generic_state(tower, seed=5)
@@ -258,10 +268,13 @@ def test_sampler_reads_the_floor_from_the_state(tower, monkeypatch):
 
 
 def test_extension_projection_schmidt_weights(state):
+    # the squared Schmidt coefficients of the purifying vector are the
+    # spectrum of the level-1 reduction
     proj = minimal_extension_projection(state, 1)
     rho1 = state.reduced(1)
     expected = np.sort(np.linalg.eigvalsh(rho1))[::-1]
-    np.testing.assert_allclose(proj.schmidt_weights, expected, atol=1e-12)
+    schmidt = np.linalg.svd(proj.vector.reshape(2, 2), compute_uv=False)
+    np.testing.assert_allclose(schmidt**2, expected, atol=1e-12)
 
 
 def test_extension_projection_identity_compression(state):

@@ -181,7 +181,7 @@ def test_gram_schmidt_basic():
     result = nk.gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
     np.testing.assert_allclose(result.vectors[0], [1.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(result.vectors[1], [0.0, 1.0], atol=1e-14)
-    assert not result.dropped and not result.all_zero
+    assert not result.dropped
 
 
 def test_gram_schmidt_idempotent_on_orthonormal(rng):
@@ -206,9 +206,11 @@ def test_gram_schmidt_drops_dependent_direction():
 
 
 def test_gram_schmidt_all_zero():
+    # the first vector above CONTRACT_TOL is always kept, so an empty result
+    # means every input was zero
     result = nk.gram_schmidt([np.zeros(3), np.zeros(3)])
     assert result.vectors == []
-    assert result.all_zero
+    assert result.dropped == [0, 1]
 
 
 # -- misc ---------------------------------------------------------------

@@ -49,6 +49,14 @@ def test_seed_range_enforced():
         ScenarioConfig(seed=2**64)
 
 
+@pytest.mark.parametrize("seed", [7.5, True, "42", None])
+def test_seed_must_be_an_integer(seed):
+    # int() would truncate 7.5 to 7 and run True as 1
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(seed=seed)
+    assert ScenarioConfig(seed=np.uint64(7)).seed == 7
+
+
 def test_suite_seed_is_stable():
     assert suite_seed(42, "lift") == suite_seed(42, "lift")
     assert suite_seed(42, "lift") != suite_seed(42, "fuchs")
@@ -191,12 +199,16 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"tolerance_overrides": {"lift": float("inf")}},
     {"tolerance_overrides": {"lift": False}},
     {"tolerance_overrides": {"determinism": 1e-300}}, {"sample_counts": {"determinism": 3}},
+    {"tower_dims": [2, 2.9], "seed": 7.5, "suites": ["lift"]}, {"seed": True},
+    {"seed": "42"}, {"tower_dims": [2, True]}, {"tower_dims": 4},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
     # 69 GB: a scenario that slips past admission must fail here, not start a run.
     # A zero count would pass `lift` on no samples with an infinite residual.
     # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored.
+    # Non-integer dimensions and seeds are rejected: [2, 2.9] with seed 7.5 ran as
+    # [2, 2] with seed 7, and seed true as 1.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
@@ -343,6 +355,27 @@ def test_every_definition_is_named_outside_itself():
                and not (node.name.startswith("__") and node.name.endswith("__"))
                and named[node.name] - _identifiers(node)[node.name] <= 0]
     assert unnamed == []
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    # a dataclass field that no library code and no benchmark reads as an
+    # attribute is carried only for the tests; a write does not count
+    root = Path(__file__).resolve().parent.parent
+    src = {path: ast.parse(path.read_text()) for path in (root / "src" / "funnelstates").glob("*.py")}
+    trees = list(src.values()) + [ast.parse(path.read_text()) for path in (root / "perfbench").glob("*.py")]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    unread = [f"{path.stem}.{cls.name}.{stmt.target.id}"
+              for path, tree in src.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list))
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+    assert unread == []
 
 
 def test_dilation_suite_dilates_once(monkeypatch):

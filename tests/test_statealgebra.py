@@ -217,8 +217,8 @@ def test_spectral_orthogonal_sum_weights(state):
     family = build_complete_family(state)
     a1, a2 = family.members[2], family.members[7]
     psi = sa.element_from_terms(state, [(1.0, a1), (1.0, a2)])
-    dec = sa.spectral_decompose(psi)
-    np.testing.assert_allclose(np.sort(dec.weights), [1.0, 1.0], atol=1e-10)
+    weights = [w for w, _ in sa.spectral_decompose(psi)]
+    np.testing.assert_allclose(np.sort(weights), [1.0, 1.0], atol=1e-10)
 
 
 def test_spectral_two_state_overlap_oracle(state, rng):
@@ -226,16 +226,18 @@ def test_spectral_two_state_overlap_oracle(state, rng):
     s = abs(overlap(a, b))
     assert 0 < s < 1
     psi = sa.element_from_terms(state, [(0.5, a), (0.5, b)])
-    dec = sa.spectral_decompose(psi)
+    pairs = sa.spectral_decompose(psi)
+    weights = np.array([w for w, _ in pairs])
     # brute-force oracle: eigenvalues of (P1 + P2)/2 on the two-dimensional
     # span are (1 +/- s)/2
     expected = np.array([(1 + s) / 2, (1 - s) / 2])
-    np.testing.assert_allclose(np.sort(dec.weights)[::-1], expected, atol=1e-10)
-    for i in range(len(dec.states)):
-        for j in range(i + 1, len(dec.states)):
-            assert transition_probability(dec.states[i], dec.states[j]) <= 1e-9
-    assert dec.is_convex_mixture
-    assert dec.reconstruction_residual <= 1e-9
+    np.testing.assert_allclose(np.sort(weights)[::-1], expected, atol=1e-10)
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            assert transition_probability(pairs[i][1], pairs[j][1]) <= 1e-9
+    # a convex mixture, given back by its pairs
+    assert np.all(weights >= -1e-10) and abs(weights.sum() - 1.0) <= 1e-9
+    assert sa.kernel_distance(sa.element_from_terms(state, pairs), psi) <= 1e-9
 
 
 def test_spectral_requires_symmetric_input(state, rng):
@@ -250,8 +252,8 @@ def test_spectral_reconstruction_sweep(state, rng):
     for _ in range(10):
         p = _element(state, rng, n_terms=3)
         sym = sa.scale(0.5, p + sa.dagger(p))
-        dec = sa.spectral_decompose(sym)
-        assert dec.reconstruction_residual <= 1e-9
+        pairs = sa.spectral_decompose(sym)
+        assert sa.kernel_distance(sa.element_from_terms(state, pairs), sym) <= 1e-9
 
 
 # -- bimodule ------------------------------------------------------------
