@@ -298,10 +298,17 @@ def test_null_transfer_batched_matches_per_matrix_loop(state, combos):
         coeffs = find_null_combination(excs)
         for trial in range(50):
             c_op = _random_operator(state.tower, env.rng, 1 + trial % levels)
-            worst = max(worst, _transfer_ratio(coeffs, excs, c_op))
+            ratio = _transfer_ratio(coeffs, excs, c_op)
+            if ratio > worst:
+                worst, witness = ratio, {"combination": k, "a_level": 1 + k, "trial": trial,
+                                         "c_level": c_op.level, "ratio": ratio}
     assert checks[0].check_id == "null_transfer/max_ratio"
     assert checks[0].residual == worst
-    assert checks[0].witness["ratio"] == worst > 0.0
+    assert checks[0].witness == witness and worst > 0.0
+    # the witness names the worst draw: the suite replays it alone with
+    # sample count combination + 1
+    replay = runner._suite_null_transfer(_null_transfer_env(state, witness["combination"] + 1))
+    assert replay[0].witness == witness
 
 
 def test_null_transfer_embeds_each_stack_once_per_level(state, monkeypatch):

@@ -201,12 +201,14 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"tolerance_overrides": {"determinism": 1e-300}}, {"sample_counts": {"determinism": 3}},
     {"tower_dims": [2, 2.9], "seed": 7.5, "suites": ["lift"]}, {"seed": True},
     {"seed": "42"}, {"tower_dims": [2, True]}, {"tower_dims": 4},
+    {"sample_counts": {"min_projection": 1, "dilation": 1}},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
     # 69 GB: a scenario that slips past admission must fail here, not start a run.
     # A zero count would pass `lift` on no samples with an infinite residual.
-    # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored.
+    # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored;
+    # `min_projection` and `dilation` draw no samples, so a count for them would be too.
     # Non-integer dimensions and seeds are rejected: [2, 2.9] with seed 7.5 ran as
     # [2, 2] with seed 7, and seed true as 1.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
@@ -215,6 +217,20 @@ def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenari
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_sample_counts_are_taken_only_by_suites_that_read_them(monkeypatch):
+    # every suite outside the uncounted set reads its count, and a count for
+    # one inside it is rejected rather than echoed unused in the report
+    read = set()
+    count = runner.SuiteEnv.count
+    monkeypatch.setattr(runner.SuiteEnv, "count",
+                        lambda env, default: read.add(env.suite_id) or count(env, default))
+    run(ScenarioConfig(tower_dims=(2, 2)))
+    assert read == set(runner.SUITES) - runner._UNCOUNTED_SUITES
+    for sid in runner._UNCOUNTED_SUITES:
+        with pytest.raises(ConfigurationError, match=f"suite '{sid}' takes no sample count"):
+            ScenarioConfig(sample_counts={sid: 1})
 
 
 def test_size_guard_reads_the_limit_at_call_time(monkeypatch):
@@ -480,39 +496,43 @@ def test_member_concentration_reads_the_block(state):
 def test_completeness_holds_one_family_at_a_time(monkeypatch):
     import weakref
 
+    from funnelstates import transitions
+
     built = []
 
-    def tracking(state, generators=None):
-        assert all(ref() is None for ref in built), "an earlier family is still alive"
-        family = build(state, generators=generators)
-        built.append(weakref.ref(family))
-        return family
+    class Tracking(transitions.OrthogonalFamily):
+        def __init__(self, *args, **kwargs):
+            assert all(ref() is None for ref in built), "an earlier family is still alive"
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
 
-    build = runner.build_complete_family
-    monkeypatch.setattr(runner, "build_complete_family", tracking)
+    # the default family is built in transitions, the reversed one in the suite
+    monkeypatch.setattr(transitions, "OrthogonalFamily", Tracking)
+    monkeypatch.setattr(runner, "OrthogonalFamily", Tracking)
     (suite,) = run(ScenarioConfig(suites=("completeness",))).suites
     assert suite.error is None
-    assert len(built) == 4  # main and 2x2, default and reversed generators each
+    assert len(built) == 4  # main and 2x2, default and reversed matrix units each
     assert all(c.status == "pass" for c in suite.checks)
 
 
 def test_completeness_suite_peak_memory():
     import tracemalloc
 
-    # the suite's largest structure is one D^2 x D^2 complex array, the
-    # generator rows; the raw QR copies it once (2.29 copies measured at D=16),
-    # and no family forms its rows
-    config = ScenarioConfig(suites=("completeness",))
-    run(config)  # the first run fills lazy imports and caches
-    tracemalloc.start()
-    try:
-        (suite,) = run(config).suites
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(c.status == "pass" for c in suite.checks)
-    d = int(np.prod(config.tower_dims))
-    assert peak <= 2.5 * d**4 * 16
+    # both families are D x D blocks and neither forms its D^2 x D^2 rows:
+    # the suite's peak is a multiple of D^2 (about 50 D^2 complex entries
+    # measured at D=16 and D=32), not of D^4
+    for dims in ((2, 2, 4), (2, 2, 8)):
+        config = ScenarioConfig(tower_dims=dims, suites=("completeness",))
+        run(config)  # the first run fills lazy imports and caches
+        tracemalloc.start()
+        try:
+            (suite,) = run(config).suites
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c.status == "pass" for c in suite.checks)
+        d = int(np.prod(dims))
+        assert peak <= 100 * d**2 * 16, (dims, peak / (d**2 * 16))
 
 
 def test_extreme_points_builds_each_projection_once(monkeypatch):

@@ -19,7 +19,7 @@ from funnelstates import (
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
 from funnelstates.funnel import embed_matrix
-from funnelstates.transitions import _WY_BLOCK
+from funnelstates.transitions import orthonormal_rows
 
 
 def test_transition_self_is_one(state, rng):
@@ -90,12 +90,14 @@ def test_family_needs_full_rank(pure_state):
         build_complete_family(pure_state)
 
 
-def test_family_generator_ordering_invariance(small_state):
-    from funnelstates.funnel import matrix_units
+def _reversed_family(state):
+    """The matrix units' family in reverse lexicographic order, as the completeness suite builds it."""
+    return OrthogonalFamily(state=state, q=orthonormal_rows(state.sqrt_lam[::-1]))
 
+
+def test_family_generator_ordering_invariance(small_state):
     family = build_complete_family(small_state)
-    reversed_gens = [LocalOperator(2, g) for g in list(matrix_units(4))[::-1]]
-    family2 = build_complete_family(small_state, generators=reversed_gens)
+    family2 = _reversed_family(small_state)
     rng = np.random.default_rng(8)
     for _ in range(10):
         probe = random_excitation(small_state, rng, level=2)
@@ -123,16 +125,20 @@ def family_state(request):
 def test_family_matches_gram_schmidt(family_state, order):
     from funnelstates.funnel import matrix_units
 
-    units = list(matrix_units(family_state.dim))
+    d = family_state.dim
+    units = list(matrix_units(d))
+    order_of = list(range(d * d))
     if order == "default":
         family = build_complete_family(family_state)
     else:
+        # Gram-Schmidt member (D-1-i) D + k is the block family's member i D + k
         units = units[::-1]
-        family = build_complete_family(
-            family_state, generators=[LocalOperator(family_state.tower.levels, g) for g in units])
+        family = _reversed_family(family_state)
+        order_of = [(d - 1 - i) * d + k for i in range(d) for k in range(d)]
     reference = _gram_schmidt_family(family_state, units)
-    assert len(family) == len(reference) == family_state.dim ** 2
-    for member, ref in zip(family.members, reference):
+    assert len(family) == len(reference) == d * d
+    for member, n in zip(family.members, order_of):
+        ref = reference[n]
         assert np.max(np.abs(member.vector - ref.vector)) <= 1e-12
         assert abs(member.canonical_phase - ref.canonical_phase) <= 1e-12
         np.testing.assert_allclose(member.op.matrix, ref.op.matrix, atol=1e-10)
@@ -154,58 +160,12 @@ def test_default_family_qr_clears_the_rule_by_sqrt_eps_sep(dims, profile, monkey
     calls = _count_gram_schmidt(monkeypatch)
     state = sample_generic_state(build_tower(dims), seed=42, profile=profile)
     family = build_complete_family(state)
-    assert family.q is not None and family._reflectors is None
+    assert family.q is not None
     columns = state.sqrt_lam.T
     _, r = np.linalg.qr(columns)
     margin = np.min(np.abs(r.diagonal()) / np.linalg.norm(columns, axis=0))
     assert margin >= np.sqrt(state.eps_sep) > 10 * nk.CONTRACT_TOL
     assert calls == []
-
-
-def test_family_duplicate_generator_falls_back(family_state, monkeypatch):
-    from funnelstates.funnel import matrix_units
-
-    # nothing to fall back to: a duplicate among the first D^2 generators
-    # raises at the duplicate, and D^2 + 1 generators raise on the count
-    calls = _count_gram_schmidt(monkeypatch)
-    d2 = family_state.dim ** 2
-    level = family_state.tower.levels
-    units = [LocalOperator(level, g) for g in matrix_units(family_state.dim)]
-    with pytest.raises(CompletenessUnavailableError,
-                       match=f"span only {d2 - 1} of {d2} directions: generator 5 "):
-        build_complete_family(family_state, generators=units[:5] + [units[3]] + units[6:])
-    padded = units[:5] + [units[3]] + units[6:] + [units[5]]
-    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
-        build_complete_family(family_state, generators=padded)
-    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
-        build_complete_family(family_state, generators=iter(units + [units[0]]))
-    assert calls == []
-
-
-def test_family_rank_deficient_generators(family_state):
-    from funnelstates.funnel import matrix_units
-
-    d2 = family_state.dim ** 2
-    units = list(matrix_units(family_state.dim))
-    with pytest.raises(CompletenessUnavailableError,
-                       match=f"span only {d2 - 1} of {d2} directions: generator 4 "):
-        build_complete_family(family_state, generators=units[:4] + [units[2]] + units[5:])
-    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got {d2 - 1}"):
-        build_complete_family(family_state, generators=units[1:])
-
-
-def test_family_dependent_generator_in_a_later_panel(state):
-    from funnelstates.funnel import matrix_units
-
-    # at (2,2,4) the 256 generators fill four panels; the duplicate sits in
-    # the third, after two trailing updates
-    d2 = state.dim ** 2
-    k = 2 * _WY_BLOCK + 5
-    units = list(matrix_units(state.dim))
-    assert d2 // _WY_BLOCK > 2
-    with pytest.raises(CompletenessUnavailableError,
-                       match=f"span only {d2 - 1} of {d2} directions: generator {k} "):
-        build_complete_family(state, generators=units[:k] + [units[3]] + units[k + 1:])
 
 
 def test_family_members_view_stored_vectors(small_state):
@@ -250,31 +210,19 @@ def test_family_members_on_first_read(state):
 
 
 def test_max_off_diagonal_equals_the_subtracted_form(small_state):
-    from funnelstates.funnel import matrix_units
-
     default = build_complete_family(small_state)
-    generic = build_complete_family(small_state, generators=list(matrix_units(4))[::-1])
+    reverse = _reversed_family(small_state)
     rng = np.random.default_rng(2)
     noisy = OrthogonalFamily(members=default.members,
                              overlaps=default.overlaps + 1e-3 * nk.random_complex_matrix(rng, 16))
-    for family in (default, generic, noisy):
+    for family in (default, reverse, noisy):
         ov = family.overlaps
         assert family.max_off_diagonal() == float(np.max(np.abs(ov - np.diag(np.diag(ov)))))
 
 
 def test_generic_family_overlaps_on_first_read(small_state):
-    from funnelstates.funnel import matrix_units
-
-    family = build_complete_family(small_state, generators=list(matrix_units(4))[::-1])
-    assert family._overlaps is None and family._vectors is None  # not formed at build time
-    overlaps = family.overlaps
-    np.testing.assert_allclose(overlaps, np.conj(family.vectors) @ family.vectors.T,
-                               rtol=0, atol=1e-14)
-    assert family.overlaps is overlaps
-    assert family.max_off_diagonal() <= 1e-9
-    assert family.max_norm_deviation() <= 1e-10
     # the default path keeps only the D x D block of its block-diagonal
-    # overlaps, and forms the D^2 x D^2 matrix on first read as well
+    # overlaps, and forms the D^2 x D^2 matrix on first read
     default = build_complete_family(small_state)
     assert default._overlaps is None and default.block.shape == (4, 4)
     # a family built by hand without overlaps derives them too
@@ -323,16 +271,17 @@ def test_family_coefficients_match_the_dense_rows(ladder_state):
     d = state.dim
     units = list(matrix_units(d))[::-1]
     default = build_complete_family(state)
-    generic = build_complete_family(
-        state, generators=[LocalOperator(state.tower.levels, g) for g in units])
+    reverse = _reversed_family(state)
     hand_built = OrthogonalFamily(members=default.members[:7])
     # dense references: kron(1, q^T), and the phase-rotated Q of a reduced
-    # QR of the generator vectors
+    # QR of the reversed generator vectors, whose member (D-1-i) D + k is the
+    # block family's member i D + k
     cols = np.array([(embed_matrix(state.tower, state.tower.levels, g) @ state.sqrt_lam).ravel()
                      for g in units]).T
     q, r = np.linalg.qr(cols)
     q *= r.diagonal() / np.abs(r.diagonal())
-    dense = [(default, np.kron(np.eye(d), default.q.T)), (generic, q.T),
+    order_of = [(d - 1 - i) * d + k for i in range(d) for k in range(d)]
+    dense = [(default, np.kron(np.eye(d), default.q.T)), (reverse, q.T[order_of]),
              (hand_built, np.array([m.vector for m in default.members[:7]]))]
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -344,64 +293,13 @@ def test_family_coefficients_match_the_dense_rows(ladder_state):
     assert np.array_equal(default.vectors, dense[0][1])
 
 
-def test_generic_family_holds_only_its_reflectors(state):
-    import tracemalloc
-
-    from funnelstates.funnel import matrix_units
-
-    n = state.dim ** 2
-    generators = [LocalOperator(state.tower.levels, g) for g in list(matrix_units(state.dim))[::-1]]
-    tracemalloc.start()
-    try:
-        family = build_complete_family(state, generators=generators)
-        live, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert family._vectors is None and family._members is None and family._overlaps is None
-    # the factored rows are n x n, the phases n entries, and the T blocks n x _WY_BLOCK
-    h, tau, t_blocks = n * n * 16, n * 16, n * _WY_BLOCK * 16
-    assert live <= h + tau + t_blocks + 64 * 1024
-    assert len(family) == n and family._vectors is None  # len forms nothing
-
-
-def test_generic_family_factors_in_place():
-    import tracemalloc
-
-    # streamed generators: the factored array is the one D^2 x D^2 allocation,
-    # beside temporaries of one panel or one chunk of trailing rows
-    state = sample_generic_state(build_tower((2, 2, 8)), seed=7)
-    d2 = state.dim ** 2
-    units = (LocalOperator(state.tower.levels,
-                           np.eye(1, d2, k, dtype=complex).reshape(state.dim, state.dim))
-             for k in reversed(range(d2)))
-    tracemalloc.start()
-    try:
-        family = build_complete_family(state, generators=units)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(family) == d2
-    assert peak <= 1.3 * d2 * d2 * 16
-
-
 def test_family_forms_and_their_fallback(small_state, monkeypatch):
-    from funnelstates.funnel import matrix_units
-
     calls = _count_gram_schmidt(monkeypatch)
-    d2 = small_state.dim ** 2
-    level = small_state.tower.levels
-    units = [LocalOperator(level, g) for g in matrix_units(small_state.dim)]
     default = build_complete_family(small_state)
-    generic = build_complete_family(small_state, generators=units[::-1])
-    assert default.q is not None and default._reflectors is None
-    assert generic.q is None and generic._reflectors is not None
-    # the input that once fell back to Gram-Schmidt rows now raises, and no
-    # build, good or bad, calls gram_schmidt
-    with pytest.raises(CompletenessUnavailableError, match=f"exactly {d2} generators, got more"):
-        build_complete_family(
-            small_state, generators=units[:5] + [units[3]] + units[6:] + [units[5]])
-    with pytest.raises(CompletenessUnavailableError, match=f"span only {d2 - 1} of {d2}"):
-        build_complete_family(small_state, generators=units[:4] + [units[2]] + units[5:])
+    hand_built = OrthogonalFamily(members=default.members[:3])
+    assert default.q is not None and default.block is not None
+    assert hand_built.q is None and hand_built.block is None
+    # nothing falls back to Gram-Schmidt rows: no build calls gram_schmidt
     assert calls == []
 
 
