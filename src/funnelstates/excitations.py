@@ -8,6 +8,7 @@ equality can be tested on representatives directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,34 +80,46 @@ class ExcitationState:
 
 def _gauge_phase(vector: np.ndarray) -> complex:
     """Phase making the first component of modulus > GAUGE_TOL real positive."""
-    above = np.abs(vector) > GAUGE_TOL
-    first = above.argmax()
-    if not above[first]:
-        return 1.0 + 0.0j
-    x = vector[first]
+    x = vector[0]
+    if abs(x) <= GAUGE_TOL:
+        above = np.abs(vector) > GAUGE_TOL
+        first = above.argmax()
+        if not above[first]:
+            return 1.0 + 0.0j
+        x = vector[first]
     return np.conj(x) / abs(x)
+
+
+def _normalized(state: GenericState, level: int, op: np.ndarray, mat: np.ndarray) -> ExcitationState:
+    """The excitation of validated ``op`` with ``mat = act(op, sqrt(lam))``, both scaled by 1 / ||mat||.
+
+    An overflowing norm breaks the contract; a vanishing one means that ``op``
+    annihilates the reference vector.
+    """
+    norm_sq = float(np.real(np.vdot(mat, mat)))
+    if not math.isfinite(norm_sq):
+        raise ContractError(f"excitation norm is not finite: ||A.omega||^2 = {norm_sq}")
+    if norm_sq <= 1e-12:
+        raise DegenerateExcitationError(
+            "operator annihilates the reference vector; excitation undefined"
+        )
+    scale = 1.0 / np.sqrt(norm_sq)
+    mat = mat * scale
+    return ExcitationState(state=state, op=LocalOperator._validated(level, op * scale),
+                           canonical_phase=_gauge_phase(mat.ravel()), mat=mat)
 
 
 def make_excitation(state: GenericState, op) -> ExcitationState:
     """Normalize an operator into an excitation state and record its gauge."""
     if not isinstance(op, LocalOperator):
         op = LocalOperator(level=state.tower.levels, matrix=op)
-    mat = state.act(op, state.sqrt_lam)
-    norm_sq = float(np.real(np.vdot(mat.ravel(), mat.ravel())))
-    if norm_sq <= 1e-12:
-        raise DegenerateExcitationError(
-            "operator annihilates the reference vector; excitation undefined"
-        )
-    scale = 1.0 / np.sqrt(norm_sq)
-    phase = _gauge_phase(mat.ravel() * scale)
-    op_norm = LocalOperator(level=op.level, matrix=op.matrix * scale)
-    return ExcitationState(state=state, op=op_norm, canonical_phase=phase, mat=mat * scale)
+    return _normalized(state, op.level, op.matrix, state.act(op, state.sqrt_lam))
 
 
 def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
-    """The excitation of X = v.reshape(D, D) lam^{-1/2}, for which X.omega = v (normalized)."""
-    op = v.reshape(state.dim, state.dim) @ state.inv_sqrt_lam
-    return make_excitation(state, LocalOperator(state.tower.levels, op))
+    """The excitation of X = mat lam^{-1/2}, mat = v.reshape(D, D): it holds X.omega = v / ||v|| as given."""
+    mat = np.asarray(v, dtype=complex).reshape(state.dim, state.dim)
+    return _normalized(state, state.tower.levels, mat @ state.inv_sqrt_lam, mat)
 
 
 def identity_excitation(state: GenericState) -> ExcitationState:
@@ -141,7 +154,7 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     if scope not in ("top", "full_bh") and not (is_integer(scope) and 1 <= scope <= levels):
         raise ContractError(f"scope must be 'top', 'full_bh' or a level in 1..{levels}, got {scope!r}")
     if scope == "top":
-        return nk.trace_norm(a.rho - b.rho)
+        return nk.herm_trace_norm(a.rho - b.rho)
     if scope == "full_bh":
         # normalize the overlap so the self-distance is exactly zero
         # instead of sqrt(machine-eps) noise
@@ -152,7 +165,7 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     keep = range(scope)
     ra = nk.partial_trace(a.rho, dims, keep)
     rb = nk.partial_trace(b.rho, dims, keep)
-    return nk.trace_norm(ra - rb)
+    return nk.herm_trace_norm(ra - rb)
 
 
 def lift_phase(a: ExcitationState, b: ExcitationState) -> complex:
@@ -204,7 +217,10 @@ def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState
 
 
 def functional_norm(coeffs, excs) -> float:
-    """Trace norm of sum(c_m omega_{A_m}) as a functional on the top algebra."""
+    """Trace norm of sum(c_m omega_{A_m}) as a functional on the top algebra.
+
+    Complex coefficients make the sum non-Hermitian, hence the SVD route.
+    """
     acc = np.zeros_like(excs[0].rho)
     for c, e in zip(coeffs, excs):
         acc = acc + c * e.rho

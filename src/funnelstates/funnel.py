@@ -41,6 +41,12 @@ class FunnelTower:
     """Dimension schedule of the tower: per-level tensor factor sizes."""
 
     factor_dims: tuple
+    # D_1, ..., D_L, computed once: dim_at is read on every excitation
+    _dims: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_dims", tuple(
+            int(math.prod(self.factor_dims[:n])) for n in range(1, len(self.factor_dims) + 1)))
 
     @property
     def levels(self) -> int:
@@ -48,9 +54,9 @@ class FunnelTower:
 
     def dim_at(self, level: int) -> int:
         """Algebra dimension D_n at 1-based level `level`."""
-        if not 1 <= level <= self.levels:
+        if not 1 <= level <= len(self._dims):
             raise ConfigurationError(f"level {level} outside 1..{self.levels}")
-        return int(math.prod(self.factor_dims[:level]))
+        return self._dims[level - 1]
 
     @property
     def top_dim(self) -> int:
@@ -98,6 +104,14 @@ class LocalOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", nk.as_cmatrix(self.matrix))
+
+    @classmethod
+    def _validated(cls, level: int, matrix: np.ndarray) -> "LocalOperator":
+        """An operator around a matrix already known to be a finite complex matrix."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "level", level)
+        object.__setattr__(op, "matrix", matrix)
+        return op
 
 
 def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> np.ndarray:

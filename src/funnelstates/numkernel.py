@@ -115,6 +115,15 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
+def herm_trace_norm(m) -> float:
+    """`trace_norm` of a Hermitian matrix, as the sum of its eigenvalues' moduli.
+
+    Only the lower triangle is read, so the caller guarantees the symmetry.
+    """
+    m = as_cmatrix(m)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
 @dataclass
 class GramSchmidtResult:
     vectors: list = field(default_factory=list)

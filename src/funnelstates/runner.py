@@ -93,7 +93,9 @@ class ScenarioConfig:
         # configuration errors, raised before anything is built
         self.tower_dims = check_factor_dims(self.tower_dims)
         d = math.prod(self.tower_dims)
-        if d * d > nk.MAX_TOTAL_DIM:  # a complete family holds D^2 vectors of length D^2
+        # D^2 <= MAX_TOTAL_DIM (D <= 64) is a run-time budget, not a memory limit: no
+        # array is D^2 x D^2, and embed_matrix checks its own output against the constant
+        if d * d > nk.MAX_TOTAL_DIM:
             raise ConfigurationError(
                 f"tower {self.tower_dims} has doubled dimension {d * d}, above the "
                 f"maximum {nk.MAX_TOTAL_DIM} (top dimension D <= {math.isqrt(nk.MAX_TOTAL_DIM)})"
@@ -480,7 +482,7 @@ def _mixture_distance(target, candidates) -> float:
     mix = np.zeros_like(target.rho)
     for p, exc in candidates:
         mix = mix + p * exc.rho
-    return nk.trace_norm(mix - target.rho)
+    return nk.herm_trace_norm(mix - target.rho)
 
 
 def _fuchs_slack(a, b) -> float:

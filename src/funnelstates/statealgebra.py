@@ -10,9 +10,10 @@ live on the kernel.
 An element has one representation, ``Psi = left @ core @ right^*``, where
 ``left`` and ``right`` have orthonormal columns of doubled-space vectors and
 ``core`` is small.  Products, scalings and the involution only multiply or
-swap the factors; sums and module actions re-orthonormalise the stacked or
-acted factors with one thin SVD per side.  The kernel norm is ``||core||_F``,
-and ``kernel()`` materializes the dense matrix on demand.
+swap the factors, and a sum over the same factor objects adds the cores; other
+sums and module actions re-orthonormalise the stacked or acted factors with
+one thin SVD per side.  The kernel norm is ``||core||_F``, and ``kernel()``
+materializes the dense matrix on demand.
 
 Term lists are a view, derived only when something reads ``terms``: the
 eigenvectors of the Hermitian and anti-Hermitian parts of the kernel over one
@@ -123,7 +124,12 @@ def element_from_terms(state: GenericState, terms) -> StateAlgebraElement:
 
 
 def _support_form(el: StateAlgebraElement):
-    """One orthonormal basis of both supports, and the kernel compressed onto it."""
+    """One orthonormal basis of both supports, and the kernel compressed onto it.
+
+    A factor shared by both sides already is such a basis, and the core the kernel on it.
+    """
+    if el.left is el.right:
+        return el.left, el.core
     basis, _ = _orthonormal_basis(np.hstack([el.left, el.right]))
     bh = nk.dagger(basis)
     return basis, (bh @ el.left) @ el.core @ nk.dagger(bh @ el.right)
@@ -162,6 +168,8 @@ def canonicalize(el: StateAlgebraElement) -> StateAlgebraElement:
 def add(a: StateAlgebraElement, b: StateAlgebraElement) -> StateAlgebraElement:
     if a.state is not b.state:
         raise ContractError("elements refer to different reference states")
+    if a.left is b.left and a.right is b.right:  # the factors stay orthonormal: sum the cores
+        return StateAlgebraElement(a.state, a.left, a.core + b.core, a.right)
     (ra, ca), (rb, cb) = a.core.shape, b.core.shape
     core = np.zeros((ra + rb, ca + cb), dtype=complex)
     core[:ra, :ca] = a.core

@@ -19,7 +19,8 @@ from funnelstates import (
 )
 from funnelstates import numkernel as nk
 from funnelstates import runner
-from funnelstates.excitations import STATE_EQ_TOL, functional_norm, random_excitation
+from funnelstates.excitations import (STATE_EQ_TOL, _excitation_with_vector, functional_norm,
+                                      random_excitation)
 from funnelstates.funnel import embed_matrix
 
 from conftest import random_hermitian
@@ -53,6 +54,40 @@ def test_degenerate_excitation_rejected(pure_state):
     killer = np.eye(16, dtype=complex) - np.outer(v, v.conj())
     with pytest.raises(DegenerateExcitationError):
         make_excitation(pure_state, LocalOperator(3, killer @ np.outer(v, v.conj())))
+
+
+def test_overflowing_excitation_norm_is_a_contract_error(state):
+    # every entry is finite, but ||A.omega||^2 overflows: no NaN excitation comes out
+    with pytest.raises(ContractError):
+        make_excitation(state, LocalOperator(1, 1e160 * np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vector_is_a_contract_error(state, bad):
+    v = state.omega_vector.copy()
+    v[3] = bad
+    with pytest.raises(ContractError):
+        _excitation_with_vector(state, v)
+
+
+def test_vanishing_vector_is_degenerate(state):
+    with pytest.raises(DegenerateExcitationError):
+        _excitation_with_vector(state, 1e-7 * state.omega_vector)
+
+
+def test_vector_built_excitation_holds_the_normalized_vector(state, rng):
+    # entries +-1, +-i give ||v|| = 16 = sqrt(256), so v / ||v|| is exact in floating point
+    v = np.array([1.0, 1j, -1.0, -1j])[rng.integers(4, size=state.doubled_dim)]
+    exc = _excitation_with_vector(state, v)
+    np.testing.assert_array_equal(exc.vector, v / 16.0)
+    # a generic vector: the operator X = mat lam^{-1/2} gives it back through act
+    w = nk.random_complex_matrix(rng, state.doubled_dim, 1).ravel()
+    exc = _excitation_with_vector(state, w)
+    unit = w / np.linalg.norm(w)
+    np.testing.assert_allclose(exc.vector, unit, rtol=0, atol=1e-15)
+    back = state.act(exc.op, state.sqrt_lam).ravel()
+    assert np.linalg.norm(back - unit) <= 1e-10 * np.linalg.norm(unit)
+    assert exc.level == state.tower.levels
 
 
 def test_evaluate_hermitian_is_real(state, rng):

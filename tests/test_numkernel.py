@@ -174,6 +174,28 @@ def test_trace_norm_is_a_norm(seed, scale):
     assert nk.trace_norm(scale * a) == pytest.approx(scale * nk.trace_norm(a), rel=1e-10)
 
 
+# -- herm_trace_norm ----------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), rank=st.integers(0, 6), scale=st.floats(0.1, 10.0))
+def test_herm_trace_norm_matches_trace_norm(seed, rank, scale):
+    # a full-rank Hermitian matrix and an indefinite one of rank `rank` <= 6 in dimension 6
+    rng = np.random.default_rng(seed)
+    v = _complex_matrix(rng, 6, rank)
+    signs = rng.choice([-1.0, 1.0], size=rank)
+    for m in (scale * random_hermitian(rng, 6), scale * (v * signs) @ nk.dagger(v)):
+        expected = nk.trace_norm(m)
+        assert abs(nk.herm_trace_norm(m) - expected) <= 1e-12 * max(expected, 1.0)
+
+
+def test_herm_trace_norm_keeps_the_matrix_contract():
+    with pytest.raises(ContractError):
+        nk.herm_trace_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ContractError):
+        nk.herm_trace_norm(np.ones(3))
+
+
 # -- gram_schmidt -------------------------------------------------------
 
 

@@ -204,8 +204,8 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"sample_counts": {"min_projection": 1, "dilation": 1}},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
-    # [2, 2, 4, 16] has D=256, whose D^2-member complete family would need about
-    # 69 GB: a scenario that slips past admission must fail here, not start a run.
+    # [2, 2, 4, 16] has D=256, above the D <= 64 ceiling that bounds a round's run
+    # time: a scenario that slips past admission must fail here, not start a run.
     # A zero count would pass `lift` on no samples with an infinite residual.
     # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored;
     # `min_projection` and `dilation` draw no samples, so a count for them would be too.
@@ -392,6 +392,19 @@ def test_every_record_field_is_read_outside_the_tests():
               for stmt in cls.body
               if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
     assert unread == []
+
+
+@pytest.mark.parametrize("suite_id, svds", [("state_algebra", 310), ("w_isomorphism", 120)])
+def test_svd_count_of_the_state_algebra_suites(suite_id, svds, monkeypatch):
+    # sums over shared factors add their cores, a factor shared by both sides is
+    # read as the support basis, and the set-up's trace norms are Hermitian
+    # (eigvalsh): these stay exact counts of the thin SVDs that remain
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    (suite,) = run(ScenarioConfig(suites=(suite_id,))).suites
+    assert suite.error is None
+    assert len(calls) == svds
 
 
 def test_dilation_suite_dilates_once(monkeypatch):

@@ -67,13 +67,40 @@ def test_budget_is_enforced_on_kernel_rank(state, rng):
 def test_symmetric_elements_share_one_factorisation(state, rng, monkeypatch):
     a, b = _element(state, rng), _element(state, rng)
     assert a.right is a.left and b.right is b.left
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    calls = _count_svd(monkeypatch)
     # a - b stacks one factor for both sides, so one thin SVD serves both
     distance = sa.kernel_distance(a, b)
     assert len(calls) == 1
     assert abs(distance - np.linalg.norm(a.kernel() - b.kernel())) <= 1e-12
+
+
+def _count_svd(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+def test_sums_over_shared_factors_add_the_cores(state, rng, monkeypatch):
+    p1, p2, p3 = (_element(state, rng) for _ in range(3))
+    # both products keep p1's left factor and p3's right factor
+    a, b = sa.times(p1, p3), sa.times(sa.times(p1, p2), p3)
+    assert a.left is b.left and a.right is b.right
+    calls = _count_svd(monkeypatch)
+    total = sa.add(a, b)
+    assert calls == []
+    assert total.left is a.left and total.right is a.right
+    assert np.linalg.norm(total.kernel() - (a.kernel() + b.kernel())) <= 1e-12
+
+
+def test_terms_over_one_shared_factor_need_no_svd(state, rng, monkeypatch):
+    psi = _element(state, rng, n_terms=3)
+    assert psi.left is psi.right
+    calls = _count_svd(monkeypatch)
+    terms = psi.terms
+    assert calls == []
+    rebuilt = sa.element_from_terms(state, terms)
+    assert np.linalg.norm(rebuilt.kernel() - psi.kernel()) <= 1e-10
 
 
 def test_operations_build_no_excitation(state, rng, monkeypatch):
