@@ -35,23 +35,31 @@ GAUGE_TOL = 1e-10
 class ExcitationState:
     """A normalized excitation with its canonical ray representative.
 
-    `op` is the normalized operator exactly as supplied (its phase is the
-    caller's); `canonical_phase` is the gauge factor that maps it onto the
-    deterministic ray representative, so equality tests do not depend on the
-    input phase.  `mat = (A (x) 1) sqrt(lam)` is the D x D matrix whose
-    vectorization is the doubled-space vector A.omega; A itself is never
-    embedded, it acts through `GenericState.act`.  `rho`, the reduced
-    density on the top algebra, is derived from `mat` on first read and
-    memoised.
+    `mat = (A (x) 1) sqrt(lam)` is the D x D matrix whose vectorization is the
+    normalized vector A.omega; A is never embedded, it acts through
+    `GenericState.act`.  `op` is A at `level`: built from an operator, the
+    excitation holds it, normalized at the caller's phase; built from a vector,
+    it holds only `mat`, and `op`, the top-level X = mat lam^{-1/2}, is derived
+    on first read, which needs a separating state.  `canonical_phase` maps the
+    vector onto the deterministic ray representative, so equality tests do not
+    depend on the input phase.  `rho`, the reduced density on the top algebra,
+    is derived from `mat` on first read.  Both derived forms are memoised.
     """
 
     state: GenericState
-    op: LocalOperator
+    level: int
     canonical_phase: complex
     mat: np.ndarray = field(repr=False)
-    # a declared field rather than functools.cached_property: a key added to
+    # declared fields rather than functools.cached_property: a key added to
     # the instance __dict__ later slows every attribute read on the instance
+    _op: LocalOperator = field(repr=False, default=None)
     _rho: np.ndarray = field(repr=False, init=False, default=None)
+
+    @property
+    def op(self) -> LocalOperator:
+        if self._op is None:
+            self._op = LocalOperator._validated(self.level, self.mat @ self.state.inv_sqrt_lam)
+        return self._op
 
     @property
     def rho(self) -> np.ndarray:
@@ -68,10 +76,6 @@ class ExcitationState:
     def canonical_matrix(self) -> np.ndarray:
         """Gauge-fixed representative of the ray, independent of input phase."""
         return self.canonical_phase * self.op.matrix
-
-    @property
-    def level(self) -> int:
-        return self.op.level
 
     def evaluate(self, c) -> complex:
         """omega_A(C) = tr(rho_A C) = <mat, C mat>."""
@@ -90,11 +94,11 @@ def _gauge_phase(vector: np.ndarray) -> complex:
     return np.conj(x) / abs(x)
 
 
-def _normalized(state: GenericState, level: int, op: np.ndarray, mat: np.ndarray) -> ExcitationState:
-    """The excitation of validated ``op`` with ``mat = act(op, sqrt(lam))``, both scaled by 1 / ||mat||.
+def _normalized(state: GenericState, level: int, mat: np.ndarray, op: np.ndarray = None) -> ExcitationState:
+    """The excitation with ``mat``, and validated ``op`` if given, both scaled by 1 / ||mat||.
 
-    An overflowing norm breaks the contract; a vanishing one means that ``op``
-    annihilates the reference vector.
+    An overflowing norm breaks the contract; a vanishing one means that the
+    operator annihilates the reference vector.
     """
     norm_sq = float(np.real(np.vdot(mat, mat)))
     if not math.isfinite(norm_sq):
@@ -105,21 +109,28 @@ def _normalized(state: GenericState, level: int, op: np.ndarray, mat: np.ndarray
         )
     scale = 1.0 / np.sqrt(norm_sq)
     mat = mat * scale
-    return ExcitationState(state=state, op=LocalOperator._validated(level, op * scale),
-                           canonical_phase=_gauge_phase(mat.ravel()), mat=mat)
+    return ExcitationState(state, level, _gauge_phase(mat.ravel()), mat,
+                           None if op is None else LocalOperator._validated(level, op * scale))
 
 
 def make_excitation(state: GenericState, op) -> ExcitationState:
     """Normalize an operator into an excitation state and record its gauge."""
     if not isinstance(op, LocalOperator):
         op = LocalOperator(level=state.tower.levels, matrix=op)
-    return _normalized(state, op.level, op.matrix, state.act(op, state.sqrt_lam))
+    return _normalized(state, op.level, state.act(op, state.sqrt_lam), op.matrix)
 
 
 def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
-    """The excitation of X = mat lam^{-1/2}, mat = v.reshape(D, D): it holds X.omega = v / ||v|| as given."""
-    mat = np.asarray(v, dtype=complex).reshape(state.dim, state.dim)
-    return _normalized(state, state.tower.levels, mat @ state.inv_sqrt_lam, mat)
+    """The top-level excitation holding X.omega = v / ||v|| as given, mat = v.reshape(D, D).
+
+    v must be some X.omega: a mat with a relative component above 1e-10 on
+    lam's kernel (never there at full rank) is rejected, never projected.
+    """
+    exc = _normalized(state, state.tower.levels, np.asarray(v, dtype=complex).reshape(state.dim, state.dim))
+    off = nk.frob(exc.mat @ state.basis[:, state.rank:])  # relative: ||mat|| = 1
+    if off > 1e-10:
+        raise ContractError(f"vector is not in the GNS space: a fraction {off:.3e} lies off lam's support")
+    return exc
 
 
 def identity_excitation(state: GenericState) -> ExcitationState:

@@ -8,10 +8,13 @@ restriction of any full-rank reference state to level ``n`` extends to a pure
 state one level up, which is what the rank-one extension projections below
 are built from.
 
-The reference state is a full-rank density matrix ``lam`` on the top level.
-Its standard-form vector is ``omega = vec(sqrt(lam))`` on the doubled space
-``C^D (x) C^D``, where the top algebra acts from the left, ``A -> A (x) 1``;
-then ``<omega, (A (x) 1) omega> = tr(lam A)``.
+The reference state is a density matrix ``lam`` on the top level, supported on
+its eigenvectors with eigenvalues above ``1e-12 lam_max``.  Its standard-form
+vector is ``omega = vec(sqrt(lam))``, the root taken on that support, on the
+doubled space ``C^D (x) C^D``, where the top algebra acts from the left,
+``A -> A (x) 1``; then ``<omega, (A (x) 1) omega> = tr(lam A)``.  The GNS space
+of the vectors ``(A (x) 1) omega`` holds those whose D x D matrix vanishes on
+``lam``'s kernel: all of the doubled space when ``lam`` has full rank.
 """
 
 from __future__ import annotations
@@ -137,9 +140,11 @@ def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> n
 
 @dataclass
 class GenericState:
-    """Reference state: spectral data, doubled-space vector and `separating`, derived from `lam`.
+    """Reference state: spectral data, `rank`, doubled-space vector and `separating`, derived from `lam`.
 
-    `separating` means `spectrum[-1] >= eps_sep`; only then is `inv_sqrt_lam` available.
+    `sqrt_lam` is built on the `rank` eigenpairs above 1e-12 lam_max, so omega has no
+    component off the support.  Only when `spectrum[-1] >= eps_sep` (`separating`)
+    is `inv_sqrt_lam` available.
     """
 
     tower: FunnelTower
@@ -147,6 +152,7 @@ class GenericState:
     seed: int
     eps_sep: float
     separating: bool = field(init=False)
+    rank: int = field(init=False)
     spectrum: np.ndarray = field(repr=False, init=False)
     basis: np.ndarray = field(repr=False, init=False)
 
@@ -156,12 +162,11 @@ class GenericState:
         self.spectrum = eig.eigenvalues
         self.basis = eig.eigenvectors
         self.separating = bool(self.spectrum[-1] >= self.eps_sep)
+        # rounding-level eigenvalues would put omega 1e-8 off its own support
+        self.rank = r = int(np.sum(self.spectrum > 1e-12 * self.spectrum[0]))
         d = self.dim
-        self._sqrt = (self.basis * np.sqrt(np.clip(self.spectrum, 0.0, None))) @ nk.dagger(self.basis)
-        if self.separating:
-            self._inv_sqrt = (self.basis * (1.0 / np.sqrt(self.spectrum))) @ nk.dagger(self.basis)
-        else:
-            self._inv_sqrt = None
+        self._sqrt = (self.basis[:, :r] * np.sqrt(self.spectrum[:r])) @ nk.dagger(self.basis[:, :r])
+        self._inv_sqrt = None  # derived on first read: a verify round reads none
         self._omega = self._sqrt.reshape(d * d)
         for a in (self.lam, self._sqrt, self._omega):
             a.setflags(write=False)
@@ -180,11 +185,13 @@ class GenericState:
 
     @property
     def inv_sqrt_lam(self) -> np.ndarray:
-        if self._inv_sqrt is None:
+        if not self.separating:
             raise ContractError(
                 f"reference state is not separating: spectrum floor {self.spectrum[-1]:.3e} "
                 f"below eps_sep {self.eps_sep:.3e}; inverse square root unavailable"
             )
+        if self._inv_sqrt is None:
+            self._inv_sqrt = (self.basis * (1.0 / np.sqrt(self.spectrum))) @ nk.dagger(self.basis)
         return self._inv_sqrt
 
     @property
@@ -292,12 +299,10 @@ def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensio
         raise CapacityError(
             f"reduced state at level {n} has rank {rank} > next factor {k_next}"
         )
-    psi = np.zeros(d_n * k_next, dtype=complex)
-    for i in range(rank):
-        e_i = eig.eigenvectors[:, i]
-        f_i = np.zeros(k_next, dtype=complex)
-        f_i[i] = 1.0
-        psi += np.sqrt(weights[i]) * np.kron(e_i, f_i)
+    # psi = sum_i sqrt(w_i) e_i (x) f_i: column i of the d_n x k_next matrix of psi
+    psi = np.zeros((d_n, k_next), dtype=complex)
+    psi[:, :rank] = eig.eigenvectors[:, :rank] * np.sqrt(weights[:rank])
+    psi = psi.ravel()
     return MinimalExtensionProjection(
         level=n,
         vector=psi,

@@ -240,10 +240,8 @@ def vacuum_detector(state: GenericState) -> PrimitiveObservable:
     """A unitary silent on the reference state: omega(U) = tr(lam U) = 0.
 
     Any nonzero response |omega_A(U)|^2 certifies omega_A != omega.  U is the
-    `balanced_unitary` of the reference density.
+    `balanced_unitary` of the reference density, silent at any rank of lam.
     """
-    if not state.separating:
-        raise ContractError("vacuum detector requires a full-rank reference state")
     return PrimitiveObservable(level=state.tower.levels, unitary=balanced_unitary(state.lam))
 
 
@@ -266,8 +264,8 @@ def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
     - probability: |omega_A(B)| <= omega_A(1-E) < eps, so the gap is at most
       2 eps mass + eps^2 < 4 eps.
     """
-    if epsilon <= 0:
-        raise ContractError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ContractError(f"epsilon must be a finite positive number, got {epsilon!r}")
     if not states:
         raise ContractError("tuning needs at least one target state")
     level = states[0].state.tower.levels

@@ -105,14 +105,17 @@ class ScenarioConfig:
         if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         self.seed = int(self.seed)
+        if not isinstance(self.suites, (list, tuple)):
+            raise ConfigurationError(f"suites must be a list of suite ids, got {self.suites!r}")
         self.suites = tuple(self.suites)
         for name in ("tolerance_overrides", "sample_counts"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigurationError(f"{name} must map suite ids to values")
-        known = set(SUITES)
-        for sid in list(self.suites) + list(self.tolerance_overrides) + list(self.sample_counts):
-            if sid not in known:
+        for sid in self.suites + tuple(self.tolerance_overrides) + tuple(self.sample_counts):
+            if not isinstance(sid, str) or sid not in SUITES:
                 raise ConfigurationError(f"unknown suite id {sid!r}")
+        if len(set(self.suites)) < len(self.suites):
+            raise ConfigurationError(f"suites must be distinct, got {list(self.suites)}")
         # an entry that no suite reads would be echoed in the report as if it
         # applied; a zero count would pass a suite on no samples, an infinite
         # tolerance any check
@@ -516,6 +519,14 @@ def _fuchs_stats(state, rng, n):
     return worst_sym, worst_chain, raw_range, min_slack, max_slack
 
 
+def _pure_pairs(env: SuiteEnv):
+    """50 seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, one at a time."""
+    pure = env.derived_state("pure", "pure")
+    rng = np.random.default_rng(suite_seed(env.config.seed, f"{env.suite_id}:pure-pairs"))
+    for _ in range(50):
+        yield random_excitation(pure, rng, level=1), random_excitation(pure, rng, level=2)
+
+
 def _suite_fuchs(env: SuiteEnv):
     n = env.count(200)
     sym, chain, rng_excess, min_slack, max_slack = _fuchs_stats(env.state, env.rng, n)
@@ -527,13 +538,7 @@ def _suite_fuchs(env: SuiteEnv):
         check_ge("fuchs/mixed_strict_gap", max_slack, env.tol(1e-3),
                  witness={"max_slack": max_slack}),
     ]
-    pure = env.derived_state("pure", "pure")
-    rng = np.random.default_rng(suite_seed(env.config.seed, "fuchs:pure-pairs"))
-    worst_eq = 0.0
-    for _ in range(50):
-        a = random_excitation(pure, rng, level=1)
-        b = random_excitation(pure, rng, level=2)
-        worst_eq = max(worst_eq, abs(_fuchs_slack(a, b)))
+    worst_eq = max(abs(_fuchs_slack(a, b)) for a, b in _pure_pairs(env))
     checks.append(check_le("fuchs/pure_equality", worst_eq, 1e-9))
 
     # |omega_{A_m}.omega_B - omega_A.omega_B| along A_m = normalize(A + X / m),
@@ -569,13 +574,7 @@ def _suite_uhlmann(env: SuiteEnv):
         check_ge("uhlmann/mixed_strict_gap", max_gap, env.tol(1e-3),
                  witness={"max_gap": max_gap}),
     ]
-    pure = env.derived_state("pure", "pure")
-    rng = np.random.default_rng(suite_seed(env.config.seed, "uhlmann:pure-pairs"))
-    worst_eq = 0.0
-    for _ in range(50):
-        a = random_excitation(pure, rng, level=1)
-        b = random_excitation(pure, rng, level=2)
-        worst_eq = max(worst_eq, abs(uhlmann_fidelity(a, b) - transition_probability(a, b)))
+    worst_eq = max(abs(uhlmann_fidelity(a, b) - transition_probability(a, b)) for a, b in _pure_pairs(env))
     checks.append(check_le("uhlmann/pure_equality", worst_eq, 1e-9))
     return checks
 
@@ -691,9 +690,9 @@ def _suite_state_algebra(env: SuiteEnv):
     checks.append(check_le("state_algebra/triple_product", worst_triple, tol))
     checks.append(check_le("state_algebra/quadruple_product", worst_quad, tol))
 
-    # an orthogonal pair: a1.omega is a seeded vector with its a0.omega component removed
+    # an orthogonal pair: a1.omega is a seeded G.omega with its a0.omega component removed
     a0 = random_excitation(env.state, env.rng, level=env.tower.levels)
-    w = nk.random_unit_vector(env.rng, env.state.doubled_dim)
+    w = (nk.random_complex_matrix(env.rng, env.state.dim) @ env.state.sqrt_lam).ravel()
     a1 = _excitation_with_vector(env.state, w - np.vdot(a0.vector, w) * a0.vector)
     prod = sa.times(sa.excitation_element(a0), sa.excitation_element(a1))
     checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), tol))
@@ -909,11 +908,8 @@ def _suite_dilation(env: SuiteEnv):
     v = _seeded_partial_isometry(env.rng, d, max(2, d // 3), top)
     schedule = pr.increasing_projection_schedule(v.initial, steps=4)
     unitaries = pr.dilate_to_unitaries(v, schedule)
-    worst_unitary = 0.0
-    for obs in unitaries:
-        u = obs.unitary
-        eye = np.eye(u.shape[0], dtype=complex)
-        worst_unitary = max(worst_unitary, nk.frob(nk.dagger(u) @ u - eye))
+    worst_unitary = max(nk.frob(nk.dagger(o.unitary) @ o.unitary - np.eye(d, dtype=complex))
+                        for o in unitaries)
     checks.append(check_le("dilation/unitarity", worst_unitary, env.tol(1e-12)))
     on_step = max(nk.frob((obs.unitary - v.matrix) @ e_m) for obs, e_m in zip(unitaries, schedule))
     checks.append(check_le("dilation/on_schedule_exact", on_step, 1e-12))
@@ -1084,19 +1080,12 @@ def _suite_commensurability(env: SuiteEnv):
     checks.append(check_flag("commensurability/diagonal_commute",
                              res_diag.commensurable and res_diag.commutes))
 
-    min_residual = np.inf
-    false_count = 0
-    n = env.count(20)
-    for _ in range(n):
-        u1 = nk.haar_unitary(env.rng, env.tower.top_dim)
-        u2 = nk.haar_unitary(env.rng, env.tower.top_dim)
-        res_r = pr.commensurable(pr.PrimitiveObservable(env.tower.levels, u1),
-                                 pr.PrimitiveObservable(env.tower.levels, u2))
-        if not res_r.commensurable:
-            false_count += 1
-        min_residual = min(min_residual, res_r.residual)
-    checks.append(check_flag("commensurability/random_rejected", false_count == n))
-    checks.append(check_ge("commensurability/random_residual", min_residual, 1e-3))
+    top, d = env.tower.levels, env.tower.top_dim
+    generic = [pr.commensurable(pr.PrimitiveObservable(top, nk.haar_unitary(env.rng, d)),
+                                pr.PrimitiveObservable(top, nk.haar_unitary(env.rng, d)))
+               for _ in range(env.count(20))]
+    checks.append(check_flag("commensurability/random_rejected", not any(r.commensurable for r in generic)))
+    checks.append(check_ge("commensurability/random_residual", min(r.residual for r in generic), 1e-3))
 
     # E2 = E1 + vv*, v a unit vector in ran(1 - E1): distinct projections that commute
     e1 = nk.random_projection(env.rng, d2, 2)

@@ -7,7 +7,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
 from .excitations import ExcitationState, _gauge_phase, _require_shared_state, overlap
-from .funnel import GenericState, LocalOperator
+from .funnel import GenericState
 
 
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
@@ -29,8 +29,8 @@ class OrthogonalFamily:
     Rows: the members' vectors, stacked from hand-built `members` that excite
     one reference state.  Block (the complete families): members e_i (x) q_k
     for the columns of a D x D `q`, overlaps kron(1, block), block = q^* q.
-    `vectors`, `members` (`mat` views of the rows) and `overlaps` are derived
-    on first read and memoised.
+    `vectors`, `members` (`mat` views of the rows, each deriving its `op` on
+    first read) and `overlaps` are derived on first read and memoised.
     """
 
     def __init__(self, members: list = None, overlaps: np.ndarray = None, *,
@@ -72,15 +72,9 @@ class OrthogonalFamily:
     @property
     def members(self) -> list:
         if self._members is None:
-            d = self.state.dim
-            inv_sqrt = self.state.inv_sqrt_lam
-            level = self.state.tower.levels
-            members = []
-            for row in self.vectors:
-                mat = row.reshape(d, d)
-                op = LocalOperator(level=level, matrix=mat @ inv_sqrt)
-                members.append(ExcitationState(self.state, op, _gauge_phase(row), mat))
-            self._members = members
+            d, level = self.state.dim, self.state.tower.levels
+            self._members = [ExcitationState(self.state, level, _gauge_phase(row), row.reshape(d, d))
+                             for row in self.vectors]
         return self._members
 
     @property

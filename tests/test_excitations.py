@@ -90,6 +90,26 @@ def test_vector_built_excitation_holds_the_normalized_vector(state, rng):
     assert exc.level == state.tower.levels
 
 
+def test_vector_built_excitation_on_a_pure_reference(pure_state, rng):
+    # X.omega for a top-level X lies in the GNS space, and is held as given
+    x = nk.random_complex_matrix(rng, pure_state.dim)
+    v = pure_state.act(x, pure_state.sqrt_lam).ravel()
+    exc = _excitation_with_vector(pure_state, v)
+    np.testing.assert_array_equal(exc.vector, v * (1.0 / np.sqrt(np.vdot(v, v).real)))
+    assert exc.level == pure_state.tower.levels
+    # without lam^{-1/2} there is no operator to derive: reading it names the floor
+    with pytest.raises(ContractError, match="spectrum floor"):
+        exc.op
+
+
+def test_vector_off_the_gns_space_is_rejected(pure_state, rng):
+    # a generic doubled-space vector is no A.omega on a rank-one reference;
+    # it is rejected, not projected onto the support
+    w = nk.random_complex_matrix(rng, pure_state.doubled_dim, 1).ravel()
+    with pytest.raises(ContractError, match="GNS space"):
+        _excitation_with_vector(pure_state, w)
+
+
 def test_evaluate_hermitian_is_real(state, rng):
     exc = random_excitation(state, rng, level=2)
     c = random_hermitian(rng, 4)

@@ -70,6 +70,23 @@ def test_sample_pure_profile(tower):
     assert abs(vals[-2]) <= 1e-12
 
 
+def test_pure_state_has_rank_one_and_omega_on_its_support(pure_state):
+    # the ~1e-16 eigenvalues of a rank-one density are rounding noise; a square
+    # root taken over them put omega about 1e-8 off its own support
+    assert pure_state.rank == 1
+    d = pure_state.dim
+    off = pure_state.omega_vector.reshape(d, d) @ pure_state.basis[:, pure_state.rank:]
+    assert np.linalg.norm(off) <= 1e-15
+
+
+def test_separating_square_root_is_the_full_spectral_formula(state):
+    # every eigenvalue of a separating state clears the rank floor, so the
+    # support square root is the same computation over all eigenpairs, bit for bit
+    assert state.separating and state.rank == state.dim
+    full = (state.basis * np.sqrt(np.clip(state.spectrum, 0.0, None))) @ nk.dagger(state.basis)
+    np.testing.assert_array_equal(state.sqrt_lam, full)
+
+
 def test_sample_near_tracial_spectrum(tower):
     delta = funnel.NEAR_TRACIAL_WEIGHT
     s = sample_generic_state(tower, seed=9, profile="near_tracial")
@@ -277,6 +294,20 @@ def test_extension_projection_schmidt_weights(state):
     expected = np.sort(np.linalg.eigvalsh(rho1))[::-1]
     schmidt = np.linalg.svd(proj.vector.reshape(2, 2), compute_uv=False)
     np.testing.assert_allclose(schmidt**2, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extension_projection_vector_is_the_schmidt_sum(state, pure_state, n):
+    # the reference construction: sum_i sqrt(w_i) e_i (x) f_i, term by term,
+    # over the eigenpairs of the level-n reduction above 1e-14 w_max
+    for s in (state, pure_state):
+        eig = nk.herm_eig(s.reduced(n))
+        weights = np.clip(eig.eigenvalues, 0.0, None)
+        k_next = s.tower.factor_dims[n]
+        psi = np.zeros(s.tower.dim_at(n) * k_next, dtype=complex)
+        for i in np.flatnonzero(weights > 1e-14 * weights[0]):
+            psi += np.sqrt(weights[i]) * np.kron(eig.eigenvectors[:, i], np.eye(k_next)[i])
+        np.testing.assert_array_equal(minimal_extension_projection(s, n).vector, psi)
 
 
 def test_extension_projection_identity_compression(state):

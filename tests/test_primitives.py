@@ -288,6 +288,16 @@ def test_tune_detector_floor_failure(state, rng):
     assert err.value.best_epsilon > 1e-15
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_tune_detector_needs_a_finite_positive_epsilon(state, rng, epsilon):
+    # NaN slipped past both `epsilon <= 0` and `leak >= epsilon`, and inf
+    # admitted every leak: neither bounds anything
+    e = nk.random_projection(rng, 16, 4)
+    states = _concentrated_states(state, rng, e, 3, leak=0.01)
+    with pytest.raises(ContractError, match="finite positive"):
+        tune_detector(e, epsilon, states)
+
+
 def test_tune_detector_unconcentrated_failure(state, rng):
     e = nk.random_projection(rng, 16, 4)
     states = [random_excitation(state, rng, level=1)]
@@ -382,9 +392,15 @@ def test_vacuum_detector_smallest_tower():
     assert abs(np.trace(state2.lam @ det.unitary)) <= 1e-12
 
 
-def test_vacuum_detector_needs_full_rank(pure_state):
-    with pytest.raises(ContractError):
-        vacuum_detector(pure_state)
+def test_vacuum_detector_silent_on_a_pure_reference(pure_state, rng):
+    # the balanced unitary has a zero diagonal in lam's eigenbasis, so
+    # tr(lam U) = 0 at any rank: no full-rank guard is needed
+    det = vacuum_detector(pure_state)
+    assert abs(np.trace(pure_state.lam @ det.unitary)) <= 1e-12
+    ident = identity_excitation(pure_state)
+    assert transition_probability(ident, apply_observable(det, ident)) <= 1e-12
+    excs = [random_excitation(pure_state, rng, level=2) for _ in range(10)]
+    assert max(transition_probability(e, apply_observable(det, e)) for e in excs) > 1e-9
 
 
 def test_balanced_unitary_skewed_spectrum():

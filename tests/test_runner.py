@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from funnelstates import CapacityError, ConfigurationError, OrthogonalFamily, build_complete_family
+from funnelstates import (CapacityError, ConfigurationError, GenericState, OrthogonalFamily,
+                          build_complete_family)
 from funnelstates import runner
 from funnelstates.cli import main
 from funnelstates.runner import (
@@ -202,6 +203,8 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"tower_dims": [2, 2.9], "seed": 7.5, "suites": ["lift"]}, {"seed": True},
     {"seed": "42"}, {"tower_dims": [2, True]}, {"tower_dims": 4},
     {"sample_counts": {"min_projection": 1, "dilation": 1}},
+    {"suites": 5}, {"suites": None}, {"suites": "lift"}, {"suites": {"lift": 1}},
+    {"suites": ["vacuum", "vacuum"]}, {"suites": [["lift"]]},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, above the D <= 64 ceiling that bounds a round's run
@@ -210,7 +213,9 @@ def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenari
     # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored;
     # `min_projection` and `dilation` draw no samples, so a count for them would be too.
     # Non-integer dimensions and seeds are rejected: [2, 2.9] with seed 7.5 ran as
-    # [2, 2] with seed 7, and seed true as 1.
+    # [2, 2] with seed 7, and seed true as 1.  `suites` is a list of distinct
+    # ids: 5 and null raised a TypeError (exit 1), {"lift": 1} ran as ["lift"],
+    # and a repeated id ran its suite twice.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
@@ -247,6 +252,14 @@ def test_cli_seed_and_suite_overrides(tmp_path, capsys):
     assert (scenario["seed"], scenario["suites"]) == (7, ["min_projection"])
     assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "bad.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_repeated_suite_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
+    out_file = tmp_path / "r.json"
+    assert main(["verify", "--suite", "vacuum", "--suite", "vacuum", "--out", str(out_file)]) == 2
+    assert "suites must be distinct" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_names_traced_by_the_benchmark_exist():
@@ -405,6 +418,31 @@ def test_svd_count_of_the_state_algebra_suites(suite_id, svds, monkeypatch):
     (suite,) = run(ScenarioConfig(suites=(suite_id,))).suites
     assert suite.error is None
     assert len(calls) == svds
+
+
+def test_state_algebra_suites_read_no_inverse_square_root(monkeypatch):
+    # the suites' excitations come from vectors: their operators X = mat lam^{-1/2}
+    # are derived only if read, and nothing in these suites reads one
+    reads = []
+    inv_sqrt = GenericState.inv_sqrt_lam
+    monkeypatch.setattr(GenericState, "inv_sqrt_lam",
+                        property(lambda s: reads.append(1) or inv_sqrt.fget(s)))
+    report = run(ScenarioConfig(suites=("state_algebra", "spectral", "duality", "w_isomorphism")))
+    assert report.passed
+    assert len(reads) == 0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_pure_reference_runs_the_state_algebra_suites(dims):
+    # a globally pure state is faithful on every local level; only the two
+    # mixed-reference gaps, the top-level separation floor and the D^2-member
+    # complete family do not apply to it
+    report = run(ScenarioConfig(tower_dims=dims, profile="pure"))
+    errors = [s.suite_id for s in report.suites if s.error is not None]
+    failed = [c.check_id for s in report.suites for c in s.checks if c.status != "pass"]
+    assert errors == ["completeness"]
+    assert failed == ["lift/genericity_selftest", "fuchs/mixed_strict_gap",
+                      "uhlmann/mixed_strict_gap"]
 
 
 def test_dilation_suite_dilates_once(monkeypatch):
