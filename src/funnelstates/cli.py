@@ -1,7 +1,7 @@
 """Command line interface: verify, suites, demo.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 configuration
-error.  The default output directory can be overridden with the
+error, an unwritable report path included.  The default output directory can be overridden with the
 FUNNELSTATES_OUT_DIR environment variable.
 """
 
@@ -56,18 +56,22 @@ def _resolve_config(args) -> ScenarioConfig:
 
 
 def _output_path(args) -> Path:
+    """The report path; its directory is made, and the path checked, before any suite runs."""
     out = getattr(args, "out", None)
-    if out:
-        return Path(out)
-    base = os.environ.get("FUNNELSTATES_OUT_DIR", ".")
-    return Path(base) / "report.json"
+    path = Path(out) if out else Path(os.environ.get("FUNNELSTATES_OUT_DIR", ".")) / "report.json"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make the report directory {path.parent}: {exc}") from exc
+    if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ConfigurationError(f"report path {path} is a directory or not writable")
+    return path
 
 
 def _cmd_verify(args) -> int:
     config = _resolve_config(args)
-    report = run(config)
     path = _output_path(args)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    report = run(config)
     path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
     for suite in report.suites:

@@ -373,7 +373,7 @@ def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
     level-n operators, half Gaussian, half Haar unitary (these expose tracial
     products, whose density conjugation leaves invariant), built with
     `make_excitation`, are more than INJECTIVITY_GAP apart unless one ray
-    (canonical matrices equal within RAY_EQ_TOL, relative).  Phase recovery is
+    (`canonical_mat` vectors equal within RAY_EQ_TOL).  Phase recovery is
     not re-proved: once omega(A*A) = 1, omega(A*(tA)) = t by linearity; the
     `lift` suite checks it operationally through `lift_phase`.
     """
@@ -408,7 +408,7 @@ def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
                 exc_b = make_excitation(state, LocalOperator(level, b))
             except DegenerateExcitationError:
                 continue
-            ca, cb = exc_a.canonical_matrix, exc_b.canonical_matrix
+            ca, cb = exc_a.canonical_mat, exc_b.canonical_mat
             if nk.frob(ca - cb) <= RAY_EQ_TOL * nk.frob(ca):
                 continue
             gap = norm_distance(exc_a, exc_b, scope="top")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import ContractError, TuningFailureError
-from .excitations import ExcitationState, make_excitation
-from .funnel import GenericState, LocalOperator, embed_matrix
+from .excitations import ExcitationState, _excitation_with_vector
+from .funnel import GenericState, LocalOperator
 
 UNITARITY_TOL = 1e-12
 PROJECTION_TOL = 1e-10
@@ -36,6 +36,20 @@ def require_projection(p) -> np.ndarray:
     return p
 
 
+def require_unitary(u) -> np.ndarray:
+    u = nk.as_cmatrix(u)
+    rows, cols = u.shape  # a non-square u fails one of the two identities
+    res = max(nk.frob(nk.dagger(u) @ u - np.eye(cols)), nk.frob(u @ nk.dagger(u) - np.eye(rows)))
+    if res > UNITARITY_TOL:
+        raise ContractError(f"matrix is not unitary (residual {res:.3e})")
+    return u
+
+
+def require_phase(t) -> None:
+    if not abs(abs(t) - 1.0) <= 1e-12:  # written so that a NaN t fails too
+        raise ContractError(f"t must be a phase, got |t| = {abs(t)}")
+
+
 @dataclass(frozen=True)
 class PrimitiveObservable:
     """A unitary at a tower level, understood as the operation Ad U."""
@@ -44,12 +58,7 @@ class PrimitiveObservable:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = nk.as_cmatrix(self.unitary)
-        eye = np.eye(u.shape[0], dtype=complex)
-        res = max(nk.frob(nk.dagger(u) @ u - eye), nk.frob(u @ nk.dagger(u) - eye))
-        if res > UNITARITY_TOL:
-            raise ContractError(f"matrix is not unitary (residual {res:.3e})")
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", require_unitary(self.unitary))
 
 
 @dataclass(frozen=True)
@@ -83,19 +92,15 @@ def hermitian_parts(u: np.ndarray):
 
 
 def apply_observable(obs: PrimitiveObservable, exc: ExcitationState) -> ExcitationState:
-    """omega_A -> omega_{UA}."""
-    tower = exc.state.tower
-    level = max(obs.level, exc.level)
-    u = embed_matrix(tower, obs.level, obs.unitary, level)
-    a = embed_matrix(tower, exc.level, exc.op.matrix, level)
-    return make_excitation(exc.state, LocalOperator(level=level, matrix=u @ a))
+    """omega_A -> omega_{UA}: the top-level excitation of the vector (U (x) 1) A.omega."""
+    u = LocalOperator._validated(obs.level, obs.unitary)
+    return _excitation_with_vector(exc.state, exc.state.act(u, exc.mat))
 
 
 def ut_unitary(e_proj, t: complex, level: int) -> PrimitiveObservable:
     """U_t = E + t (1 - E) for a projection E and a phase t."""
     e = require_projection(e_proj)
-    if abs(abs(t) - 1.0) > 1e-12:
-        raise ContractError(f"t must be a phase, got |t| = {abs(t)}")
+    require_phase(t)
     eye = np.eye(e.shape[0], dtype=complex)
     return PrimitiveObservable(level=level, unitary=e + t * (eye - e))
 
@@ -107,6 +112,7 @@ def ut_probability(e_proj, t: complex, exc: ExcitationState, level=None) -> floa
     """
     level = exc.state.tower.levels if level is None else level
     e = require_projection(e_proj)
+    require_phase(t)
     p = float(np.real(exc.evaluate(LocalOperator(level=level, matrix=e))))
     q = 1.0 - p
     return p * p + q * q + 2.0 * float(np.real(t)) * p * q
@@ -340,10 +346,11 @@ def commensurable(obs1, obs2) -> CommensurabilityResult:
     On a full matrix algebra equality of the adjoint maps is exactly phase
     proportionality of the two products; commensurability does not require
     the unitaries themselves to commute (t = 1).  Accepts raw unitary
-    matrices or PrimitiveObservables, all of one size.
+    matrices, validated by `require_unitary`, or PrimitiveObservables, all of
+    one size.
     """
-    u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else nk.as_cmatrix(obs1)
-    u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else nk.as_cmatrix(obs2)
+    u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else require_unitary(obs1)
+    u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else require_unitary(obs2)
     if u1.shape != u2.shape:
         raise ContractError("unitaries must act on the same space")
     x = u1 @ u2

@@ -274,13 +274,6 @@ def w_isomorphism(el: StateAlgebraElement) -> np.ndarray:
     return out
 
 
-@dataclass
-class FaithfulnessWitness:
-    left: ExcitationState
-    right: ExcitationState
-    value: complex
-
-
 def _chain_value(left: ExcitationState, el: StateAlgebraElement, right: ExcitationState) -> complex:
     """omega(omega_A x psi x omega_B) through the kernel picture."""
     omega = el.state.omega_vector
@@ -288,8 +281,8 @@ def _chain_value(left: ExcitationState, el: StateAlgebraElement, right: Excitati
     return complex(np.vdot(omega, va) * np.vdot(va, el.kernel_apply(vb)) * np.vdot(vb, omega))
 
 
-def faithfulness_probe(el: StateAlgebraElement) -> FaithfulnessWitness:
-    """States with |omega(omega_A x psi x omega_B)| above WITNESS_FLOOR, by construction.
+def faithfulness_probe(el: StateAlgebraElement) -> complex:
+    """A value omega(omega_A x psi x omega_B) of modulus above WITNESS_FLOOR, by construction.
 
     Let sigma > 0 be the kernel's largest singular value, ``Psi w = sigma u``.
     The witness is the best over the shifts t in `WITNESS_SHIFTS` of
@@ -309,17 +302,15 @@ def faithfulness_probe(el: StateAlgebraElement) -> FaithfulnessWitness:
     uu, _, vh = np.linalg.svd(el.core)
     u, w = el.left @ uu[:, 0], el.right @ np.conj(vh[0])
     omega = el.state.omega_vector
-    best = None
+    best = 0j
     for t in WITNESS_SHIFTS:
         try:
             left = _excitation_with_vector(el.state, omega + t * u)
             right = _excitation_with_vector(el.state, omega + t * w)
         except DegenerateExcitationError:
             continue
-        val = _chain_value(left, el, right)
-        if best is None or abs(val) > abs(best.value):
-            best = FaithfulnessWitness(left, right, val)
-    if best is not None and abs(best.value) > WITNESS_FLOOR:
+        best = max(best, _chain_value(left, el, right), key=abs)
+    if abs(best) > WITNESS_FLOOR:
         return best
     raise FaithfulnessError(
         f"no witness above {WITNESS_FLOOR} found for a nonzero element "

@@ -8,6 +8,8 @@ from funnelstates import (
     LocalOperator,
     NotNullCombinationError,
     NotSameRayError,
+    apply_observable,
+    build_tower,
     find_null_combination,
     identity_excitation,
     lift_phase,
@@ -15,10 +17,13 @@ from funnelstates import (
     minimal_extension_projection,
     norm_distance,
     overlap,
+    sample_generic_state,
     superpose,
+    vacuum_detector,
 )
 from funnelstates import numkernel as nk
 from funnelstates import runner
+from funnelstates import statealgebra as sa
 from funnelstates.excitations import (STATE_EQ_TOL, _excitation_with_vector, functional_norm,
                                       random_excitation)
 from funnelstates.funnel import embed_matrix
@@ -110,6 +115,21 @@ def test_vector_off_the_gns_space_is_rejected(pure_state, rng):
         _excitation_with_vector(pure_state, w)
 
 
+def test_state_algebra_excitations_of_a_pure_reference_superpose_and_respond(rng):
+    # superpose, apply_observable and lift_phase are linear maps of `mat`, so they
+    # hold on a reference without lam^{-1/2}, "irrespective of the global type"
+    s = sample_generic_state(build_tower((2, 2, 4)), 42, "pure")
+    terms = [(w, random_excitation(s, rng, level=3)) for w in (0.75, 0.25)]
+    (_, x), (_, y) = sa.spectral_decompose(sa.element_from_terms(s, terms))
+    out = superpose(1.0, x, 1.0, y)
+    expected = (x.canonical_mat + y.canonical_mat) / np.sqrt(2.0)
+    assert nk.frob(out.mat - expected) <= 1e-12
+    det = vacuum_detector(s)
+    acted = apply_observable(det, x)
+    assert nk.frob(acted.mat - det.unitary @ x.mat) <= 1e-12
+    assert lift_phase(x, x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_evaluate_hermitian_is_real(state, rng):
     exc = random_excitation(state, rng, level=2)
     c = random_hermitian(rng, 4)
@@ -169,7 +189,7 @@ def test_lift_phase_flags_degenerate_reference(rng):
 def test_gauge_stability(state, rng):
     a = random_excitation(state, rng, level=1)
     b = make_excitation(state, LocalOperator(1, np.exp(1.9j) * a.op.matrix))
-    assert nk.frob(a.canonical_matrix - b.canonical_matrix) <= 1e-12
+    assert nk.frob(a.canonical_mat - b.canonical_mat) <= 1e-12
 
 
 # -- superposition ------------------------------------------------------
@@ -198,9 +218,9 @@ def test_superpose_orthogonal_normalization(state, rng):
     c = 1 / np.sqrt(2)
     out = superpose(c, a, c, b)
     # the canonical representatives stay orthogonal, so the norm of
-    # c_A A + c_B B is |c_A|^2 + |c_B|^2 = 1: representative unchanged
-    expected = c * a.canonical_matrix + c * b.canonical_matrix
-    assert nk.frob(out.op.matrix - expected) <= 1e-10
+    # c_A A.omega + c_B B.omega is |c_A|^2 + |c_B|^2 = 1: vector unchanged
+    expected = c * a.canonical_mat + c * b.canonical_mat
+    assert nk.frob(out.mat - expected) <= 1e-10
 
 
 def test_superpose_destructive_cancellation(state, rng):
@@ -228,7 +248,7 @@ def test_superpose_is_a_function_of_states(state, seed):
         for pair in ((a2, b), (a, b2), (a2, b2)):
             again = superpose(c_a, pair[0], c_b, pair[1])
             assert norm_distance(again, out, scope="top") <= 1e-12
-            assert nk.frob(again.canonical_matrix - out.canonical_matrix) <= 1e-12
+            assert nk.frob(again.canonical_mat - out.canonical_mat) <= 1e-12
 
 
 # -- distances ----------------------------------------------------------

@@ -117,6 +117,18 @@ def test_ut_rejects_non_projection(state, rng):
         ut_probability(random_hermitian(rng, 16), 1j, a)
 
 
+@pytest.mark.parametrize("t", [2.0, 0.5j, float("nan")])
+def test_ut_probability_rejects_a_t_that_is_not_a_phase(state, rng, t):
+    # the closed form returned a "probability" above 1 for t = 2 and NaN for
+    # t = NaN; both functions reject them, the NaN by a comparison it fails
+    e = nk.random_projection(rng, 4, 2)
+    a = random_excitation(state, rng, level=2)
+    with pytest.raises(ContractError, match="t must be a phase"):
+        ut_probability(e, t, a, level=2)
+    with pytest.raises(ContractError, match="t must be a phase"):
+        ut_unitary(e, t, 2)
+
+
 # -- dilation ----------------------------------------------------------------
 
 
@@ -438,6 +450,19 @@ def test_commuting_diagonal_unitaries(rng):
     res = commensurable(PrimitiveObservable(2, u1), PrimitiveObservable(2, u2))
     assert res.commensurable and res.commutes
     assert res.phase == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("raw", [np.zeros((2, 2)), 2 * np.eye(2), np.eye(2, 3)])
+def test_commensurable_rejects_a_raw_matrix_that_is_not_unitary(raw):
+    # the zero matrix divided by ||U1 U2|| = 0 and 2 * 1 passed as commuting:
+    # Ad U is defined only for a unitary; a 2 x 3 matrix failed numpy's
+    # broadcasting inside the unitarity check instead of the check itself
+    with pytest.raises(ContractError, match="not unitary"):
+        PrimitiveObservable(1, raw)
+    with pytest.raises(ContractError, match="not unitary"):
+        commensurable(raw, np.eye(2))
+    with pytest.raises(ContractError, match="not unitary"):
+        commensurable(PrimitiveObservable(1, np.eye(2)), raw)
 
 
 def test_generic_pair_not_commensurable(rng):

@@ -254,6 +254,17 @@ def test_cli_seed_and_suite_overrides(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["a_directory", "a_file/report.json"])
+def test_cli_unwritable_report_path_exit_code(tmp_path, capsys, monkeypatch, out):
+    # a directory as the report path, or a file as its parent, used to end in an
+    # OSError traceback with exit code 1 after every suite had run
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("suites ran"))
+    assert main(["verify", "--suite", "lift", "--out", str(tmp_path / out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_repeated_suite_is_a_configuration_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     out_file = tmp_path / "r.json"
@@ -363,6 +374,18 @@ def _identifiers(tree) -> Counter:
             for span in re.findall(r"`+([^`]+)`+", node.value):
                 names.update(re.findall(r"[A-Za-z_]\w*", span))
     return names
+
+
+def test_excitations_are_read_through_their_vector():
+    # superposition, the action of an observable, phase recovery and the state
+    # algebra read an excitation only through `mat`, which exists at any rank:
+    # `op` may need lam^{-1/2}, and an embedded operator costs D^3 products
+    for module in ("excitations", "transitions", "statealgebra", "primitives"):
+        tree = ast.parse(Path(importlib.import_module(f"funnelstates.{module}").__file__).read_text())
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "op"]
+        assert reads == [], f"{module} reads .op on lines {reads}"
+        assert _identifiers(tree)["embed_matrix"] == 0, f"{module} names embed_matrix"
 
 
 def test_every_definition_is_named_outside_itself():
