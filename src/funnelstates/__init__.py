@@ -15,7 +15,6 @@ from .errors import (
     NotNullCombinationError,
     NotSameRayError,
     SamplingError,
-    SizingError,
     TuningFailureError,
 )
 from .funnel import (

@@ -9,10 +9,6 @@ class ContractError(FunnelError):
     """An operation was called outside its documented preconditions."""
 
 
-class SizingError(FunnelError):
-    """A tensor product would exceed the configured dimension cap."""
-
-
 class ConfigurationError(FunnelError):
     """Invalid scenario or tower configuration."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CapacityError, ConfigurationError, ContractError, DegenerateExcitationError,
-                     SamplingError, SizingError)
+                     SamplingError)
 from . import numkernel as nk
 
 # Finite surrogate of the separating property: the spectrum of the reference
@@ -58,7 +58,7 @@ class FunnelTower:
     def dim_at(self, level: int) -> int:
         """Algebra dimension D_n at 1-based level `level`."""
         if not 1 <= level <= len(self._dims):
-            raise ConfigurationError(f"level {level} outside 1..{self.levels}")
+            raise ContractError(f"level {level} outside 1..{self.levels}")
         return self._dims[level - 1]
 
     @property
@@ -115,27 +115,6 @@ class LocalOperator:
         object.__setattr__(op, "level", level)
         object.__setattr__(op, "matrix", matrix)
         return op
-
-
-def embed_matrix(tower: FunnelTower, level: int, matrix, target_level=None) -> np.ndarray:
-    """a -> a (x) 1 into a higher level (default: top), bit-equal to np.kron(a, eye)."""
-    m = nk.as_cmatrix(matrix)
-    target = tower.levels if target_level is None else target_level
-    d_from = tower.dim_at(level)
-    d_to = tower.dim_at(target)
-    if m.shape != (d_from, d_from):
-        raise ContractError(f"matrix shape {m.shape} does not match level {level} dimension {d_from}")
-    if d_to == d_from:
-        return m
-    if d_to % d_from:
-        raise ContractError(f"level {level} does not divide into level {target}")
-    if d_to > nk.MAX_TOTAL_DIM:
-        raise SizingError(
-            f"embedding into dimension {d_to} exceeds the configured maximum dimension "
-            f"{nk.MAX_TOTAL_DIM}"
-        )
-    k = d_to // d_from
-    return (m[:, None, :, None] * np.eye(k, dtype=complex)[None, :, None, :]).reshape(d_to, d_to)
 
 
 @dataclass
@@ -199,9 +178,11 @@ class GenericState:
         return self._omega
 
     def act(self, op, x: np.ndarray) -> np.ndarray:
-        """(A (x) 1) x for x a D x D matrix or a (D^2, r) block, A a `LocalOperator` or top matrix.
+        """(A (x) 1) x, A a `LocalOperator` at level n or a top matrix.
 
-        A acts on x reshaped to (D_n, -1), with no embedding: D_n D^2 work per column, not D^3.
+        x is any array whose leading axis is D_m for a level m >= n: a level-m
+        matrix, or a (D^2, r) block of doubled-space columns.  A acts on x
+        reshaped to (D_n, -1), with no embedding: D_n D_m work per column, not D_m^2.
         """
         if isinstance(op, LocalOperator):
             level, m = op.level, op.matrix  # validated when the operator was built
@@ -335,7 +316,9 @@ def extension_projection_residual(state: GenericState, proj: MinimalExtensionPro
     worst = 0.0
     e = proj.projector
     for unit in matrix_units(tower.dim_at(n)):
-        lhs = e @ embed_matrix(tower, n, unit, n + 1) @ e
+        # E (u (x) 1) = ((u* (x) 1) E*)*: a 0/1 unit selects rows, so both forms are exact
+        e_u = nk.dagger(state.act(LocalOperator(level=n, matrix=nk.dagger(unit)), nk.dagger(e)))
+        lhs = e_u @ e
         omega_c = state.expect(LocalOperator(level=n, matrix=unit))
         worst = max(worst, nk.frob(lhs - omega_c * e))
     return worst

@@ -18,7 +18,6 @@ from .errors import ContractError
 # Contract checks at 1e-10 relative; equality tolerances belong to the checks
 # that assert them.  Double precision leaves ample headroom at these sizes.
 CONTRACT_TOL = 1e-10
-MAX_TOTAL_DIM = 4096
 
 CMatrix = np.ndarray
 

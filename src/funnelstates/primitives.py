@@ -18,7 +18,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import ContractError, TuningFailureError
 from .excitations import ExcitationState, _excitation_with_vector
-from .funnel import GenericState, LocalOperator
+from .funnel import GenericState, LocalOperator, is_integer
 
 UNITARITY_TOL = 1e-12
 PROJECTION_TOL = 1e-10
@@ -52,12 +52,16 @@ def require_phase(t) -> None:
 
 @dataclass(frozen=True)
 class PrimitiveObservable:
-    """A unitary at a tower level, understood as the operation Ad U."""
+    """A unitary at a tower level (an integer >= 1), understood as the operation Ad U.
+
+    Its size is checked against its level where the tower is known, in `GenericState.act`."""
 
     level: int
     unitary: np.ndarray
 
     def __post_init__(self):
+        if not is_integer(self.level) or self.level < 1:
+            raise ContractError(f"level must be an integer >= 1, got {self.level!r}")
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
 
 
@@ -347,12 +351,15 @@ def commensurable(obs1, obs2) -> CommensurabilityResult:
     proportionality of the two products; commensurability does not require
     the unitaries themselves to commute (t = 1).  Accepts raw unitary
     matrices, validated by `require_unitary`, or PrimitiveObservables, all of
-    one size.
+    one size; two observables must also sit at one level, since equal sizes
+    at different levels mean that one of them is mislabelled.
     """
     u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else require_unitary(obs1)
     u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else require_unitary(obs2)
     if u1.shape != u2.shape:
         raise ContractError("unitaries must act on the same space")
+    if all(isinstance(o, PrimitiveObservable) for o in (obs1, obs2)) and obs1.level != obs2.level:
+        raise ContractError(f"observables sit at levels {obs1.level} and {obs2.level}")
     x = u1 @ u2
     y = u2 @ u1
     z = np.trace(nk.dagger(x) @ y)

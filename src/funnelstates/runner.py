@@ -34,7 +34,6 @@ from .funnel import (
     build_tower,
     check_factor_dims,
     check_genericity,
-    embed_matrix,
     matrix_units,
     minimal_extension_projection,
     extension_projection_residual,
@@ -77,6 +76,8 @@ ENGINE_VERSION = "0.1.0"
 _CONFIG_KEYS = {"tower_dims", "seed", "profile", "suites", "tolerance_overrides", "sample_counts"}
 # suites with a fixed amount of work; determinism reruns a fixed sub-scenario
 _UNCOUNTED_SUITES = frozenset({"min_projection", "dilation", "determinism"})
+# a run-time budget, not a memory limit: no suite allocates a D^2 x D^2 array
+MAX_TOP_DIM = 64
 
 
 @dataclass
@@ -89,17 +90,15 @@ class ScenarioConfig:
     sample_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # malformed, oversized or over-capacity towers and unknown profiles are
-        # configuration errors, raised before anything is built
+        # malformed, single-level, oversized or over-capacity towers and unknown
+        # profiles are configuration errors, raised before anything is built
         self.tower_dims = check_factor_dims(self.tower_dims)
+        if len(self.tower_dims) < 2:
+            raise ConfigurationError(f"a funnel needs at least two nested levels, got {self.tower_dims}")
         d = math.prod(self.tower_dims)
-        # D^2 <= MAX_TOTAL_DIM (D <= 64) is a run-time budget, not a memory limit: no
-        # array is D^2 x D^2, and embed_matrix checks its own output against the constant
-        if d * d > nk.MAX_TOTAL_DIM:
+        if d > MAX_TOP_DIM:
             raise ConfigurationError(
-                f"tower {self.tower_dims} has doubled dimension {d * d}, above the "
-                f"maximum {nk.MAX_TOTAL_DIM} (top dimension D <= {math.isqrt(nk.MAX_TOTAL_DIM)})"
-            )
+                f"tower {self.tower_dims} has top dimension {d}, above the maximum {MAX_TOP_DIM}")
         if self.profile not in PROFILES:
             raise ConfigurationError(f"unknown state profile {self.profile!r}")
         if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
@@ -373,12 +372,29 @@ def _null_family(env: SuiteEnv, level: int):
     return excs
 
 
+def _compressions(a_ops: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Every (A_m (x) 1)* C (A_m (x) 1) of an (M, D_n, D_n) stack, at the larger level.
+
+    Nothing is embedded.  For C at or above the A_m's level, y = (A* (x) 1) C by
+    a reshape, then the same step on y* and the adjoint; for C below,
+    A* (C (x) 1) A = A* (C A reshaped to (D_C, -1)).
+    """
+    m, d_a, _ = a_ops.shape
+    d_c = len(c)
+    a_adj = np.conj(a_ops.transpose(0, 2, 1))
+    if d_c >= d_a:
+        y = (a_adj @ c.reshape(d_a, -1)).reshape(m, d_c, d_c)
+        z = (a_adj @ np.conj(y.transpose(0, 2, 1)).reshape(m, d_a, -1)).reshape(m, d_c, d_c)
+        return np.conj(z.transpose(0, 2, 1))
+    return a_adj @ (c @ a_ops.reshape(m, d_c, -1)).reshape(m, d_a, d_a)
+
+
 def _suite_null_transfer(env: SuiteEnv):
     """A null combination of states kills every compressed operator.
 
     For each combination and 50 seeded C, cycling through the tower levels,
-    the ratio ||sum_m c_m A_m* C A_m||_F / ||C||_F is taken at the common
-    level of C and the A_m; embedding all of them higher scales both norms alike.
+    the ratio ||sum_m c_m A_m* C A_m||_F / ||C (x) 1||_F is taken at the common
+    level of C and the A_m, where ||C (x) 1||_F = sqrt(k) ||C||_F, k = D_common / D_C.
     """
     combos = env.count(20)
     tol = env.tol(1e-7)
@@ -393,19 +409,16 @@ def _suite_null_transfer(env: SuiteEnv):
         if pre > STATE_EQ_TOL:
             raise NotNullCombinationError(
                 f"functional norm of the combination is {pre:.3e} > {STATE_EQ_TOL}")
-        stacks = {}  # the embedded A_m, one stack per common level
+        a_ops = np.stack([e.op.matrix for e in excs])
         for trial in range(50):
             c_level = 1 + (trial % tower.levels)
-            common = max(c_level, level)
-            c = embed_matrix(tower, c_level, nk.random_complex_matrix(env.rng, tower.dim_at(c_level)), common)
-            if common not in stacks:
-                stacks[common] = np.stack([embed_matrix(tower, level, e.op.matrix, common) for e in excs])
-            a_ops = stacks[common]
+            c = nk.random_complex_matrix(env.rng, tower.dim_at(c_level))
             # every A_m* C A_m from one batched product, summed in member order
-            acc = np.zeros_like(c)
-            for cm, prod in zip(coeffs, np.conj(a_ops.transpose(0, 2, 1)) @ c @ a_ops):
+            prods = _compressions(a_ops, c)
+            acc = np.zeros_like(prods[0])
+            for cm, prod in zip(coeffs, prods):
                 acc = acc + cm * prod
-            ratio = nk.frob(acc) / nk.frob(c)
+            ratio = nk.frob(acc) / (math.sqrt(len(acc) // len(c)) * nk.frob(c))
             if ratio > worst:
                 worst = ratio
                 witness = {"combination": k, "a_level": level, "trial": trial,
@@ -435,8 +448,10 @@ def _suite_min_projection(env: SuiteEnv):
         com_worst = 0.0
         for rc in itertools.islice(relative_commutant_basis(env.tower, n), 4):
             for unit in list(matrix_units(env.tower.dim_at(n)))[:4]:
-                u_up = embed_matrix(env.tower, n, unit, n + 1)
-                com_worst = max(com_worst, nk.frob(u_up @ rc.matrix - rc.matrix @ u_up))
+                # (u (x) 1) R by a reshape, R (u (x) 1) as ((u* (x) 1) R*)*
+                left = env.state.act(LocalOperator(n, unit), rc.matrix)
+                right = nk.dagger(env.state.act(LocalOperator(n, nk.dagger(unit)), nk.dagger(rc.matrix)))
+                com_worst = max(com_worst, nk.frob(left - right))
         checks.append(check_le(f"min_projection/commutant_blocks:{n}", com_worst, 1e-12))
     return checks
 
@@ -453,8 +468,7 @@ def _suite_extreme_points(env: SuiteEnv):
         if level not in projections:
             projections[level] = minimal_extension_projection(env.state, level).projector
         # A* E_n A one level up is rank one, its weight omega(A A*)
-        a_up = embed_matrix(env.tower, level, exc.op.matrix, level + 1)
-        svals = np.linalg.svd(nk.dagger(a_up) @ projections[level] @ a_up, compute_uv=False)
+        svals = np.linalg.svd(_compressions(exc.op.matrix[None], projections[level])[0], compute_uv=False)
         expected = float(np.real(env.state.expect(
             LocalOperator(level=level, matrix=exc.op.matrix @ nk.dagger(exc.op.matrix)))))
         worst_second = max(worst_second, float(svals[1]))

@@ -34,3 +34,9 @@ def pure_state(tower):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def kron_embed(tower, level: int, a, target=None) -> np.ndarray:
+    """Dense reference for a (x) 1 at level `target` (default: top): np.kron(a, eye(k))."""
+    target = tower.levels if target is None else target
+    return np.kron(a, np.eye(tower.dim_at(target) // tower.dim_at(level)))

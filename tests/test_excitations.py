@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,8 @@ from funnelstates import runner
 from funnelstates import statealgebra as sa
 from funnelstates.excitations import (STATE_EQ_TOL, _excitation_with_vector, functional_norm,
                                       random_excitation)
-from funnelstates.funnel import embed_matrix
 
-from conftest import random_hermitian
+from conftest import kron_embed, random_hermitian
 
 
 def test_identity_excitation_reproduces_reference(state, rng):
@@ -46,7 +47,7 @@ def test_scaling_gives_same_state(state):
 
 def test_density_is_normalized_conjugation(state, rng):
     exc = random_excitation(state, rng, level=1)
-    a_top = embed_matrix(state.tower, 1, exc.op.matrix)
+    a_top = kron_embed(state.tower, 1, exc.op.matrix)
     rho = a_top @ state.lam @ nk.dagger(a_top)
     np.testing.assert_allclose(exc.rho, rho, atol=1e-12)
     assert np.trace(exc.rho).real == pytest.approx(1.0, abs=1e-10)
@@ -327,10 +328,10 @@ def _transfer_ratio(coeffs, excs, c_op) -> float:
     """||sum_m c_m A_m* C A_m||_F / ||C||_F, one product per member at the common level."""
     tower = excs[0].state.tower
     common = max([c_op.level] + [e.level for e in excs])
-    c = embed_matrix(tower, c_op.level, c_op.matrix, common)
+    c = kron_embed(tower, c_op.level, c_op.matrix, common)
     acc = np.zeros_like(c)
     for cm, exc in zip(coeffs, excs):
-        a = embed_matrix(tower, exc.level, exc.op.matrix, common)
+        a = kron_embed(tower, exc.level, exc.op.matrix, common)
         acc = acc + cm * (nk.dagger(a) @ c @ a)
     return nk.frob(acc) / nk.frob(c)
 
@@ -360,11 +361,29 @@ def _null_transfer_env(state, combos):
     return runner.SuiteEnv(config, "null_transfer", np.random.default_rng(9), state.tower, state)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
+def test_compressions_match_the_dense_kron_product(dims, rng):
+    # (A_m (x) 1)* C (A_m (x) 1) by reshapes, against the dense kron products at
+    # the common level, for C below, at and above the A_m's level
+    tower = build_tower(dims)
+    levels = range(1, tower.levels + 1)
+    for a_level, c_level in itertools.product(levels, levels):
+        a_ops = np.stack([nk.random_complex_matrix(rng, tower.dim_at(a_level)) for _ in range(3)])
+        c = nk.random_complex_matrix(rng, tower.dim_at(c_level))
+        common = max(a_level, c_level)
+        c_up = kron_embed(tower, c_level, c, common)
+        got = runner._compressions(a_ops, c)
+        for a, prod in zip(a_ops, got):
+            a_up = kron_embed(tower, a_level, a, common)
+            dense = nk.dagger(a_up) @ c_up @ a_up
+            assert nk.frob(prod - dense) <= 1e-13 * nk.frob(dense), (a_level, c_level)
+
+
 @pytest.mark.parametrize("combos", [1, 2])
 def test_null_transfer_batched_matches_per_matrix_loop(state, combos):
     # the suite's first combos null combinations sit at levels 1..combos
     checks = runner._suite_null_transfer(_null_transfer_env(state, combos))
-    # the same draws, one A_m* C A_m product per member
+    # the same draws, one dense kron product A_m* C A_m per member
     env = _null_transfer_env(state, combos)
     levels = state.tower.levels
     worst = 0.0
@@ -377,24 +396,17 @@ def test_null_transfer_batched_matches_per_matrix_loop(state, combos):
             if ratio > worst:
                 worst, witness = ratio, {"combination": k, "a_level": 1 + k, "trial": trial,
                                          "c_level": c_op.level, "ratio": ratio}
+    # a different product order rounds differently, but names the same worst draw
     assert checks[0].check_id == "null_transfer/max_ratio"
-    assert checks[0].residual == worst
-    assert checks[0].witness == witness and worst > 0.0
+    assert abs(checks[0].residual - worst) <= 1e-15 and worst > 0.0
+    suite_witness = dict(checks[0].witness)
+    assert suite_witness.pop("ratio") == checks[0].residual
+    del witness["ratio"]
+    assert suite_witness == witness
     # the witness names the worst draw: the suite replays it alone with
-    # sample count combination + 1
+    # sample count combination + 1, bit for bit
     replay = runner._suite_null_transfer(_null_transfer_env(state, witness["combination"] + 1))
-    assert replay[0].witness == witness
-
-
-def test_null_transfer_embeds_each_stack_once_per_level(state, monkeypatch):
-    # the embedded A_m depend only on the common level, so each combination
-    # builds at most `levels` stacks; every trial embeds its own C
-    calls = []
-    embed = runner.embed_matrix
-    monkeypatch.setattr(runner, "embed_matrix", lambda *args: calls.append(args) or embed(*args))
-    checks = runner._suite_null_transfer(_null_transfer_env(state, 2))
-    assert len(calls) <= 2 * (50 + 5 * state.tower.levels)
-    assert [c.status for c in checks] == ["pass", "pass"]
+    assert replay[0].witness == checks[0].witness
 
 
 def test_independent_family_rejected(state, rng, monkeypatch):
@@ -447,7 +459,7 @@ def test_compression_is_rank_one(state, rng):
     for level in (1, 2):
         exc = random_excitation(state, rng, level=level)
         e = minimal_extension_projection(state, level).projector
-        a_up = embed_matrix(state.tower, level, exc.op.matrix, level + 1)
+        a_up = kron_embed(state.tower, level, exc.op.matrix, level + 1)
         svals = np.linalg.svd(nk.dagger(a_up) @ e @ a_up, compute_uv=False)
         expected = state.expect(LocalOperator(level, exc.op.matrix @ nk.dagger(exc.op.matrix)))
         assert svals[1] <= 1e-9

@@ -17,12 +17,9 @@ from funnelstates import (
 )
 from funnelstates import excitations, funnel
 from funnelstates import numkernel as nk
-from funnelstates.errors import SizingError
-from funnelstates.funnel import (
-    embed_matrix,
-    extension_projection_residual,
-    matrix_units,
-)
+from funnelstates.funnel import extension_projection_residual, matrix_units
+
+from conftest import kron_embed
 
 
 def test_build_tower_dims():
@@ -112,27 +109,14 @@ def test_sample_bounded_redraws(tower, monkeypatch):
         sample_generic_state(tower, seed=1)
 
 
-def test_embedding_is_unital_star_homomorphism(tower, rng):
-    a = nk.random_complex_matrix(rng, 4)
-    b = nk.random_complex_matrix(rng, 4)
-    emb = lambda m: embed_matrix(tower, 2, m)
-    assert nk.frob(emb(a) @ emb(b) - emb(a @ b)) <= 1e-12
-    assert nk.frob(nk.dagger(emb(a)) - emb(nk.dagger(a))) <= 1e-12
-    assert nk.frob(emb(np.eye(4)) - np.eye(16)) <= 1e-12
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
-def test_embed_matrix_equals_kron(dims, rng):
-    tower = build_tower(dims)
-    for level in range(1, tower.levels + 1):
-        d = tower.dim_at(level)
-        a = nk.random_complex_matrix(rng, d)
-        for target in range(level, tower.levels + 1):
-            k = tower.dim_at(target) // d
-            assert np.array_equal(embed_matrix(tower, level, a, target), np.kron(a, np.eye(k)))
-            op = LocalOperator(level=level, matrix=a)
-            assert np.array_equal(embed_matrix(tower, op.level, op.matrix, target),
-                                  np.kron(a, np.eye(k)))
+def test_embedding_is_unital_star_homomorphism(state, rng):
+    # A -> A (x) 1 as it acts: multiplicative, adjoint-preserving and unital
+    a, b = (nk.random_complex_matrix(rng, 4) for _ in range(2))
+    x, y = (nk.random_complex_matrix(rng, 16) for _ in range(2))
+    act = lambda m, v: state.act(LocalOperator(2, m), v)
+    assert nk.frob(act(a, act(b, x)) - act(a @ b, x)) <= 1e-12
+    assert abs(np.vdot(x, act(a, y)) - np.vdot(act(nk.dagger(a), x), y)) <= 1e-12
+    assert np.array_equal(act(np.eye(4), x), x)
 
 
 def test_embedding_rejects_non_finite_and_misshapen_matrices(tower, state):
@@ -141,11 +125,9 @@ def test_embedding_rejects_non_finite_and_misshapen_matrices(tower, state):
     with pytest.raises(ContractError):
         LocalOperator(level=2, matrix=bad)
     with pytest.raises(ContractError):
-        embed_matrix(tower, 2, bad)
+        state.act(bad, state.sqrt_lam)
     with pytest.raises(ContractError):
         LocalOperator(level=2, matrix=np.ones(4))
-    with pytest.raises(ContractError):
-        embed_matrix(tower, 2, np.eye(3))
     # a validated operator of the wrong size still fails when it acts: the
     # state's path skips as_cmatrix but keeps the shape check
     with pytest.raises(ContractError):
@@ -154,19 +136,23 @@ def test_embedding_rejects_non_finite_and_misshapen_matrices(tower, state):
 
 @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 2, 8)])
 def test_act_equals_the_dense_embedding(dims, rng):
-    # (A (x) 1) x through a reshape, against embed_matrix applied to x's D x D
+    # (A (x) 1) x through a reshape, against kron(A, 1) applied to x's D x D
     # matrix (for a block, to each column's), at every level: exactly equal
     state = sample_generic_state(build_tower(dims), seed=3)
     tower, d = state.tower, state.dim
     for level in range(1, tower.levels + 1):
         a = nk.random_complex_matrix(rng, tower.dim_at(level))
-        emb = embed_matrix(tower, level, a)
+        emb = kron_embed(tower, level, a)
         op = LocalOperator(level, a)
         x = nk.random_complex_matrix(rng, d)
         block = nk.random_complex_matrix(rng, d * d, 3)
         assert np.array_equal(state.act(op, x), emb @ x)
         dense = np.column_stack([(emb @ col.reshape(d, d)).ravel() for col in block.T])
         assert np.array_equal(state.act(op, block), dense)
+        # on a matrix of an intermediate level m >= n, A acts as kron(A, 1) at level m
+        for m in range(level, tower.levels):
+            x_m = nk.random_complex_matrix(rng, tower.dim_at(m))
+            assert np.array_equal(state.act(op, x_m), kron_embed(tower, level, a, m) @ x_m)
     # a raw matrix is a top-level operator
     assert np.array_equal(state.act(a, x), emb @ x)
     # the reshape reads only the operator's size: a mismatch with its level raises
@@ -179,25 +165,16 @@ def test_dim_at_is_int_and_range_checked(tower):
     dims = [tower.dim_at(n) for n in range(1, tower.levels + 1)]
     assert dims == [2, 4, 16]
     assert all(type(d) is int for d in dims)
+    # a level outside the tower is a caller's error; admission never passes one
     for level in (0, tower.levels + 1):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ContractError):
             tower.dim_at(level)
-
-
-def test_embedding_sizing_error_reads_the_limit_at_call_time(tower, monkeypatch):
-    monkeypatch.setattr(nk, "MAX_TOTAL_DIM", 8)
-    with pytest.raises(SizingError):
-        embed_matrix(tower, 1, np.eye(2))
-    with pytest.raises(SizingError):
-        op = LocalOperator(level=2, matrix=np.eye(4))
-        embed_matrix(tower, op.level, op.matrix)
-    assert embed_matrix(tower, 1, np.eye(2), target_level=2).shape == (4, 4)
 
 
 def test_expectation_three_ways_agree(state, rng):
     a = nk.random_complex_matrix(rng, 4)
     op = LocalOperator(level=2, matrix=a)
-    a_top = embed_matrix(state.tower, 2, a)
+    a_top = kron_embed(state.tower, 2, a)
     direct = np.trace(state.lam @ a_top)
     doubled = np.vdot(state.omega_vector, np.kron(a_top, np.eye(16)) @ state.omega_vector)
     reduced = np.trace(state.reduced(2) @ a)
@@ -352,7 +329,7 @@ def test_relative_commutant_commutes_with_lower_level(tower):
     basis = list(relative_commutant_basis(tower, 1))
     worst = 0.0
     for unit in matrix_units(2):
-        u_emb = embed_matrix(tower, 1, unit, 2)
+        u_emb = kron_embed(tower, 1, unit, 2)
         for b in basis:
             worst = max(worst, nk.frob(u_emb @ b.matrix - b.matrix @ u_emb))
     assert worst <= 1e-12

@@ -465,6 +465,24 @@ def test_commensurable_rejects_a_raw_matrix_that_is_not_unitary(raw):
         commensurable(PrimitiveObservable(1, np.eye(2)), raw)
 
 
+def test_commensurable_rejects_observables_at_different_levels():
+    # equal sizes at two levels: one of the two labels is wrong
+    with pytest.raises(ContractError, match="levels 1 and 2"):
+        commensurable(PrimitiveObservable(1, np.eye(4)), PrimitiveObservable(2, np.eye(4)))
+    assert commensurable(PrimitiveObservable(2, np.eye(4)), np.eye(4)).commutes
+
+
+@pytest.mark.parametrize("level", [True, 1.5, 0, 7])
+def test_bad_observable_level_is_a_contract_error(state, rng, level):
+    # True ran as level 1, 1.5 raised a TypeError when acting, and 0 and 7
+    # raised ConfigurationError, the CLI's exit-2 class, from a library call.
+    # A non-integer or non-positive level is refused when the observable is
+    # built; a level above the tower, when it acts on the tower's state
+    exc = random_excitation(state, rng, level=1)
+    with pytest.raises(ContractError):
+        apply_observable(PrimitiveObservable(level=level, unitary=np.eye(2)), exc)
+
+
 def test_generic_pair_not_commensurable(rng):
     res = commensurable(nk.haar_unitary(rng, 5), nk.haar_unitary(rng, 5))
     assert not res.commensurable

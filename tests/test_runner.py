@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from funnelstates import (CapacityError, ConfigurationError, GenericState, OrthogonalFamily,
-                          build_complete_family)
+                          build_complete_family, build_tower)
 from funnelstates import runner
 from funnelstates.cli import main
 from funnelstates.runner import (
@@ -56,6 +56,15 @@ def test_seed_must_be_an_integer(seed):
     with pytest.raises(ConfigurationError):
         ScenarioConfig(seed=seed)
     assert ScenarioConfig(seed=np.uint64(7)).seed == 7
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,)])
+def test_one_level_tower_rejected(dims):
+    # a funnel needs a level above the first: six suites work one level up
+    with pytest.raises(ConfigurationError, match="at least two nested levels"):
+        ScenarioConfig(tower_dims=dims)
+    # the library still builds the tower itself
+    assert build_tower(dims).levels == 1
 
 
 def test_suite_seed_is_stable():
@@ -205,6 +214,7 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"sample_counts": {"min_projection": 1, "dilation": 1}},
     {"suites": 5}, {"suites": None}, {"suites": "lift"}, {"suites": {"lift": 1}},
     {"suites": ["vacuum", "vacuum"]}, {"suites": [["lift"]]},
+    {"tower_dims": [2]}, {"tower_dims": [3]},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
     # [2, 2, 4, 16] has D=256, above the D <= 64 ceiling that bounds a round's run
@@ -215,13 +225,21 @@ def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenari
     # Non-integer dimensions and seeds are rejected: [2, 2.9] with seed 7.5 ran as
     # [2, 2] with seed 7, and seed true as 1.  `suites` is a list of distinct
     # ids: 5 and null raised a TypeError (exit 1), {"lift": 1} ran as ["lift"],
-    # and a repeated id ran its suite twice.
+    # and a repeated id ran its suite twice.  A one-level tower ran, and six
+    # suites that work a level above the first reported errors.
     monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_demo_rejects_a_one_level_tower(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"tower_dims": [2]}))
+    assert main(["demo", "--config", str(cfg)]) == 2
+    assert "at least two nested levels" in capsys.readouterr().err
 
 
 def test_sample_counts_are_taken_only_by_suites_that_read_them(monkeypatch):
@@ -240,8 +258,8 @@ def test_sample_counts_are_taken_only_by_suites_that_read_them(monkeypatch):
 
 def test_size_guard_reads_the_limit_at_call_time(monkeypatch):
     assert ScenarioConfig(tower_dims=(2, 2)).tower_dims == (2, 2)
-    monkeypatch.setattr(runner.nk, "MAX_TOTAL_DIM", 8)
-    with pytest.raises(ConfigurationError, match="doubled dimension 16"):
+    monkeypatch.setattr(runner, "MAX_TOP_DIM", 3)
+    with pytest.raises(ConfigurationError, match="top dimension 4, above the maximum 3"):
         ScenarioConfig(tower_dims=(2, 2))
 
 
@@ -379,13 +397,35 @@ def _identifiers(tree) -> Counter:
 def test_excitations_are_read_through_their_vector():
     # superposition, the action of an observable, phase recovery and the state
     # algebra read an excitation only through `mat`, which exists at any rank:
-    # `op` may need lam^{-1/2}, and an embedded operator costs D^3 products
+    # `op` may need lam^{-1/2}
     for module in ("excitations", "transitions", "statealgebra", "primitives"):
         tree = ast.parse(Path(importlib.import_module(f"funnelstates.{module}").__file__).read_text())
         reads = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "op"]
         assert reads == [], f"{module} reads .op on lines {reads}"
-        assert _identifiers(tree)["embed_matrix"] == 0, f"{module} names embed_matrix"
+
+
+def _kron_calls(tree) -> set:
+    """Lines of every call to `np.kron` or a bare `kron`."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "kron"}
+
+
+def test_level_operators_act_by_reshape():
+    # A (x) 1 is applied by a reshape (`GenericState.act`, `runner._compressions`),
+    # never built: a dense embedding costs D^3 products.  The kron products left
+    # build 1 (x) B as the object under test, or the block family's overlaps.
+    allowed = {("funnel", "relative_commutant_basis")}
+    for path in sorted(Path(runner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert _identifiers(tree)["embed_matrix"] == 0, f"{path.stem} names embed_matrix"
+        if path.stem == "transitions":
+            continue
+        calls = _kron_calls(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in allowed:
+                calls -= _kron_calls(fn)
+        assert calls == set(), f"{path.stem} calls kron on lines {sorted(calls)}"
 
 
 def test_every_definition_is_named_outside_itself():

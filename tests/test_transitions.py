@@ -18,8 +18,9 @@ from funnelstates import (
 )
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
-from funnelstates.funnel import embed_matrix
 from funnelstates.transitions import orthonormal_rows
+
+from conftest import kron_embed
 
 
 def test_transition_self_is_one(state, rng):
@@ -41,8 +42,8 @@ def test_transition_two_evaluation_paths(state, rng):
         a = random_excitation(state, rng, level=2)
         b = random_excitation(state, rng, level=2)
         doubled = abs(np.vdot(a.vector, b.vector)) ** 2
-        a_top = embed_matrix(state.tower, 2, a.op.matrix)
-        b_top = embed_matrix(state.tower, 2, b.op.matrix)
+        a_top = kron_embed(state.tower, 2, a.op.matrix)
+        b_top = kron_embed(state.tower, 2, b.op.matrix)
         reduced = abs(np.trace(state.lam @ nk.dagger(a_top) @ b_top)) ** 2
         assert abs(doubled - reduced) <= 1e-12
         assert abs(transition_probability(a, b) - doubled) <= 1e-12
@@ -108,9 +109,7 @@ def test_family_generator_ordering_invariance(small_state):
 def _gram_schmidt_family(state, generators):
     """Members of the reference construction: Gram-Schmidt, then make_excitation."""
     d = state.dim
-    top = state.tower.levels
-    gs = nk.gram_schmidt([(embed_matrix(state.tower, top, g) @ state.sqrt_lam).ravel()
-                          for g in generators])
+    gs = nk.gram_schmidt([(g @ state.sqrt_lam).ravel() for g in generators])
     return [make_excitation(state, LocalOperator(state.tower.levels,
                                                  v.reshape(d, d) @ state.inv_sqrt_lam))
             for v in gs.vectors]
@@ -276,8 +275,7 @@ def test_family_coefficients_match_the_dense_rows(ladder_state):
     # dense references: kron(1, q^T), and the phase-rotated Q of a reduced
     # QR of the reversed generator vectors, whose member (D-1-i) D + k is the
     # block family's member i D + k
-    cols = np.array([(embed_matrix(state.tower, state.tower.levels, g) @ state.sqrt_lam).ravel()
-                     for g in units]).T
+    cols = np.array([(g @ state.sqrt_lam).ravel() for g in units]).T
     q, r = np.linalg.qr(cols)
     q *= r.diagonal() / np.abs(r.diagonal())
     order_of = [(d - 1 - i) * d + k for i in range(d) for k in range(d)]
