@@ -22,7 +22,7 @@ from .errors import (
     NotNullCombinationError,
     NotSameRayError,
 )
-from .funnel import GenericState, LocalOperator, is_integer
+from .funnel import GenericState, LocalOperator
 
 # State equality is tested at 1e-9 in functional norm; the unit vectors of
 # equal states must be phase multiples, B.omega = t A.omega, within 1e-7.
@@ -156,15 +156,12 @@ def _require_shared_state(a: ExcitationState, b: ExcitationState) -> None:
 def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     """Distance between the states, by scope.
 
-    Integer scope n in 1..L restricts both densities to the first n factors;
-    "top" takes the trace norm on the full top algebra; "full_bh" the
-    vector-state distance 2 sqrt(1 - |<A.omega, B.omega>|^2) on the doubled
-    space.  Any other scope raises.
+    Integer scope n in 1..L restricts both densities to level n
+    (`FunnelTower.reduce`); "top" takes the trace norm on the full top
+    algebra; "full_bh" the vector-state distance 2 sqrt(1 - |<A.omega,
+    B.omega>|^2) on the doubled space.  Any other scope raises.
     """
     _require_shared_state(a, b)
-    levels = a.state.tower.levels
-    if scope not in ("top", "full_bh") and not (is_integer(scope) and 1 <= scope <= levels):
-        raise ContractError(f"scope must be 'top', 'full_bh' or a level in 1..{levels}, got {scope!r}")
     if scope == "top":
         return nk.herm_trace_norm(a.rho - b.rho)
     if scope == "full_bh":
@@ -173,11 +170,8 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
         ov = (abs(np.vdot(a.vector, b.vector)) ** 2
               / (np.vdot(a.vector, a.vector).real * np.vdot(b.vector, b.vector).real))
         return 2.0 * np.sqrt(max(0.0, 1.0 - min(ov, 1.0)))
-    dims = a.state.tower.factor_dims
-    keep = range(scope)
-    ra = nk.partial_trace(a.rho, dims, keep)
-    rb = nk.partial_trace(b.rho, dims, keep)
-    return nk.herm_trace_norm(ra - rb)
+    tower = a.state.tower  # any other scope must be a level: reduce gates it
+    return nk.herm_trace_norm(tower.reduce(a.rho, scope) - tower.reduce(b.rho, scope))
 
 
 def lift_phase(a: ExcitationState, b: ExcitationState) -> complex:

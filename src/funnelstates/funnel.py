@@ -57,18 +57,37 @@ class FunnelTower:
 
     def dim_at(self, level: int) -> int:
         """Algebra dimension D_n at 1-based level `level`."""
-        if not 1 <= level <= len(self._dims):
-            raise ContractError(f"level {level} outside 1..{self.levels}")
-        return self._dims[level - 1]
+        return self._dims[require_level(level, self.levels) - 1]
 
     @property
     def top_dim(self) -> int:
-        return self.dim_at(self.levels)
+        return self._dims[-1]
+
+    def reduce(self, m: np.ndarray, level: int) -> np.ndarray:
+        """Restriction of a top-level matrix to level n: the trace over the factors above n.
+
+        With k = D / D_n, m read as (D_n, k, D_n, k) is traced over its two k axes.
+        """
+        d_n, d = self.dim_at(level), self.top_dim
+        m = np.asarray(m)
+        if m.shape != (d, d):
+            raise ContractError(f"matrix shape {m.shape} is not the top-level shape {(d, d)}")
+        k = d // d_n
+        return np.trace(m.reshape(d_n, k, d_n, k), axis1=1, axis2=3)
 
 
 def is_integer(x) -> bool:
     """An integral number that is not a bool: 2.9 and True are not factor dimensions or seeds."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def require_level(level, top=math.inf):
+    """`level` itself, if it is an integer in 1..top that is not a bool (True is not level 1)."""
+    # exact int first: the ABC test in is_integer costs a microsecond, and dim_at is hot
+    if (type(level) is int or is_integer(level)) and 1 <= level <= top:
+        return level
+    bound = "" if top == math.inf else f" and <= {top}"
+    raise ContractError(f"level must be an integer >= 1{bound}, got {level!r}")
 
 
 def check_factor_dims(dims) -> tuple:
@@ -100,17 +119,18 @@ def build_tower(dims) -> FunnelTower:
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """An operator at tower level `level`, implicitly embedded as a (x) 1."""
+    """An operator at tower level `level` (an integer >= 1), implicitly embedded as a (x) 1."""
 
     level: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        require_level(self.level)
         object.__setattr__(self, "matrix", nk.as_cmatrix(self.matrix))
 
     @classmethod
     def _validated(cls, level: int, matrix: np.ndarray) -> "LocalOperator":
-        """An operator around a matrix already known to be a finite complex matrix."""
+        """An operator around a valid level and a matrix already known to be a finite complex matrix."""
         op = object.__new__(cls)
         object.__setattr__(op, "level", level)
         object.__setattr__(op, "matrix", matrix)
@@ -121,6 +141,8 @@ class LocalOperator:
 class GenericState:
     """Reference state: spectral data, `rank`, doubled-space vector and `separating`, derived from `lam`.
 
+    `lam` must be a density of the tower: top-level shape, trace 1 and no
+    eigenvalue below -CONTRACT_TOL lam_max; anything else is a ContractError.
     `sqrt_lam` is built on the `rank` eigenpairs above 1e-12 lam_max, so omega has no
     component off the support.  Only when `spectrum[-1] >= eps_sep` (`separating`)
     is `inv_sqrt_lam` available.
@@ -137,13 +159,20 @@ class GenericState:
 
     def __post_init__(self):
         self.lam = nk.as_cmatrix(self.lam)
+        d = self.dim
+        if self.lam.shape != (d, d):
+            raise ContractError(f"density shape {self.lam.shape} is not the top-level shape {(d, d)}")
+        trace = np.trace(self.lam)
+        if abs(trace - 1.0) > nk.CONTRACT_TOL:
+            raise ContractError(f"density trace {trace:.6g} is not 1")
         eig = nk.herm_eig(self.lam)
         self.spectrum = eig.eigenvalues
         self.basis = eig.eigenvectors
+        if self.spectrum[-1] < -nk.CONTRACT_TOL * self.spectrum[0]:
+            raise ContractError(f"density is not positive: least eigenvalue {self.spectrum[-1]:.3e}")
         self.separating = bool(self.spectrum[-1] >= self.eps_sep)
         # rounding-level eigenvalues would put omega 1e-8 off its own support
         self.rank = r = int(np.sum(self.spectrum > 1e-12 * self.spectrum[0]))
-        d = self.dim
         self._sqrt = (self.basis[:, :r] * np.sqrt(self.spectrum[:r])) @ nk.dagger(self.basis[:, :r])
         self._inv_sqrt = None  # derived on first read: a verify round reads none
         self._omega = self._sqrt.reshape(d * d)
@@ -199,8 +228,8 @@ class GenericState:
         return complex(np.vdot(self._sqrt, self.act(op, self._sqrt)))
 
     def reduced(self, level: int) -> np.ndarray:
-        """Restriction of the reference density to the first `level` factors."""
-        return nk.partial_trace(self.lam, self.tower.factor_dims, range(level))
+        """The reference density restricted to level n, the D_n x D_n matrix `tower.reduce(lam, n)`."""
+        return self.tower.reduce(self.lam, level)
 
 
 def _wishart_density(rng, d: int) -> np.ndarray:
@@ -268,8 +297,7 @@ def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensio
     factor; phases are fixed so every Schmidt coefficient is real positive.
     """
     tower = state.tower
-    if not 1 <= n < tower.levels:
-        raise ContractError(f"extension projection needs 1 <= n < {tower.levels}, got {n}")
+    require_level(n, tower.levels - 1)
     d_n = tower.dim_at(n)
     k_next = tower.factor_dims[n]
     rho = state.reduced(n)
@@ -302,8 +330,7 @@ def matrix_units(dim: int):
 
 def relative_commutant_basis(tower: FunnelTower, n: int):
     """Matrix-unit basis of 1_{D_n} (x) M_{k_{n+1}} at level n+1, yielded one by one."""
-    if not 1 <= n < tower.levels:
-        raise ContractError(f"relative commutant needs 1 <= n < {tower.levels}, got {n}")
+    require_level(n, tower.levels - 1)
     eye = np.eye(tower.dim_at(n), dtype=complex)
     return (LocalOperator(level=n + 1, matrix=np.kron(eye, unit))
             for unit in matrix_units(tower.factor_dims[n]))

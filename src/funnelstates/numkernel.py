@@ -82,32 +82,6 @@ def herm_eig(m) -> HermEig:
     return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
-def partial_trace(m, dims, keep) -> CMatrix:
-    """Reduce a matrix on a tensor product to the factors listed in `keep`.
-
-    `dims` lists the factor dimensions in row-major order, `keep` the indices
-    of the factors to retain (original order).  The trace is preserved.
-    """
-    m = as_cmatrix(m)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ContractError(
-            f"dims {dims} imply dimension {total}, got matrix {m.shape}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ContractError(f"keep indices {keep} out of range for {len(dims)} factors")
-    nfac = len(dims)
-    tensor = m.reshape(dims + dims)
-    traced = [i for i in range(nfac) if i not in keep]
-    for count, i in enumerate(traced):
-        axis = i - count  # axes shift as we trace factors out
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + (nfac - count))
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return tensor.reshape(kept_dim, kept_dim)
-
-
 def trace_norm(m) -> float:
     """Sum of singular values."""
     m = as_cmatrix(m)

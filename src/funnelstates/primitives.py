@@ -18,7 +18,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import ContractError, TuningFailureError
 from .excitations import ExcitationState, _excitation_with_vector
-from .funnel import GenericState, LocalOperator, is_integer
+from .funnel import GenericState, LocalOperator, is_integer, require_level
 
 UNITARITY_TOL = 1e-12
 PROJECTION_TOL = 1e-10
@@ -60,8 +60,7 @@ class PrimitiveObservable:
     unitary: np.ndarray
 
     def __post_init__(self):
-        if not is_integer(self.level) or self.level < 1:
-            raise ContractError(f"level must be an integer >= 1, got {self.level!r}")
+        require_level(self.level)
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
 
 
@@ -75,6 +74,7 @@ class PartialIsometry:
     range_projection: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        require_level(self.level)
         v = nk.as_cmatrix(self.matrix)
         f = nk.dagger(v) @ v
         e = v @ nk.dagger(v)
@@ -129,7 +129,9 @@ def _range_basis(p: np.ndarray) -> np.ndarray:
 
 
 def increasing_projection_schedule(f_proj, steps: int):
-    """Nested projections climbing to F along its deterministic range basis."""
+    """`steps` nested projections (an integer >= 1, clamped to rank F) climbing to F along its range basis."""
+    if not is_integer(steps) or steps < 1:
+        raise ContractError(f"steps must be an integer >= 1, got {steps!r}")
     f = require_projection(f_proj)
     basis = _range_basis(f)
     r = basis.shape[1]

@@ -238,6 +238,27 @@ def test_separating_is_derived_from_the_spectrum(tower):
         GenericState(tower=tower, lam=np.eye(d) / d, seed=0, eps_sep=1e-12, separating=True)
 
 
+@pytest.mark.parametrize("lam", ["small", "trace_two", "negative", "indefinite"])
+def test_reference_density_is_a_density_of_its_tower(tower, lam):
+    # a (2, 2, 4) density is 16 x 16, of trace 1 and positive: an 8 x 8 one
+    # raised numpy's reshape error, trace 2 read back expect(1) = 2, -1/16
+    # was taken as a state of rank 0, and an indefinite trace-1 matrix as rank 1
+    d = tower.top_dim
+    lam = {"small": np.eye(8) / 8, "trace_two": 2 * np.eye(d) / d, "negative": -np.eye(d) / d,
+           "indefinite": np.diag([1.5, -0.5] + [0.0] * (d - 2))}[lam]
+    with pytest.raises(ContractError):
+        GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12)
+
+
+def test_reference_density_allows_rounding_below_zero(tower):
+    # a pure density's kernel eigenvalues are rounding-level, of either sign
+    d = tower.top_dim
+    v = nk.random_unit_vector(np.random.default_rng(5), d)
+    lam = np.outer(v, np.conj(v)) - 1e-14 * np.diag(np.arange(d) == d - 1)
+    lam /= np.trace(lam)
+    assert GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12).rank == 1
+
+
 def test_non_separating_message_names_floor_and_threshold(tower):
     # full rank, but the floor sits below eps_sep: the state is not pure
     d = tower.top_dim

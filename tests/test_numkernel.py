@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelstates import numkernel as nk
+from funnelstates.funnel import build_tower
 from funnelstates.errors import ContractError
 
 from conftest import random_hermitian
@@ -97,7 +98,7 @@ def test_phase_fix_columns_matches_loop(rng):
         assert np.all(np.abs(peaks.imag) <= 1e-15)
 
 
-# -- partial_trace ------------------------------------------------------
+# -- partial trace over the factors above a level: FunnelTower.reduce --
 
 
 def test_partial_trace_product_case(rng):
@@ -107,13 +108,7 @@ def test_partial_trace_product_case(rng):
     sigma = b @ nk.dagger(b)
     joint = np.kron(rho, sigma)
     np.testing.assert_allclose(
-        nk.partial_trace(joint, [2, 3], [0]), rho * np.trace(sigma), atol=1e-12)
-
-
-def test_partial_trace_preserves_trace(rng):
-    m = _complex_matrix(rng, 12)
-    reduced = nk.partial_trace(m, [2, 3, 2], [1])
-    np.testing.assert_allclose(np.trace(reduced), np.trace(m), atol=1e-12)
+        build_tower((2, 3)).reduce(joint, 1), rho * np.trace(sigma), atol=1e-12)
 
 
 def test_partial_trace_bell_state():
@@ -126,22 +121,32 @@ def test_partial_trace_bell_state():
         for j in range(2):
             for k in range(2):
                 brute[i, j] += proj[i * 2 + k, j * 2 + k]
-    reduced = nk.partial_trace(proj, [2, 2], [0])
+    reduced = build_tower((2, 2)).reduce(proj, 1)
     np.testing.assert_allclose(reduced, brute, atol=1e-14)
     np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
 
-def test_partial_trace_composes(rng):
-    m = _complex_matrix(rng, 16)
-    step = nk.partial_trace(m, [2, 2, 2, 2], [0, 1, 3])
-    two_step = nk.partial_trace(step, [2, 2, 2], [0, 1])
-    direct = nk.partial_trace(m, [2, 2, 2, 2], [0, 1])
-    assert nk.frob(two_step - direct) <= 1e-12
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
+def test_reduce_to_the_first_level_matches_a_loop(dims, rng):
+    # oracle: reduced[i, j] = sum_k m[i*k_up + k, j*k_up + k], k_up = D / D_1
+    tower = build_tower(dims)
+    d1, d = tower.dim_at(1), tower.top_dim
+    k_up = d // d1
+    m = _complex_matrix(rng, d)
+    brute = np.zeros((d1, d1), dtype=complex)
+    for i in range(d1):
+        for j in range(d1):
+            for k in range(k_up):
+                brute[i, j] += m[i * k_up + k, j * k_up + k]
+    assert nk.frob(tower.reduce(m, 1) - brute) <= 1e-13 * nk.frob(m)
 
 
 def test_partial_trace_dims_mismatch(rng):
+    tower = build_tower((2, 2))
     with pytest.raises(ContractError):
-        nk.partial_trace(_complex_matrix(rng, 6), [2, 2], [0])
+        tower.reduce(_complex_matrix(rng, 6), 1)
+    with pytest.raises(ContractError):
+        tower.reduce(_complex_matrix(rng, 4), 3)  # no level 3
 
 
 # -- trace_norm ---------------------------------------------------------

@@ -15,8 +15,10 @@ from funnelstates import (
     identity_excitation,
     increasing_projection_schedule,
     make_excitation,
+    minimal_extension_projection,
     norm_distance,
     recover_observable,
+    relative_commutant_basis,
     sample_generic_state,
     transition_probability,
     tune_detector,
@@ -481,6 +483,37 @@ def test_bad_observable_level_is_a_contract_error(state, rng, level):
     exc = random_excitation(state, rng, level=1)
     with pytest.raises(ContractError):
         apply_observable(PrimitiveObservable(level=level, unitary=np.eye(2)), exc)
+
+
+@pytest.mark.parametrize("level", [1.5, 2.0, "2", True, 0])
+def test_bad_level_is_a_contract_error(state, rng, level):
+    # one gate, funnel.require_level, refuses a level that is not an integer
+    # >= 1 wherever one is taken: LocalOperator(1.5) raised a TypeError when
+    # it acted, and LocalOperator(True) acted as level 1
+    with pytest.raises(ContractError):
+        LocalOperator(level, np.eye(2))
+    with pytest.raises(ContractError):
+        PartialIsometry(level=level, matrix=np.eye(2))
+    with pytest.raises(ContractError):
+        random_excitation(state, rng, level=level)
+    with pytest.raises(ContractError):
+        minimal_extension_projection(state, level)
+    with pytest.raises(ContractError):
+        relative_commutant_basis(state.tower, level)
+
+
+@pytest.mark.parametrize("steps", [2.5, 0, -3, True, "2"])
+def test_schedule_rejects_a_step_count_that_is_not_a_positive_integer(rng, steps):
+    # 2.5 raised a TypeError from range; 0 and -3 became one step
+    v = _random_partial_isometry(rng, 16, 6, 3)
+    with pytest.raises(ContractError):
+        increasing_projection_schedule(v.initial, steps=steps)
+
+
+def test_schedule_clamps_its_steps_to_the_rank(rng):
+    v = _random_partial_isometry(rng, 16, 6, 3)
+    schedule = increasing_projection_schedule(v.initial, steps=10)
+    assert [round(float(np.real(np.trace(e)))) for e in schedule] == [1, 2, 3, 4, 5, 6]
 
 
 def test_generic_pair_not_commensurable(rng):

@@ -428,6 +428,20 @@ def test_level_operators_act_by_reshape():
         assert calls == set(), f"{path.stem} calls kron on lines {sorted(calls)}"
 
 
+def test_levels_are_reduced_by_the_tower():
+    # a level's restriction is `FunnelTower.reduce`, one reshape: the nesting
+    # layout (the factor list) is read only in `funnel`, and no module keeps a
+    # partial trace over arbitrary factors
+    for path in sorted(Path(runner.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert _identifiers(tree)["partial_trace"] == 0, f"{path.stem} names partial_trace"
+        if path.stem == "funnel":
+            continue
+        reads = sorted(node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "factor_dims")
+        assert reads == [], f"{path.stem} reads factor_dims on lines {reads}"
+
+
 def test_every_definition_is_named_outside_itself():
     # a function, class or method that no library code and no benchmark names
     # is kept alive only by its tests; dunder methods are named by Python itself
