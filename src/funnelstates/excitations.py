@@ -33,28 +33,31 @@ GAUGE_TOL = 1e-10
 
 @dataclass
 class ExcitationState:
-    """A normalized excitation with its canonical ray representative.
+    """A normalized excitation, held as its vector, with its canonical ray representative.
 
     `mat = (A (x) 1) sqrt(lam)` is the D x D matrix whose vectorization is the
     normalized vector A.omega; the library reads an excitation only through
-    it, and it exists at any rank of lam.  `op` is A at `level`: built from an
-    operator, the excitation holds it, normalized at the caller's phase; built
-    from a vector, it holds only `mat`, and `op`, the top-level X = mat
-    lam^{-1/2}, is derived on first read, which needs a separating state.
-    `canonical_mat` is `mat` at the deterministic ray phase `canonical_phase`,
-    so equality tests do not depend on the input phase.  `rho`, the reduced
+    it, and it exists at any rank of lam.  Built from an operator, the
+    excitation also holds `op`, A normalized at the caller's phase, and its
+    `level` is A's; built from a vector, it holds only `mat`, its level is the
+    top, and `op`, the top-level X = mat lam^{-1/2}, is derived on first read,
+    which needs a separating state.  `canonical_mat` is `mat` at the
+    deterministic ray phase `canonical_phase`, derived from `mat` on read, so
+    equality tests do not depend on the input phase.  `rho`, the reduced
     density on the top algebra, is derived from `mat` on first read.  Both
-    derived forms are memoised.
+    `op` and `rho` are memoised.
     """
 
     state: GenericState
-    level: int
-    canonical_phase: complex
     mat: np.ndarray = field(repr=False)
     # declared fields rather than functools.cached_property: a key added to
     # the instance __dict__ later slows every attribute read on the instance
     _op: LocalOperator = field(repr=False, default=None)
     _rho: np.ndarray = field(repr=False, init=False, default=None)
+
+    @property
+    def level(self) -> int:
+        return self.state.tower.levels if self._op is None else self._op.level
 
     @property
     def op(self) -> LocalOperator:
@@ -72,6 +75,10 @@ class ExcitationState:
     def vector(self) -> np.ndarray:
         """The doubled-space vector A.omega (row-major vectorization)."""
         return self.mat.ravel()
+
+    @property
+    def canonical_phase(self) -> complex:
+        return _gauge_phase(self.mat.ravel())
 
     @property
     def canonical_mat(self) -> np.ndarray:
@@ -95,7 +102,7 @@ def _gauge_phase(vector: np.ndarray) -> complex:
     return np.conj(x) / abs(x)
 
 
-def _normalized(state: GenericState, level: int, mat: np.ndarray, op: np.ndarray = None) -> ExcitationState:
+def _normalized(state: GenericState, mat: np.ndarray, op: LocalOperator = None) -> ExcitationState:
     """The excitation with ``mat``, and validated ``op`` if given, both scaled by 1 / ||mat||.
 
     An overflowing norm breaks the contract; a vanishing one means that the
@@ -109,16 +116,15 @@ def _normalized(state: GenericState, level: int, mat: np.ndarray, op: np.ndarray
             "operator annihilates the reference vector; excitation undefined"
         )
     scale = 1.0 / np.sqrt(norm_sq)
-    mat = mat * scale
-    return ExcitationState(state, level, _gauge_phase(mat.ravel()), mat,
-                           None if op is None else LocalOperator._validated(level, op * scale))
+    return ExcitationState(state, mat * scale,
+                           None if op is None else LocalOperator._validated(op.level, op.matrix * scale))
 
 
 def make_excitation(state: GenericState, op) -> ExcitationState:
-    """Normalize an operator into an excitation state and record its gauge."""
+    """Normalize an operator into an excitation; a raw matrix is read at the level of its size."""
     if not isinstance(op, LocalOperator):
-        op = LocalOperator(level=state.tower.levels, matrix=op)
-    return _normalized(state, op.level, state.act(op, state.sqrt_lam), op.matrix)
+        op = state.tower.operator(op)
+    return _normalized(state, state.act(op, state.sqrt_lam), op)
 
 
 def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
@@ -127,7 +133,7 @@ def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationSta
     v must be some X.omega: a mat with a relative component above 1e-10 on
     lam's kernel (never there at full rank) is rejected, never projected.
     """
-    exc = _normalized(state, state.tower.levels, np.asarray(v, dtype=complex).reshape(state.dim, state.dim))
+    exc = _normalized(state, np.asarray(v, dtype=complex).reshape(state.dim, state.dim))
     off = nk.frob(exc.mat @ state.basis[:, state.rank:])  # relative: ||mat|| = 1
     if off > 1e-10:
         raise ContractError(f"vector is not in the GNS space: a fraction {off:.3e} lies off lam's support")

@@ -63,6 +63,18 @@ class FunnelTower:
     def top_dim(self) -> int:
         return self._dims[-1]
 
+    def level_of(self, dim: int) -> int:
+        """The level n with D_n = dim, unique since every factor is >= 2; any other size raises."""
+        try:
+            return self._dims.index(dim) + 1
+        except ValueError:
+            raise ContractError(f"size {dim} is not a level dimension {self._dims}") from None
+
+    def operator(self, m) -> "LocalOperator":
+        """A raw matrix as the `LocalOperator` at the level of its size."""
+        m = nk.as_cmatrix(m)
+        return LocalOperator._validated(self.level_of(len(m)), m)
+
     def reduce(self, m: np.ndarray, level: int) -> np.ndarray:
         """Restriction of a top-level matrix to level n: the trace over the factors above n.
 
@@ -139,23 +151,26 @@ class LocalOperator:
 
 @dataclass
 class GenericState:
-    """Reference state: spectral data, `rank`, doubled-space vector and `separating`, derived from `lam`.
+    """Reference state: everything but `tower`, `lam` and `seed` is derived from `lam`.
 
     `lam` must be a density of the tower: top-level shape, trace 1 and no
     eigenvalue below -CONTRACT_TOL lam_max; anything else is a ContractError.
-    `sqrt_lam` is built on the `rank` eigenpairs above 1e-12 lam_max, so omega has no
-    component off the support.  Only when `spectrum[-1] >= eps_sep` (`separating`)
-    is `inv_sqrt_lam` available.
+    `sqrt_lam` is built on the `rank` eigenpairs above 1e-12 lam_max, so the
+    doubled-space vector `omega_vector = vec(sqrt_lam)` has no component off the
+    support.  The separation floor is `eps_sep = SEPARATION_SCALE / D`; only when
+    `spectrum[-1] >= eps_sep` (`separating`) is `inv_sqrt_lam` available.
     """
 
     tower: FunnelTower
     lam: np.ndarray
     seed: int
-    eps_sep: float
+    eps_sep: float = field(init=False)
     separating: bool = field(init=False)
     rank: int = field(init=False)
     spectrum: np.ndarray = field(repr=False, init=False)
     basis: np.ndarray = field(repr=False, init=False)
+    sqrt_lam: np.ndarray = field(repr=False, init=False)
+    omega_vector: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
         self.lam = nk.as_cmatrix(self.lam)
@@ -170,13 +185,14 @@ class GenericState:
         self.basis = eig.eigenvectors
         if self.spectrum[-1] < -nk.CONTRACT_TOL * self.spectrum[0]:
             raise ContractError(f"density is not positive: least eigenvalue {self.spectrum[-1]:.3e}")
+        self.eps_sep = SEPARATION_SCALE / d
         self.separating = bool(self.spectrum[-1] >= self.eps_sep)
         # rounding-level eigenvalues would put omega 1e-8 off its own support
         self.rank = r = int(np.sum(self.spectrum > 1e-12 * self.spectrum[0]))
-        self._sqrt = (self.basis[:, :r] * np.sqrt(self.spectrum[:r])) @ nk.dagger(self.basis[:, :r])
+        self.sqrt_lam = (self.basis[:, :r] * np.sqrt(self.spectrum[:r])) @ nk.dagger(self.basis[:, :r])
         self._inv_sqrt = None  # derived on first read: a verify round reads none
-        self._omega = self._sqrt.reshape(d * d)
-        for a in (self.lam, self._sqrt, self._omega):
+        self.omega_vector = self.sqrt_lam.reshape(d * d)
+        for a in (self.lam, self.sqrt_lam, self.omega_vector):
             a.setflags(write=False)
 
     @property
@@ -186,10 +202,6 @@ class GenericState:
     @property
     def doubled_dim(self) -> int:
         return self.dim * self.dim
-
-    @property
-    def sqrt_lam(self) -> np.ndarray:
-        return self._sqrt
 
     @property
     def inv_sqrt_lam(self) -> np.ndarray:
@@ -202,21 +214,16 @@ class GenericState:
             self._inv_sqrt = (self.basis * (1.0 / np.sqrt(self.spectrum))) @ nk.dagger(self.basis)
         return self._inv_sqrt
 
-    @property
-    def omega_vector(self) -> np.ndarray:
-        return self._omega
-
     def act(self, op, x: np.ndarray) -> np.ndarray:
-        """(A (x) 1) x, A a `LocalOperator` at level n or a top matrix.
+        """(A (x) 1) x, A a `LocalOperator` at level n or a raw matrix, at the level of its size.
 
         x is any array whose leading axis is D_m for a level m >= n: a level-m
         matrix, or a (D^2, r) block of doubled-space columns.  A acts on x
         reshaped to (D_n, -1), with no embedding: D_n D_m work per column, not D_m^2.
         """
-        if isinstance(op, LocalOperator):
-            level, m = op.level, op.matrix  # validated when the operator was built
-        else:
-            level, m = self.tower.levels, nk.as_cmatrix(op)
+        if not isinstance(op, LocalOperator):
+            op = self.tower.operator(op)
+        level, m = op.level, op.matrix  # validated when the operator was built
         d = self.tower.dim_at(level)
         # the reshape reads only d: a mislabelled matrix would act at the wrong level
         if m.shape != (d, d):
@@ -225,7 +232,7 @@ class GenericState:
 
     def expect(self, op) -> complex:
         """omega(A) = tr(lam A) = <sqrt(lam), A sqrt(lam)> for A given at any level."""
-        return complex(np.vdot(self._sqrt, self.act(op, self._sqrt)))
+        return complex(np.vdot(self.sqrt_lam, self.act(op, self.sqrt_lam)))
 
     def reduced(self, level: int) -> np.ndarray:
         """The reference density restricted to level n, the D_n x D_n matrix `tower.reduce(lam, n)`."""
@@ -251,13 +258,12 @@ def sample_generic_state(tower: FunnelTower, seed: int,
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown state profile {profile!r}")
     d = tower.top_dim
-    eps = SEPARATION_SCALE / d
     rng = np.random.default_rng(seed)
 
     if profile == "pure":
         v = nk.random_unit_vector(rng, d)
         lam = np.outer(v, np.conj(v))
-        return GenericState(tower=tower, lam=lam, seed=seed, eps_sep=eps)
+        return GenericState(tower=tower, lam=lam, seed=seed)
 
     last_failure = "no draw attempted"
     for _ in range(MAX_REDRAWS):
@@ -266,9 +272,9 @@ def sample_generic_state(tower: FunnelTower, seed: int,
             lam = (1.0 - NEAR_TRACIAL_WEIGHT) * np.eye(d, dtype=complex) / d + NEAR_TRACIAL_WEIGHT * r
         else:
             lam = r
-        state = GenericState(tower=tower, lam=lam, seed=seed, eps_sep=eps)
+        state = GenericState(tower=tower, lam=lam, seed=seed)
         if not state.separating:
-            last_failure = f"spectrum floor {state.spectrum[-1]:.3e} below eps_sep {eps:.3e}"
+            last_failure = f"spectrum floor {state.spectrum[-1]:.3e} below eps_sep {state.eps_sep:.3e}"
             continue
         report = check_genericity(state, trials=6, rng=rng)
         if report.passed:

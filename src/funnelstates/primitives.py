@@ -18,7 +18,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import ContractError, TuningFailureError
 from .excitations import ExcitationState, _excitation_with_vector
-from .funnel import GenericState, LocalOperator, is_integer, require_level
+from .funnel import GenericState, LocalOperator, is_integer
 
 UNITARITY_TOL = 1e-12
 PROJECTION_TOL = 1e-10
@@ -52,15 +52,13 @@ def require_phase(t) -> None:
 
 @dataclass(frozen=True)
 class PrimitiveObservable:
-    """A unitary at a tower level (an integer >= 1), understood as the operation Ad U.
+    """A unitary U, understood as the operation Ad U.
 
-    Its size is checked against its level where the tower is known, in `GenericState.act`."""
+    It holds no level: where it acts, `apply_observable` reads the level of its size."""
 
-    level: int
     unitary: np.ndarray
 
     def __post_init__(self):
-        require_level(self.level)
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
 
 
@@ -68,13 +66,11 @@ class PrimitiveObservable:
 class PartialIsometry:
     """V with initial projection F = V*V and range projection E = VV*, both derived from V."""
 
-    level: int
     matrix: np.ndarray
     initial: np.ndarray = field(init=False)
     range_projection: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        require_level(self.level)
         v = nk.as_cmatrix(self.matrix)
         f = nk.dagger(v) @ v
         e = v @ nk.dagger(v)
@@ -97,27 +93,27 @@ def hermitian_parts(u: np.ndarray):
 
 def apply_observable(obs: PrimitiveObservable, exc: ExcitationState) -> ExcitationState:
     """omega_A -> omega_{UA}: the top-level excitation of the vector (U (x) 1) A.omega."""
-    u = LocalOperator._validated(obs.level, obs.unitary)
+    # validated when the observable was built; the tower reads its level from its size
+    u = LocalOperator._validated(exc.state.tower.level_of(len(obs.unitary)), obs.unitary)
     return _excitation_with_vector(exc.state, exc.state.act(u, exc.mat))
 
 
-def ut_unitary(e_proj, t: complex, level: int) -> PrimitiveObservable:
+def ut_unitary(e_proj, t: complex) -> PrimitiveObservable:
     """U_t = E + t (1 - E) for a projection E and a phase t."""
     e = require_projection(e_proj)
     require_phase(t)
     eye = np.eye(e.shape[0], dtype=complex)
-    return PrimitiveObservable(level=level, unitary=e + t * (eye - e))
+    return PrimitiveObservable(e + t * (eye - e))
 
 
-def ut_probability(e_proj, t: complex, exc: ExcitationState, level=None) -> float:
-    """Closed form for omega_A . omega_{U_t A}.
+def ut_probability(e_proj, t: complex, exc: ExcitationState) -> float:
+    """Closed form for omega_A . omega_{U_t A}, E at the level of its size.
 
     Equals p^2 + q^2 + 2 Re(t) p q with p = omega_A(E), q = omega_A(1-E).
     """
-    level = exc.state.tower.levels if level is None else level
     e = require_projection(e_proj)
     require_phase(t)
-    p = float(np.real(exc.evaluate(LocalOperator(level=level, matrix=e))))
+    p = float(np.real(exc.evaluate(e)))
     q = 1.0 - p
     return p * p + q * q + 2.0 * float(np.real(t)) * p * q
 
@@ -182,7 +178,7 @@ def dilate_to_unitaries(v: PartialIsometry, schedule) -> list:
     unitaries = []
     for e_m in mats:
         w_m = -v.matrix @ (f - e_m) + w0
-        unitaries.append(PrimitiveObservable(level=v.level, unitary=v.matrix @ e_m + w_m))
+        unitaries.append(PrimitiveObservable(v.matrix @ e_m + w_m))
     return unitaries
 
 
@@ -195,8 +191,7 @@ def tuned_isometries(v: PartialIsometry, unitaries) -> list:
     The report measures the weak and strong residuals per step in
     `dilation/tuned_envelope_monotone` and `dilation/tuned_final_exact`.
     """
-    return [PartialIsometry(level=v.level, matrix=v.matrix @ nk.dagger(u.unitary))
-            for u in unitaries]
+    return [PartialIsometry(v.matrix @ nk.dagger(u.unitary)) for u in unitaries]
 
 
 def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
@@ -214,7 +209,7 @@ def partial_isometry_sup_witness(e_proj, exc: ExcitationState):
     basis = _range_basis(e)
     p_svd, _, q_svd = np.linalg.svd(exc.rho @ basis, full_matrices=False)
     v = basis @ nk.dagger(p_svd @ q_svd)
-    return PartialIsometry(level=exc.state.tower.levels, matrix=v)
+    return PartialIsometry(v)
 
 
 def balanced_unitary(weight_matrix) -> np.ndarray:
@@ -231,7 +226,7 @@ def balanced_unitary(weight_matrix) -> np.ndarray:
     return np.roll(q, 1, axis=1) @ nk.dagger(q)
 
 
-def _tuned_unitary(e: np.ndarray, leak: np.ndarray, level: int) -> PrimitiveObservable:
+def _tuned_unitary(e: np.ndarray, leak: np.ndarray) -> PrimitiveObservable:
     """The tuned unitary U = E + B for a top-level projection E.
 
     B acts on the complement 1 - E: on a complement of rank >= 2 it is the
@@ -245,7 +240,7 @@ def _tuned_unitary(e: np.ndarray, leak: np.ndarray, level: int) -> PrimitiveObse
         b = comp_basis @ balanced_unitary(m_small) @ nk.dagger(comp_basis)
     else:
         b = -comp_basis @ nk.dagger(comp_basis)
-    return PrimitiveObservable(level=level, unitary=e + b)
+    return PrimitiveObservable(e + b)
 
 
 def vacuum_detector(state: GenericState) -> PrimitiveObservable:
@@ -254,13 +249,14 @@ def vacuum_detector(state: GenericState) -> PrimitiveObservable:
     Any nonzero response |omega_A(U)|^2 certifies omega_A != omega.  U is the
     `balanced_unitary` of the reference density, silent at any rank of lam.
     """
-    return PrimitiveObservable(level=state.tower.levels, unitary=balanced_unitary(state.lam))
+    return PrimitiveObservable(balanced_unitary(state.lam))
 
 
 def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
     """Detector unitary U = E + B with omega_{UA}(1-E) < eps and matched probabilities.
 
-    E is a nonzero top-level projection.  At truncation a unitary can only
+    E is a nonzero top-level projection and the states excite one reference
+    state; anything else is a ContractError.  At truncation a unitary can only
     concentrate its action on a subspace of the same rank as E, so the target
     states must already be captured by E within eps; otherwise tuning fails
     with the best achievable figure.  The E block is E itself: it is the
@@ -280,9 +276,14 @@ def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
         raise ContractError(f"epsilon must be a finite positive number, got {epsilon!r}")
     if not states:
         raise ContractError("tuning needs at least one target state")
-    level = states[0].state.tower.levels
+    state = states[0].state
+    if any(exc.state is not state for exc in states[1:]):
+        raise ContractError("target states refer to different reference states")
     e = require_projection(e_proj)
-    e_local = LocalOperator(level=level, matrix=e)
+    d = state.tower.top_dim
+    if e.shape != (d, d):
+        raise ContractError(f"E must be top-level, of dimension {d}")
+    e_local = LocalOperator(level=state.tower.levels, matrix=e)
 
     best = max(1.0 - float(np.real(exc.evaluate(e_local))) for exc in states)
     if best >= epsilon:
@@ -294,10 +295,10 @@ def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
 
     if np.real(np.trace(e)) < 0.5:
         raise ContractError("E must be a nonzero projection")
-    # E is top-level (evaluating it above checked the shape), so 1 - E needs no embedding
-    comp = np.eye(e.shape[0], dtype=complex) - e
+    # E is top-level, so 1 - E needs no embedding
+    comp = np.eye(d, dtype=complex) - e
     mean_leak = sum(comp @ exc.rho @ comp for exc in states) / len(states)
-    return _tuned_unitary(e, mean_leak, level)
+    return _tuned_unitary(e, mean_leak)
 
 
 def recover_observable(projections, weights, exc: ExcitationState) -> float:
@@ -310,7 +311,6 @@ def recover_observable(projections, weights, exc: ExcitationState) -> float:
     is exact.  A rank-one complement admits only the phase -1, which gives
     |omega_A(E_m) - omega_A(1-E_m)|.  Accuracy bounds belong to the caller.
     """
-    level = exc.state.tower.levels
     d = exc.state.tower.top_dim
     mats = [require_projection(p) for p in projections]
     if len(mats) != len(weights):
@@ -332,7 +332,7 @@ def recover_observable(projections, weights, exc: ExcitationState) -> float:
     estimate = 0.0
     for o_m, e_m in zip(weights, mats):
         comp = eye - e_m
-        final = apply_observable(_tuned_unitary(e_m, comp @ exc.rho @ comp, level), exc)
+        final = apply_observable(_tuned_unitary(e_m, comp @ exc.rho @ comp), exc)
         survival = abs(np.vdot(exc.vector, final.vector)) ** 2
         estimate += float(o_m) * float(np.sqrt(survival))
     return estimate
@@ -353,15 +353,12 @@ def commensurable(obs1, obs2) -> CommensurabilityResult:
     proportionality of the two products; commensurability does not require
     the unitaries themselves to commute (t = 1).  Accepts raw unitary
     matrices, validated by `require_unitary`, or PrimitiveObservables, all of
-    one size; two observables must also sit at one level, since equal sizes
-    at different levels mean that one of them is mislabelled.
+    one size.
     """
     u1 = obs1.unitary if isinstance(obs1, PrimitiveObservable) else require_unitary(obs1)
     u2 = obs2.unitary if isinstance(obs2, PrimitiveObservable) else require_unitary(obs2)
     if u1.shape != u2.shape:
         raise ContractError("unitaries must act on the same space")
-    if all(isinstance(o, PrimitiveObservable) for o in (obs1, obs2)) and obs1.level != obs2.level:
-        raise ContractError(f"observables sit at levels {obs1.level} and {obs2.level}")
     x = u1 @ u2
     y = u2 @ u1
     z = np.trace(nk.dagger(x) @ y)

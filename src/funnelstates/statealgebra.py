@@ -12,8 +12,7 @@ An element has one representation, ``Psi = left @ core @ right^*``, where
 ``core`` is small.  Products, scalings and the involution only multiply or
 swap the factors, and a sum over the same factor objects adds the cores; other
 sums and module actions re-orthonormalise the stacked or acted factors with
-one thin SVD per side.  The kernel norm is ``||core||_F``, and ``kernel()``
-materializes the dense matrix on demand.
+one thin SVD per side.  The kernel norm is ``||core||_F``.
 
 Term lists are a view, derived only when something reads ``terms``: the
 eigenvectors of the Hermitian and anti-Hermitian parts of the kernel over one
@@ -57,10 +56,6 @@ class StateAlgebraElement:
         return self._terms
 
     # -- kernel access ------------------------------------------------------
-
-    def kernel(self) -> np.ndarray:
-        """Materialize the dense kernel on the doubled space."""
-        return self.left @ self.core @ nk.dagger(self.right)
 
     def kernel_apply(self, x: np.ndarray) -> np.ndarray:
         return self.left @ (self.core @ (nk.dagger(self.right) @ x))
@@ -230,13 +225,14 @@ def kernel_distance(a: StateAlgebraElement, b: StateAlgebraElement) -> float:
 def bimodule_act(side: str, op, el: StateAlgebraElement) -> StateAlgebraElement:
     """Left action (A x psi)(C) = psi(AC); right action (psi x A)(C) = psi(CA).
 
-    On kernels the left action is right multiplication by A (x) 1 and vice
+    A is a `LocalOperator` or a raw matrix at the level of its size.  On
+    kernels the left action is right multiplication by A (x) 1 and vice
     versa; the acted factor is re-orthonormalised.
     """
     if side not in ("left", "right"):
         raise ContractError(f"side must be 'left' or 'right', got {side!r}")
     if not isinstance(op, LocalOperator):
-        op = LocalOperator(el.state.tower.levels, op)
+        op = el.state.tower.operator(op)
     if side == "left":
         # K' = K (A (x) 1): columns of the right factor get hit by (A* (x) 1).
         adjoint = LocalOperator(op.level, nk.dagger(op.matrix))

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import ExcitationState, _gauge_phase, _require_shared_state, overlap
+from .excitations import ExcitationState, _require_shared_state, overlap
 from .funnel import GenericState
 
 
@@ -72,9 +72,8 @@ class OrthogonalFamily:
     @property
     def members(self) -> list:
         if self._members is None:
-            d, level = self.state.dim, self.state.tower.levels
-            self._members = [ExcitationState(self.state, level, _gauge_phase(row), row.reshape(d, d))
-                             for row in self.vectors]
+            d = self.state.dim
+            self._members = [ExcitationState(self.state, row.reshape(d, d)) for row in self.vectors]
         return self._members
 
     @property

@@ -40,3 +40,8 @@ def kron_embed(tower, level: int, a, target=None) -> np.ndarray:
     """Dense reference for a (x) 1 at level `target` (default: top): np.kron(a, eye(k))."""
     target = tower.levels if target is None else target
     return np.kron(a, np.eye(tower.dim_at(target) // tower.dim_at(level)))
+
+
+def kernel(el) -> np.ndarray:
+    """Dense reference for a state-algebra element's kernel on the doubled space: left core right^*."""
+    return el.left @ el.core @ nk.dagger(el.right)

@@ -179,8 +179,7 @@ def test_lift_phase_flags_degenerate_reference(rng):
     tau = nk.random_complex_matrix(rng, 8)
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
-    degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau), seed=0,
-                              eps_sep=1e-12)
+    degenerate = GenericState(tower=tower, lam=np.kron(np.eye(2) / 2, tau), seed=0)
     a = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
     b = make_excitation(degenerate, LocalOperator(1, nk.haar_unitary(rng, 2)))
     with pytest.raises(GenericityViolationError):

@@ -153,12 +153,40 @@ def test_act_equals_the_dense_embedding(dims, rng):
         for m in range(level, tower.levels):
             x_m = nk.random_complex_matrix(rng, tower.dim_at(m))
             assert np.array_equal(state.act(op, x_m), kron_embed(tower, level, a, m) @ x_m)
-    # a raw matrix is a top-level operator
+    # a raw top-level matrix acts at the top
     assert np.array_equal(state.act(a, x), emb @ x)
     # the reshape reads only the operator's size: a mismatch with its level raises
-    for bad in (LocalOperator(2, np.eye(2)), LocalOperator(1, np.eye(4)), np.eye(4)):
+    for bad in (LocalOperator(2, np.eye(2)), LocalOperator(1, np.eye(4))):
         with pytest.raises(ContractError):
             state.act(bad, x)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
+def test_level_of_round_trips_every_level(dims):
+    # the D_n strictly increase (every factor is >= 2), so a size names one level
+    tower = build_tower(dims)
+    levels = list(range(1, tower.levels + 1))
+    assert [tower.level_of(tower.dim_at(n)) for n in levels] == levels
+
+
+def test_a_size_that_is_no_level_is_a_contract_error(tower, state):
+    for dim in (3, 8):
+        with pytest.raises(ContractError):
+            tower.level_of(dim)
+        with pytest.raises(ContractError):
+            state.act(np.eye(dim), state.sqrt_lam)
+
+
+def test_a_raw_matrix_acts_at_the_level_of_its_size(state, rng):
+    # bit for bit the operator at that level, whether it acts or is excited
+    x = nk.random_complex_matrix(rng, state.dim)
+    for level in range(1, state.tower.levels + 1):
+        a = nk.random_complex_matrix(rng, state.tower.dim_at(level))
+        assert np.array_equal(state.act(a, x), state.act(LocalOperator(level, a), x))
+        raw = excitations.make_excitation(state, a)
+        op = excitations.make_excitation(state, LocalOperator(level, a))
+        assert raw.level == op.level == level
+        assert np.array_equal(raw.mat, op.mat)
 
 
 def test_dim_at_is_int_and_range_checked(tower):
@@ -202,7 +230,7 @@ def test_genericity_tracial_product_fails_lift(tower):
     tau = tau @ nk.dagger(tau)
     tau /= np.trace(tau).real
     lam = np.kron(np.eye(2) / 2, tau)
-    state = GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12)
+    state = GenericState(tower=tower, lam=lam, seed=0)
     report = check_genericity(state, trials=20, rng=np.random.default_rng(0))
     failed = {c.check_id for c in report.failures}
     assert "lift_injectivity:1" in failed
@@ -222,20 +250,33 @@ def test_genericity_reports_its_checks_on_make_excitation(state, monkeypatch):
     assert sorted(set(built)) == list(range(1, levels + 1))
 
 
+def _floored_density(d: int, floor: float) -> np.ndarray:
+    """A diagonal density of size d whose least eigenvalue is `floor`."""
+    spectrum = np.full(d, floor)
+    spectrum[0] = 1.0 - (d - 1) * floor
+    return np.diag(spectrum)
+
+
 def test_separating_is_derived_from_the_spectrum(tower):
     d = tower.top_dim
+    eps = funnel.SEPARATION_SCALE / d
     v = nk.random_unit_vector(np.random.default_rng(0), d)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rank_one = GenericState(tower=tower, lam=np.outer(v, np.conj(v)), seed=0, eps_sep=1e-12)
+        rank_one = GenericState(tower=tower, lam=np.outer(v, np.conj(v)), seed=0)
         assert rank_one.separating is False
         with pytest.raises(ContractError):
             rank_one.inv_sqrt_lam
-        full = GenericState(tower=tower, lam=np.eye(d) / d, seed=0, eps_sep=1e-12)
+        full = GenericState(tower=tower, lam=np.eye(d) / d, seed=0)
         assert full.separating is True
         assert np.all(np.isfinite(full.inv_sqrt_lam))
-    with pytest.raises(TypeError):
-        GenericState(tower=tower, lam=np.eye(d) / d, seed=0, eps_sep=1e-12, separating=True)
+    # eps_sep is the state's own SEPARATION_SCALE / D: a floor above it separates, one below does not
+    above = GenericState(tower=tower, lam=_floored_density(d, 2 * eps), seed=0)
+    assert above.eps_sep == eps and above.separating is True
+    assert GenericState(tower=tower, lam=_floored_density(d, eps / 2), seed=0).separating is False
+    for derived in ({"eps_sep": 1e-12}, {"separating": True}):
+        with pytest.raises(TypeError):
+            GenericState(tower=tower, lam=np.eye(d) / d, seed=0, **derived)
 
 
 @pytest.mark.parametrize("lam", ["small", "trace_two", "negative", "indefinite"])
@@ -247,7 +288,7 @@ def test_reference_density_is_a_density_of_its_tower(tower, lam):
     lam = {"small": np.eye(8) / 8, "trace_two": 2 * np.eye(d) / d, "negative": -np.eye(d) / d,
            "indefinite": np.diag([1.5, -0.5] + [0.0] * (d - 2))}[lam]
     with pytest.raises(ContractError):
-        GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12)
+        GenericState(tower=tower, lam=lam, seed=0)
 
 
 def test_reference_density_allows_rounding_below_zero(tower):
@@ -256,20 +297,18 @@ def test_reference_density_allows_rounding_below_zero(tower):
     v = nk.random_unit_vector(np.random.default_rng(5), d)
     lam = np.outer(v, np.conj(v)) - 1e-14 * np.diag(np.arange(d) == d - 1)
     lam /= np.trace(lam)
-    assert GenericState(tower=tower, lam=lam, seed=0, eps_sep=1e-12).rank == 1
+    assert GenericState(tower=tower, lam=lam, seed=0).rank == 1
 
 
 def test_non_separating_message_names_floor_and_threshold(tower):
-    # full rank, but the floor sits below eps_sep: the state is not pure
+    # full rank, but the floor sits below eps_sep = 1e-6 / 16: the state is not pure
     d = tower.top_dim
-    spectrum = np.full(d, 1e-4)
-    spectrum[0] = 1.0 - (d - 1) * 1e-4
-    state = GenericState(tower=tower, lam=np.diag(spectrum), seed=0, eps_sep=1e-3)
+    state = GenericState(tower=tower, lam=_floored_density(d, 3e-8), seed=0)
     assert state.separating is False
     with pytest.raises(ContractError) as err:
         state.inv_sqrt_lam
     message = str(err.value)
-    assert "1.000e-04" in message and "1.000e-03" in message
+    assert "3.000e-08" in message and "6.250e-08" in message
     assert "pure profile" not in message
 
 

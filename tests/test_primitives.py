@@ -38,10 +38,10 @@ from funnelstates.primitives import (
 )
 
 
-def _random_partial_isometry(rng, dim, rank, level):
+def _random_partial_isometry(rng, dim, rank):
     u = nk.haar_unitary(rng, dim)
     w = nk.haar_unitary(rng, dim)
-    return PartialIsometry(level=level, matrix=u[:, :rank] @ nk.dagger(w[:, :rank]))
+    return PartialIsometry(u[:, :rank] @ nk.dagger(w[:, :rank]))
 
 
 # -- operations -----------------------------------------------------------
@@ -49,7 +49,7 @@ def _random_partial_isometry(rng, dim, rank, level):
 
 def test_identity_operation_fixes_states(state, rng):
     a = random_excitation(state, rng, level=1)
-    obs = PrimitiveObservable(level=1, unitary=np.eye(2, dtype=complex))
+    obs = PrimitiveObservable(np.eye(2, dtype=complex))
     out = apply_observable(obs, a)
     assert norm_distance(a, out, scope="top") <= 1e-12
     assert transition_probability(a, out) == pytest.approx(1.0, abs=1e-12)
@@ -58,7 +58,7 @@ def test_identity_operation_fixes_states(state, rng):
 def test_survival_probability_is_expectation_squared(state, rng):
     for _ in range(20):
         a = random_excitation(state, rng, level=2)
-        obs = PrimitiveObservable(level=2, unitary=nk.haar_unitary(rng, 4))
+        obs = PrimitiveObservable(nk.haar_unitary(rng, 4))
         out = apply_observable(obs, a)
         expectation = a.evaluate(LocalOperator(2, obs.unitary))
         assert transition_probability(a, out) == pytest.approx(
@@ -68,14 +68,14 @@ def test_survival_probability_is_expectation_squared(state, rng):
 def test_silent_unitary_gives_orthogonal_final_state(state, rng):
     a = random_excitation(state, rng, level=3)
     u = balanced_unitary(a.rho)  # tr(rho_A U) = 0 exactly
-    obs = PrimitiveObservable(level=3, unitary=u)
+    obs = PrimitiveObservable(u)
     out = apply_observable(obs, a)
     assert transition_probability(a, out) <= 1e-12
 
 
 def test_nonunitary_rejected():
     with pytest.raises(ContractError):
-        PrimitiveObservable(level=1, unitary=np.diag([1.0, 0.5]))
+        PrimitiveObservable(np.diag([1.0, 0.5]))
 
 
 def test_unitary_hermitian_parts(rng):
@@ -109,7 +109,7 @@ def test_ut_minus_one_closed_form(state, rng):
     p = np.real(a.evaluate(LocalOperator(3, e)))
     closed = ut_probability(e, -1.0, a)
     assert closed == pytest.approx((2 * p - 1) ** 2, abs=1e-12)
-    operational = transition_probability(a, apply_observable(ut_unitary(e, -1.0, 3), a))
+    operational = transition_probability(a, apply_observable(ut_unitary(e, -1.0), a))
     assert operational == pytest.approx(closed, abs=1e-12)
 
 
@@ -126,9 +126,9 @@ def test_ut_probability_rejects_a_t_that_is_not_a_phase(state, rng, t):
     e = nk.random_projection(rng, 4, 2)
     a = random_excitation(state, rng, level=2)
     with pytest.raises(ContractError, match="t must be a phase"):
-        ut_probability(e, t, a, level=2)
+        ut_probability(e, t, a)
     with pytest.raises(ContractError, match="t must be a phase"):
-        ut_unitary(e, t, 2)
+        ut_unitary(e, t)
 
 
 # -- dilation ----------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_ut_probability_rejects_a_t_that_is_not_a_phase(state, rng, t):
 
 def test_dilation_of_unitary_is_identity_schedule(rng):
     u = nk.haar_unitary(rng, 4)
-    v = PartialIsometry(level=2, matrix=u)
+    v = PartialIsometry(u)
     (final,) = dilate_to_unitaries(v, [np.eye(4, dtype=complex)])
     assert nk.frob(final.unitary - u) <= 1e-12
 
@@ -146,7 +146,7 @@ def test_dilation_rank_one_on_c4():
     e1[0] = 1.0
     f1 = np.zeros((4, 1), dtype=complex)
     f1[2] = 1.0
-    v = PartialIsometry(level=2, matrix=f1 @ nk.dagger(e1))  # maps e1 -> f1
+    v = PartialIsometry(f1 @ nk.dagger(e1))  # maps e1 -> f1
     zero = np.zeros((4, 4), dtype=complex)
     final = dilate_to_unitaries(v, [zero, v.initial])[-1].unitary
     assert nk.frob((final - v.matrix) @ v.initial) <= 1e-12
@@ -154,7 +154,7 @@ def test_dilation_rank_one_on_c4():
 
 
 def test_dilation_zero_on_each_schedule_step(rng):
-    v = _random_partial_isometry(rng, 16, 6, 3)
+    v = _random_partial_isometry(rng, 16, 6)
     schedule = increasing_projection_schedule(v.initial, steps=4)
     unitaries = dilate_to_unitaries(v, schedule)
     assert len(unitaries) == len(schedule)
@@ -166,7 +166,7 @@ def test_dilation_zero_on_each_schedule_step(rng):
 
 
 def test_dilation_rejects_bad_schedule(rng):
-    v = _random_partial_isometry(rng, 8, 3, 3)
+    v = _random_partial_isometry(rng, 8, 3)
     with pytest.raises(ContractError):
         dilate_to_unitaries(v, [np.eye(8, dtype=complex)])  # not dominated by F
 
@@ -175,7 +175,7 @@ def test_dilation_rejects_bad_schedule(rng):
 
 
 def test_tuned_isometries_common_range_and_final(rng):
-    v = _random_partial_isometry(rng, 16, 5, 3)
+    v = _random_partial_isometry(rng, 16, 5)
     schedule = increasing_projection_schedule(v.initial, steps=4)
     family = tuned_isometries(v, dilate_to_unitaries(v, schedule))
     assert len(family) == len(schedule)
@@ -189,7 +189,7 @@ def test_tuned_isometries_common_range_and_final(rng):
 
 def test_tuned_isometries_unitary_case(rng):
     u = nk.haar_unitary(rng, 4)
-    v = PartialIsometry(level=2, matrix=u)
+    v = PartialIsometry(u)
     (iso,) = tuned_isometries(v, dilate_to_unitaries(v, [np.eye(4, dtype=complex)]))
     m = iso.matrix
     assert nk.frob(nk.dagger(m) @ m - np.eye(4)) <= 1e-12
@@ -204,7 +204,7 @@ def test_unitary_detector_values_are_bounded_by_one(state, rng):
 
 def test_tuned_family_final_value_matches_projection_mass(state, rng):
     a = random_excitation(state, rng, level=3)
-    v = _random_partial_isometry(rng, 16, 4, 3)
+    v = _random_partial_isometry(rng, 16, 4)
     schedule = increasing_projection_schedule(v.initial, steps=4)
     final = tuned_isometries(v, dilate_to_unitaries(v, schedule))[-1]
     mass = float(np.real(a.evaluate(LocalOperator(3, v.range_projection))))
@@ -310,6 +310,23 @@ def test_tune_detector_needs_a_finite_positive_epsilon(state, rng, epsilon):
     states = _concentrated_states(state, rng, e, 3, leak=0.01)
     with pytest.raises(ContractError, match="finite positive"):
         tune_detector(e, epsilon, states)
+
+
+def test_tune_detector_needs_a_top_level_projection(state, rng):
+    # a raw D_2 matrix would act at level 2 on the states, but the leak
+    # density 1 - E is built at the top: numpy's matmul raised a ValueError
+    a = random_excitation(state, rng, level=1)
+    with pytest.raises(ContractError, match="top-level"):
+        tune_detector(np.eye(4), 0.9, [a])
+
+
+def test_tune_detector_needs_one_reference_state(tower, state, rng):
+    # the mean leak density of two states' excitations mixed their densities
+    other = sample_generic_state(tower, seed=43)
+    e = nk.random_projection(rng, 16, 4)
+    a, b = _concentrated_states(state, rng, e, 1, 0.01) + _concentrated_states(other, rng, e, 1, 0.01)
+    with pytest.raises(ContractError, match="different reference states"):
+        tune_detector(e, 1e-3, [a, b])
 
 
 def test_tune_detector_unconcentrated_failure(state, rng):
@@ -449,7 +466,7 @@ def test_clock_shift_commensurable_not_commuting():
 def test_commuting_diagonal_unitaries(rng):
     u1 = np.diag(np.exp(2j * np.pi * rng.random(4)))
     u2 = np.diag(np.exp(2j * np.pi * rng.random(4)))
-    res = commensurable(PrimitiveObservable(2, u1), PrimitiveObservable(2, u2))
+    res = commensurable(PrimitiveObservable(u1), PrimitiveObservable(u2))
     assert res.commensurable and res.commutes
     assert res.phase == pytest.approx(1.0, abs=1e-10)
 
@@ -460,29 +477,21 @@ def test_commensurable_rejects_a_raw_matrix_that_is_not_unitary(raw):
     # Ad U is defined only for a unitary; a 2 x 3 matrix failed numpy's
     # broadcasting inside the unitarity check instead of the check itself
     with pytest.raises(ContractError, match="not unitary"):
-        PrimitiveObservable(1, raw)
+        PrimitiveObservable(raw)
     with pytest.raises(ContractError, match="not unitary"):
         commensurable(raw, np.eye(2))
     with pytest.raises(ContractError, match="not unitary"):
-        commensurable(PrimitiveObservable(1, np.eye(2)), raw)
+        commensurable(PrimitiveObservable(np.eye(2)), raw)
 
 
-def test_commensurable_rejects_observables_at_different_levels():
-    # equal sizes at two levels: one of the two labels is wrong
-    with pytest.raises(ContractError, match="levels 1 and 2"):
-        commensurable(PrimitiveObservable(1, np.eye(4)), PrimitiveObservable(2, np.eye(4)))
-    assert commensurable(PrimitiveObservable(2, np.eye(4)), np.eye(4)).commutes
-
-
-@pytest.mark.parametrize("level", [True, 1.5, 0, 7])
-def test_bad_observable_level_is_a_contract_error(state, rng, level):
-    # True ran as level 1, 1.5 raised a TypeError when acting, and 0 and 7
-    # raised ConfigurationError, the CLI's exit-2 class, from a library call.
-    # A non-integer or non-positive level is refused when the observable is
-    # built; a level above the tower, when it acts on the tower's state
+def test_an_observable_acts_at_the_level_of_its_size(state, rng):
+    # a unitary of size D_n acts as U (x) 1 at level n; a size that is no level raises
     exc = random_excitation(state, rng, level=1)
+    u = nk.haar_unitary(rng, 4)
+    out = apply_observable(PrimitiveObservable(u), exc)
+    np.testing.assert_allclose(out.mat, state.act(LocalOperator(2, u), exc.mat), rtol=0, atol=1e-15)
     with pytest.raises(ContractError):
-        apply_observable(PrimitiveObservable(level=level, unitary=np.eye(2)), exc)
+        apply_observable(PrimitiveObservable(np.eye(8)), exc)
 
 
 @pytest.mark.parametrize("level", [1.5, 2.0, "2", True, 0])
@@ -492,8 +501,6 @@ def test_bad_level_is_a_contract_error(state, rng, level):
     # it acted, and LocalOperator(True) acted as level 1
     with pytest.raises(ContractError):
         LocalOperator(level, np.eye(2))
-    with pytest.raises(ContractError):
-        PartialIsometry(level=level, matrix=np.eye(2))
     with pytest.raises(ContractError):
         random_excitation(state, rng, level=level)
     with pytest.raises(ContractError):
@@ -505,13 +512,13 @@ def test_bad_level_is_a_contract_error(state, rng, level):
 @pytest.mark.parametrize("steps", [2.5, 0, -3, True, "2"])
 def test_schedule_rejects_a_step_count_that_is_not_a_positive_integer(rng, steps):
     # 2.5 raised a TypeError from range; 0 and -3 became one step
-    v = _random_partial_isometry(rng, 16, 6, 3)
+    v = _random_partial_isometry(rng, 16, 6)
     with pytest.raises(ContractError):
         increasing_projection_schedule(v.initial, steps=steps)
 
 
 def test_schedule_clamps_its_steps_to_the_rank(rng):
-    v = _random_partial_isometry(rng, 16, 6, 3)
+    v = _random_partial_isometry(rng, 16, 6)
     schedule = increasing_projection_schedule(v.initial, steps=10)
     assert [round(float(np.real(np.trace(e)))) for e in schedule] == [1, 2, 3, 4, 5, 6]
 
@@ -524,7 +531,7 @@ def test_generic_pair_not_commensurable(rng):
 
 def test_ut_pairs_follow_the_projection_commutator(rng):
     def residuals(e1, e2):
-        return [commensurable(ut_unitary(e1, t, 2), ut_unitary(e2, t, 2)).residual
+        return [commensurable(ut_unitary(e1, t), ut_unitary(e2, t)).residual
                 for t in (1.0, 1j, -1.0, np.exp(0.3j))]
 
     e1 = nk.random_projection(rng, 4, 2)

@@ -17,6 +17,8 @@ from funnelstates import statealgebra as sa
 from funnelstates import numkernel as nk
 from funnelstates.excitations import random_excitation
 
+from conftest import kernel
+
 
 def _element(state, rng, n_terms=2, level=3):
     terms = []
@@ -31,7 +33,7 @@ def _element(state, rng, n_terms=2, level=3):
 
 def test_functional_kernel_consistency(state, rng):
     psi = _element(state, rng, n_terms=3)
-    dense = psi.kernel()
+    dense = kernel(psi)
     for _ in range(10):
         c = nk.random_complex_matrix(rng, 16)
         via_kernel = np.trace(dense @ np.kron(c, np.eye(16)))
@@ -71,7 +73,7 @@ def test_symmetric_elements_share_one_factorisation(state, rng, monkeypatch):
     # a - b stacks one factor for both sides, so one thin SVD serves both
     distance = sa.kernel_distance(a, b)
     assert len(calls) == 1
-    assert abs(distance - np.linalg.norm(a.kernel() - b.kernel())) <= 1e-12
+    assert abs(distance - np.linalg.norm(kernel(a) - kernel(b))) <= 1e-12
 
 
 def _count_svd(monkeypatch) -> list:
@@ -90,7 +92,7 @@ def test_sums_over_shared_factors_add_the_cores(state, rng, monkeypatch):
     total = sa.add(a, b)
     assert calls == []
     assert total.left is a.left and total.right is a.right
-    assert np.linalg.norm(total.kernel() - (a.kernel() + b.kernel())) <= 1e-12
+    assert np.linalg.norm(kernel(total) - (kernel(a) + kernel(b))) <= 1e-12
 
 
 def test_terms_over_one_shared_factor_need_no_svd(state, rng, monkeypatch):
@@ -100,7 +102,7 @@ def test_terms_over_one_shared_factor_need_no_svd(state, rng, monkeypatch):
     terms = psi.terms
     assert calls == []
     rebuilt = sa.element_from_terms(state, terms)
-    assert np.linalg.norm(rebuilt.kernel() - psi.kernel()) <= 1e-10
+    assert np.linalg.norm(kernel(rebuilt) - kernel(psi)) <= 1e-10
 
 
 def test_operations_build_no_excitation(state, rng, monkeypatch):
@@ -132,13 +134,13 @@ def test_kernel_norm_matches_dense_kernel(state, rng):
     near_zero = sa.add(sa.excitation_element(a), sa.scale(-1.0, sa.excitation_element(b)))
     assert 0 < near_zero.kernel_norm() < 1e-5
     for el in (product, near_zero):
-        assert abs(el.kernel_norm() - np.linalg.norm(el.kernel())) <= 1e-12
+        assert abs(el.kernel_norm() - np.linalg.norm(kernel(el))) <= 1e-12
 
 
 def test_product_terms_reconstruct_kernel(state, rng):
     product = sa.times(_element(state, rng), _element(state, rng))
     recon = sum(c * np.outer(exc.vector, np.conj(exc.vector)) for c, exc in product.terms)
-    assert np.linalg.norm(recon - product.kernel()) <= 1e-10
+    assert np.linalg.norm(recon - kernel(product)) <= 1e-10
 
 
 def test_terms_do_not_call_canonicalize(state, rng, monkeypatch):
@@ -157,7 +159,7 @@ def test_kernel_multiplicative_dense_small_tower(small_state):
     p1 = _element(small_state, rng, level=2)
     p2 = _element(small_state, rng, level=2)
     prod = sa.times(p1, p2)
-    np.testing.assert_allclose(prod.kernel(), p1.kernel() @ p2.kernel(), atol=1e-10)
+    np.testing.assert_allclose(kernel(prod), kernel(p1) @ kernel(p2), atol=1e-10)
 
 
 # -- product -------------------------------------------------------------
