@@ -21,7 +21,6 @@ from .funnel import (
     FunnelTower,
     GenericState,
     LocalOperator,
-    MinimalExtensionProjection,
     build_tower,
     check_genericity,
     minimal_extension_projection,

@@ -220,11 +220,23 @@ def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState
 # ---------------------------------------------------------------------------
 
 
+def _require_family(excs) -> None:
+    """A null combination is taken over one or more excitations of one reference state."""
+    if not len(excs):
+        raise ContractError("a null combination needs at least one excitation")
+    for e in excs[1:]:
+        _require_shared_state(excs[0], e)
+
+
 def functional_norm(coeffs, excs) -> float:
     """Trace norm of sum(c_m omega_{A_m}) as a functional on the top algebra.
 
-    Complex coefficients make the sum non-Hermitian, hence the SVD route.
+    One coefficient per excitation, all of one reference state.  Complex
+    coefficients make the sum non-Hermitian, hence the SVD route.
     """
+    _require_family(excs)
+    if len(coeffs) != len(excs):
+        raise ContractError(f"{len(coeffs)} coefficients for {len(excs)} excitations")
     acc = np.zeros_like(excs[0].rho)
     for c, e in zip(coeffs, excs):
         acc = acc + c * e.rho
@@ -237,11 +249,11 @@ def find_null_combination(excs):
     The Gram matrix of the excitation functionals (Hilbert-Schmidt pairing of
     their densities) is Hermitian PSD; an eigenvector below the numerical
     kernel threshold, 1e-10 relative, gives the dependency.  Raises when the
-    family is independent.
+    family is independent, and on an empty family or one that spans two
+    reference states.
     """
+    _require_family(excs)
     m = len(excs)
-    if not m:
-        raise ContractError("a null combination needs at least one excitation")
     gram = np.zeros((m, m), dtype=complex)
     for j in range(m):
         for k in range(m):

@@ -218,8 +218,9 @@ class GenericState:
         """(A (x) 1) x, A a `LocalOperator` at level n or a raw matrix, at the level of its size.
 
         x is any array whose leading axis is D_m for a level m >= n: a level-m
-        matrix, or a (D^2, r) block of doubled-space columns.  A acts on x
-        reshaped to (D_n, -1), with no embedding: D_n D_m work per column, not D_m^2.
+        matrix, or a (D^2, r) block of doubled-space columns; a leading axis
+        that D_n does not divide is a ContractError.  A acts on x reshaped to
+        (D_n, -1), with no embedding: D_n D_m work per column, not D_m^2.
         """
         if not isinstance(op, LocalOperator):
             op = self.tower.operator(op)
@@ -228,6 +229,10 @@ class GenericState:
         # the reshape reads only d: a mislabelled matrix would act at the wrong level
         if m.shape != (d, d):
             raise ContractError(f"matrix shape {m.shape} does not match level {level} dimension {d}")
+        # a leading axis D_n does not divide is read across rows: a 4 x 4 x at D_n = 16 as one column
+        if len(x) % d:
+            raise ContractError(
+                f"leading axis of shape {x.shape} is not a multiple of level {level} dimension {d}")
         return (m @ x.reshape(d, -1)).reshape(x.shape)
 
     def expect(self, op) -> complex:
@@ -276,31 +281,23 @@ def sample_generic_state(tower: FunnelTower, seed: int,
         if not state.separating:
             last_failure = f"spectrum floor {state.spectrum[-1]:.3e} below eps_sep {state.eps_sep:.3e}"
             continue
-        report = check_genericity(state, trials=6, rng=rng)
-        if report.passed:
+        failures = check_genericity(state, trials=6, rng=rng)
+        if not failures:
             return state
-        last_failure = f"genericity self-test failed: {report.failures[:1]}"
+        last_failure = f"genericity self-test failed: {failures}"
     raise SamplingError(
         f"could not sample a generic state for profile {profile!r} after "
         f"{MAX_REDRAWS} draws ({last_failure})"
     )
 
 
-@dataclass(frozen=True)
-class MinimalExtensionProjection:
-    """Rank-one projection at level n+1 that compresses level n to omega."""
+def minimal_extension_projection(state: GenericState, n: int) -> np.ndarray:
+    """psi_n, the unit D_{n+1} vector of the rank-one projection E_n = |psi_n><psi_n| above level n.
 
-    level: int
-    vector: np.ndarray
-    projector: np.ndarray       # inside the level-(n+1) algebra
-
-
-def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensionProjection:
-    """Purify the level-n reduction into the (n+1)-th factor.
-
-    Eigenvectors of the reduced density are taken in descending eigenvalue
-    order and paired with the first standard basis vectors of the next
-    factor; phases are fixed so every Schmidt coefficient is real positive.
+    E_n compresses level n to omega.  psi_n purifies the level-n reduction
+    into the (n+1)-th factor: eigenvectors of the reduced density, in
+    descending eigenvalue order, are paired with the first standard basis
+    vectors of the next factor, with every Schmidt coefficient real positive.
     """
     tower = state.tower
     require_level(n, tower.levels - 1)
@@ -317,12 +314,7 @@ def minimal_extension_projection(state: GenericState, n: int) -> MinimalExtensio
     # psi = sum_i sqrt(w_i) e_i (x) f_i: column i of the d_n x k_next matrix of psi
     psi = np.zeros((d_n, k_next), dtype=complex)
     psi[:, :rank] = eig.eigenvectors[:, :rank] * np.sqrt(weights[:rank])
-    psi = psi.ravel()
-    return MinimalExtensionProjection(
-        level=n,
-        vector=psi,
-        projector=np.outer(psi, np.conj(psi)),
-    )
+    return psi.ravel()
 
 
 def matrix_units(dim: int):
@@ -342,19 +334,19 @@ def relative_commutant_basis(tower: FunnelTower, n: int):
             for unit in matrix_units(tower.factor_dims[n]))
 
 
-def extension_projection_residual(state: GenericState, proj: MinimalExtensionProjection) -> float:
-    """max over the matrix-unit basis of N_n of ||E C E - omega(C) E||_F."""
-    tower = state.tower
-    n = proj.level
-    worst = 0.0
-    e = proj.projector
-    for unit in matrix_units(tower.dim_at(n)):
-        # E (u (x) 1) = ((u* (x) 1) E*)*: a 0/1 unit selects rows, so both forms are exact
-        e_u = nk.dagger(state.act(LocalOperator(level=n, matrix=nk.dagger(unit)), nk.dagger(e)))
-        lhs = e_u @ e
-        omega_c = state.expect(LocalOperator(level=n, matrix=unit))
-        worst = max(worst, nk.frob(lhs - omega_c * e))
-    return worst
+def extension_projection_residual(state: GenericState, psi: np.ndarray) -> float:
+    """max over the matrix units C of level n of ||E C E - omega(C) E||_F, for E = |psi><psi|.
+
+    n is read from psi's size, D_{n+1} (n >= 1); any other size is a
+    ContractError.  E C E = <psi, (C (x) 1) psi> E, and for C = e_i e_j* that
+    scalar is entry (j, i) of Psi Psi*, Psi = psi read as (D_n, k_{n+1}),
+    while omega(C) is entry (j, i) of the level-n reduction lam_n.  So the
+    residual is max |Psi Psi* - lam_n| ||psi||^2.
+    """
+    n = require_level(state.tower.level_of(len(psi)) - 1)
+    big_psi = psi.reshape(state.tower.dim_at(n), -1)
+    gap = big_psi @ nk.dagger(big_psi) - state.reduced(n)
+    return float(np.max(np.abs(gap)) * np.vdot(psi, psi).real)
 
 
 # ---------------------------------------------------------------------------
@@ -362,55 +354,38 @@ def extension_projection_residual(state: GenericState, proj: MinimalExtensionPro
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GenericityCheck:
-    check_id: str
-    passed: bool
-    residual: float
-    witness: dict = None
-
-
-@dataclass
-class GenericityReport:
-    passed: bool
-    checks: list
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-
-def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
+def check_genericity(state: GenericState, trials: int, rng) -> dict:
     """Operational genericity, checked on the excitation model it certifies.
 
-    `separating`: the spectrum floor is at least eps_sep.  `extension_projection:n`
-    (n < L): the rank-one projection above level n compresses every level-n
-    matrix unit C to omega(C) E.  `lift_injectivity:n` (n <= L): pairs of
-    level-n operators, half Gaussian, half Haar unitary (these expose tracial
-    products, whose density conjugation leaves invariant), built with
-    `make_excitation`, are more than INJECTIVITY_GAP apart unless one ray
-    (`canonical_mat` vectors equal within RAY_EQ_TOL).  Phase recovery is
-    not re-proved: once omega(A*A) = 1, omega(A*(tA)) = t by linearity; the
-    `lift` suite checks it operationally through `lift_phase`.
+    Returns the failed sub-checks, each id mapped to its witness, in run
+    order; an empty dict means the state is generic.  `separating`: the
+    spectrum floor is at least eps_sep.  `extension_projection:n` (n < L):
+    the rank-one projection above level n compresses every level-n matrix
+    unit C to omega(C) E, within 1e-10 (`extension_projection_residual`).
+    `lift_injectivity:n` (n <= L): pairs of level-n operators, half
+    Gaussian, half Haar unitary (these expose tracial products, whose density
+    conjugation leaves invariant), built with `make_excitation`, are more
+    than INJECTIVITY_GAP apart unless one ray (`canonical_mat` vectors equal
+    within RAY_EQ_TOL).  Phase recovery is not re-proved: once
+    omega(A*A) = 1, omega(A*(tA)) = t by linearity; the `lift` suite checks
+    it operationally through `lift_phase`.
     """
     # excitations imports this module, so its constructors are bound at call time
     from .excitations import make_excitation, norm_distance
 
     tower = state.tower
-    floor = float(state.spectrum[-1])
-    witness = None if state.separating else {"min_eig": floor, "eps_sep": state.eps_sep}
-    checks = [GenericityCheck("separating", state.separating, floor, witness)]
+    failures = {}
+    if not state.separating:
+        failures["separating"] = {"min_eig": float(state.spectrum[-1]), "eps_sep": state.eps_sep}
 
     for n in range(1, tower.levels):
         try:
-            proj = minimal_extension_projection(state, n)
-            residual = extension_projection_residual(state, proj)
-            checks.append(GenericityCheck(
-                check_id=f"extension_projection:{n}", passed=residual <= 1e-10, residual=residual))
-        except Exception as exc:  # report, never raise: the report carries failures
-            checks.append(GenericityCheck(
-                check_id=f"extension_projection:{n}", passed=False, residual=math.inf,
-                witness={"error": str(exc)}))
+            residual = extension_projection_residual(state, minimal_extension_projection(state, n))
+        except Exception as exc:  # report, never raise: the caller reads the failures
+            failures[f"extension_projection:{n}"] = {"error": str(exc)}
+            continue
+        if not residual <= 1e-10:
+            failures[f"extension_projection:{n}"] = {"residual": residual}
 
     for level in range(1, tower.levels + 1):
         d = tower.dim_at(level)
@@ -430,10 +405,7 @@ def check_genericity(state: GenericState, trials: int, rng) -> GenericityReport:
             gap = norm_distance(exc_a, exc_b, scope="top")
             if gap < worst:
                 worst, worst_kind = gap, kind
-        ok = worst > INJECTIVITY_GAP
-        checks.append(GenericityCheck(
-            check_id=f"lift_injectivity:{level}", passed=ok,
-            residual=worst if worst < math.inf else 0.0,
-            witness=None if ok else {"level": level, "kind": worst_kind, "distance": worst}))
+        if not worst > INJECTIVITY_GAP:
+            failures[f"lift_injectivity:{level}"] = {"level": level, "kind": worst_kind, "distance": worst}
 
-    return GenericityReport(passed=all(c.passed for c in checks), checks=checks)
+    return failures

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from funnelstates import build_tower, sample_generic_state
+from funnelstates import LocalOperator, build_tower, sample_generic_state
 from funnelstates import numkernel as nk
+from funnelstates.funnel import matrix_units
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -45,3 +46,17 @@ def kron_embed(tower, level: int, a, target=None) -> np.ndarray:
 def kernel(el) -> np.ndarray:
     """Dense reference for a state-algebra element's kernel on the doubled space: left core right^*."""
     return el.left @ el.core @ nk.dagger(el.right)
+
+
+def extension_residual_sweep(state, psi) -> float:
+    """Dense reference for `extension_projection_residual`: the matrix-unit loop over level n,
+    max ||E (C (x) 1) E - omega(C) E||_F with E = |psi><psi| built as a D_{n+1} x D_{n+1} matrix."""
+    n = state.tower.level_of(len(psi)) - 1
+    e = np.outer(psi, np.conj(psi))
+    worst = 0.0
+    for unit in matrix_units(state.tower.dim_at(n)):
+        # E (u (x) 1) = ((u* (x) 1) E*)*: a 0/1 unit selects rows, so both forms are exact
+        e_u = nk.dagger(state.act(LocalOperator(n, nk.dagger(unit)), nk.dagger(e)))
+        omega_c = state.expect(LocalOperator(n, unit))
+        worst = max(worst, nk.frob(e_u @ e - omega_c * e))
+    return worst

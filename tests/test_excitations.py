@@ -138,10 +138,10 @@ def test_evaluate_hermitian_is_real(state, rng):
 
 
 def test_evaluate_extension_projection_cross_module(state):
-    proj = minimal_extension_projection(state, 1)
+    psi = minimal_extension_projection(state, 1)
     ident = identity_excitation(state)
-    via_state = ident.evaluate(LocalOperator(2, proj.projector))
-    via_reduction = np.vdot(proj.vector, state.reduced(2) @ proj.vector)
+    via_state = ident.evaluate(LocalOperator(2, np.outer(psi, np.conj(psi))))
+    via_reduction = np.vdot(psi, state.reduced(2) @ psi)
     assert abs(via_state - via_reduction) <= 1e-12
 
 
@@ -422,6 +422,27 @@ def test_independent_family_rejected(state, rng, monkeypatch):
 def test_null_combination_of_nothing_rejected():
     with pytest.raises(ContractError):
         find_null_combination([])
+    # an IndexError on excs[0] before
+    with pytest.raises(ContractError):
+        functional_norm([], [])
+
+
+def test_null_combinations_take_one_reference_state(state, rng):
+    # two states of one tower have densities of one shape: their sum was taken silently
+    other = sample_generic_state(state.tower, seed=43)
+    a = random_excitation(state, rng, level=1)
+    c = random_excitation(other, rng, level=1)
+    with pytest.raises(ContractError):
+        find_null_combination([a, c])
+    with pytest.raises(ContractError):
+        functional_norm([1.0, -1.0], [a, c])
+
+
+def test_functional_norm_takes_one_coefficient_per_excitation(state, rng):
+    # zip dropped the third coefficient
+    a, b = (random_excitation(state, rng, level=1) for _ in range(2))
+    with pytest.raises(ContractError):
+        functional_norm([1.0, -1.0, 2.0], [a, b])
 
 
 # -- extremality --------------------------------------------------------
@@ -457,7 +478,8 @@ def test_compression_is_rank_one(state, rng):
     # A* E_n A, one level above the operator, is rank one with weight omega(A A*)
     for level in (1, 2):
         exc = random_excitation(state, rng, level=level)
-        e = minimal_extension_projection(state, level).projector
+        psi = minimal_extension_projection(state, level)
+        e = np.outer(psi, np.conj(psi))
         a_up = kron_embed(state.tower, level, exc.op.matrix, level + 1)
         svals = np.linalg.svd(nk.dagger(a_up) @ e @ a_up, compute_uv=False)
         expected = state.expect(LocalOperator(level, exc.op.matrix @ nk.dagger(exc.op.matrix)))

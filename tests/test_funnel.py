@@ -19,7 +19,7 @@ from funnelstates import excitations, funnel
 from funnelstates import numkernel as nk
 from funnelstates.funnel import extension_projection_residual, matrix_units
 
-from conftest import kron_embed
+from conftest import extension_residual_sweep, kron_embed
 
 
 def test_build_tower_dims():
@@ -161,6 +161,14 @@ def test_act_equals_the_dense_embedding(dims, rng):
             state.act(bad, x)
 
 
+def test_act_needs_a_leading_axis_that_the_level_divides(state):
+    # a 4 x 4 matrix read at D_3 = 16 was one column of 16 entries, and a 2 x 2
+    # one read at D_2 = 4 one column of 4: both returned without an error
+    for level, x in ((3, np.eye(4)), (2, np.eye(2))):
+        with pytest.raises(ContractError):
+            state.act(LocalOperator(level, 2 * np.eye(state.tower.dim_at(level))), x)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])
 def test_level_of_round_trips_every_level(dims):
     # the D_n strictly increase (every factor is >= 2), so a size names one level
@@ -212,14 +220,13 @@ def test_expectation_three_ways_agree(state, rng):
 
 
 def test_genericity_passes_for_random_state(state, rng):
-    report = check_genericity(state, trials=50, rng=rng)
-    assert report.passed, [c.check_id for c in report.failures]
+    assert check_genericity(state, trials=50, rng=rng) == {}
 
 
 def test_genericity_pure_fails_separating(pure_state):
-    report = check_genericity(pure_state, trials=4, rng=np.random.default_rng(0))
-    failed = {c.check_id for c in report.failures}
-    assert "separating" in failed
+    failures = check_genericity(pure_state, trials=4, rng=np.random.default_rng(0))
+    assert failures["separating"] == {"min_eig": float(pure_state.spectrum[-1]),
+                                      "eps_sep": pure_state.eps_sep}
 
 
 def test_genericity_tracial_product_fails_lift(tower):
@@ -231,9 +238,11 @@ def test_genericity_tracial_product_fails_lift(tower):
     tau /= np.trace(tau).real
     lam = np.kron(np.eye(2) / 2, tau)
     state = GenericState(tower=tower, lam=lam, seed=0)
-    report = check_genericity(state, trials=20, rng=np.random.default_rng(0))
-    failed = {c.check_id for c in report.failures}
-    assert "lift_injectivity:1" in failed
+    failures = check_genericity(state, trials=20, rng=np.random.default_rng(0))
+    assert list(failures) == ["lift_injectivity:1"]
+    witness = failures["lift_injectivity:1"]
+    assert witness["level"] == 1 and witness["kind"] == "unitary"
+    assert witness["distance"] <= funnel.INJECTIVITY_GAP
 
 
 def test_genericity_reports_its_checks_on_make_excitation(state, monkeypatch):
@@ -241,13 +250,8 @@ def test_genericity_reports_its_checks_on_make_excitation(state, monkeypatch):
     make = excitations.make_excitation
     monkeypatch.setattr(excitations, "make_excitation",
                         lambda st, op: built.append(op.level) or make(st, op))
-    report = check_genericity(state, trials=4, rng=np.random.default_rng(0))
-    levels = state.tower.levels
-    assert [c.check_id for c in report.checks] == (
-        ["separating"] + [f"extension_projection:{n}" for n in range(1, levels)]
-        + [f"lift_injectivity:{n}" for n in range(1, levels + 1)])
-    assert report.passed
-    assert sorted(set(built)) == list(range(1, levels + 1))
+    assert check_genericity(state, trials=4, rng=np.random.default_rng(0)) == {}
+    assert sorted(set(built)) == list(range(1, state.tower.levels + 1))
 
 
 def _floored_density(d: int, floor: float) -> np.ndarray:
@@ -326,10 +330,10 @@ def test_sampler_reads_the_floor_from_the_state(tower, monkeypatch):
 def test_extension_projection_schmidt_weights(state):
     # the squared Schmidt coefficients of the purifying vector are the
     # spectrum of the level-1 reduction
-    proj = minimal_extension_projection(state, 1)
+    psi = minimal_extension_projection(state, 1)
     rho1 = state.reduced(1)
     expected = np.sort(np.linalg.eigvalsh(rho1))[::-1]
-    schmidt = np.linalg.svd(proj.vector.reshape(2, 2), compute_uv=False)
+    schmidt = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
     np.testing.assert_allclose(schmidt**2, expected, atol=1e-12)
 
 
@@ -344,33 +348,58 @@ def test_extension_projection_vector_is_the_schmidt_sum(state, pure_state, n):
         psi = np.zeros(s.tower.dim_at(n) * k_next, dtype=complex)
         for i in np.flatnonzero(weights > 1e-14 * weights[0]):
             psi += np.sqrt(weights[i]) * np.kron(eig.eigenvectors[:, i], np.eye(k_next)[i])
-        np.testing.assert_array_equal(minimal_extension_projection(s, n).vector, psi)
+        np.testing.assert_array_equal(minimal_extension_projection(s, n), psi)
 
 
 def test_extension_projection_identity_compression(state):
-    proj = minimal_extension_projection(state, 1)
-    e = proj.projector
+    psi = minimal_extension_projection(state, 1)
+    e = np.outer(psi, np.conj(psi))
     np.testing.assert_allclose(e @ np.eye(4) @ e, e, atol=1e-14)
 
 
 def test_extension_projection_matrix_unit_sweep(state):
     for n in (1, 2):
-        proj = minimal_extension_projection(state, n)
-        assert extension_projection_residual(state, proj) <= 1e-10
+        psi = minimal_extension_projection(state, n)
+        assert extension_projection_residual(state, psi) <= 1e-10
+
+
+@pytest.mark.parametrize("profile", ["random_full_rank", "pure", "near_tracial"])
+def test_extension_residual_equals_the_matrix_unit_sweep(tower, profile):
+    # the closed form max |Psi Psi* - lam_n| ||psi||^2 against the dense loop over
+    # the level-n matrix units, at every level below the top
+    state = sample_generic_state(tower, seed=42, profile=profile)
+    for n in range(1, tower.levels):
+        psi = minimal_extension_projection(state, n)
+        assert abs(extension_projection_residual(state, psi) - extension_residual_sweep(state, psi)) <= 1e-15
+
+
+def test_extension_residual_of_a_vector_that_does_not_purify(state):
+    # a perturbed psi is no purification: both forms read the same 5e-3 residual
+    psi = minimal_extension_projection(state, 2)
+    psi = psi + 1e-2 * nk.random_unit_vector(np.random.default_rng(0), len(psi))
+    closed = extension_projection_residual(state, psi)
+    assert 1e-3 < closed < 1e-2
+    assert abs(closed - extension_residual_sweep(state, psi)) <= 1e-15
+
+
+def test_extension_residual_reads_its_level_from_the_vector_size(state):
+    # D_1 would be the level-0 projection, and 3 is no level dimension
+    for size in (state.tower.dim_at(1), 3):
+        with pytest.raises(ContractError):
+            extension_projection_residual(state, np.ones(size, dtype=complex) / np.sqrt(size))
 
 
 def test_extension_projection_deterministic(tower):
     s1 = sample_generic_state(tower, seed=17)
     s2 = sample_generic_state(tower, seed=17)
-    p1 = minimal_extension_projection(s1, 1)
-    p2 = minimal_extension_projection(s2, 1)
-    np.testing.assert_array_equal(p1.vector, p2.vector)
+    np.testing.assert_array_equal(minimal_extension_projection(s1, 1), minimal_extension_projection(s2, 1))
 
 
 def test_extension_projection_is_rank_one_in_next_level(state):
-    proj = minimal_extension_projection(state, 2)
-    assert np.linalg.matrix_rank(proj.projector, tol=1e-10) == 1
-    assert np.trace(proj.projector).real == pytest.approx(1.0, abs=1e-12)
+    # E_2 = |psi><psi| is a rank-one projection of level 3: psi is a unit D_3 vector
+    psi = minimal_extension_projection(state, 2)
+    assert psi.shape == (state.tower.dim_at(3),)
+    assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relative_commutant_basis_counts(tower):

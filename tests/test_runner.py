@@ -417,11 +417,22 @@ def test_excitations_are_read_through_their_vector():
     # superposition, the action of an observable, phase recovery and the state
     # algebra read an excitation only through `mat`, which exists at any rank:
     # `op` may need lam^{-1/2}
-    for module in ("excitations", "transitions", "statealgebra", "primitives"):
+    for module in ("funnel", "excitations", "transitions", "statealgebra", "primitives"):
         tree = ast.parse(Path(importlib.import_module(f"funnelstates.{module}").__file__).read_text())
         reads = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "op"]
         assert reads == [], f"{module} reads .op on lines {reads}"
+
+
+def test_library_modules_define_no_result_records():
+    # a self-test returns its failures, a construction its value and a measurement
+    # its number: no record wraps them (`primitives` keeps `CommensurabilityResult`)
+    records = []
+    for module in ("funnel", "excitations", "transitions", "statealgebra"):
+        tree = ast.parse(Path(importlib.import_module(f"funnelstates.{module}").__file__).read_text())
+        records += [f"{module}.{node.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    and node.name.endswith(("Check", "Report", "Result"))]
+    assert records == []
 
 
 def _kron_calls(tree) -> set:

@@ -455,14 +455,15 @@ def test_continuity_constant_schedule(state, rng):
 
 
 def test_continuity_envelope(state, rng):
+    # continuity bounds each deviation by its step, |p(u', v) - p(u, v)| <= 2 ||u' - u||,
+    # the bound `fuchs/local_continuity_tail` checks; it does not order the deviations
     a = random_excitation(state, rng, level=2)
     b = random_excitation(state, rng, level=2)
     x = nk.random_complex_matrix(rng, 4)
-    scales = [1, 2, 4, 8, 16, 32, 64]
-    devs = _continuity_deviations(a, b, x, scales)
-    envelope = max(m * dev for m, dev in zip(scales, devs))
-    assert devs[-1] <= envelope / 64 + 1e-12
-    assert devs[-1] < devs[0]
+    ref = transition_probability(a, b)
+    for m in (1, 2, 4, 8, 16, 32, 64):
+        a_m = make_excitation(state, LocalOperator(2, a.op.matrix + x / float(m)))
+        assert abs(transition_probability(a_m, b) - ref) <= 2.0 * nk.frob(a_m.mat - a.mat)
 
 
 def test_continuity_orthogonal_quadratic_direction(state, rng):
