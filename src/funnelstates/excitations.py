@@ -270,6 +270,10 @@ def find_null_combination(excs):
 
 
 def random_excitation(state: GenericState, rng, level: int) -> ExcitationState:
-    """Seeded Gaussian excitation at a tower level."""
+    """Seeded Gaussian excitation at a tower level.
+
+    `dim_at` gates the level before anything is drawn; the draw is a finite
+    complex matrix by construction, so it is not validated again.
+    """
     d = state.tower.dim_at(level)
-    return make_excitation(state, LocalOperator(level=level, matrix=nk.random_complex_matrix(rng, d)))
+    return make_excitation(state, LocalOperator._validated(level, nk.random_complex_matrix(rng, d)))

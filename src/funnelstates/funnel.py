@@ -394,9 +394,9 @@ def check_genericity(state: GenericState, trials: int, rng) -> dict:
             kind, draw = (("unitary", nk.haar_unitary) if trial % 2
                           else ("gaussian", nk.random_complex_matrix))
             a, b = draw(rng, d), draw(rng, d)
-            try:
-                exc_a = make_excitation(state, LocalOperator(level, a))
-                exc_b = make_excitation(state, LocalOperator(level, b))
+            try:  # the draws are finite complex matrices at a level of the tower
+                exc_a = make_excitation(state, LocalOperator._validated(level, a))
+                exc_b = make_excitation(state, LocalOperator._validated(level, b))
             except DegenerateExcitationError:
                 continue
             ca, cb = exc_a.canonical_mat, exc_b.canonical_mat

@@ -85,7 +85,7 @@ def herm_eig(m) -> HermEig:
 def trace_norm(m) -> float:
     """Sum of singular values."""
     m = as_cmatrix(m)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def herm_trace_norm(m) -> float:
@@ -94,7 +94,7 @@ def herm_trace_norm(m) -> float:
     Only the lower triangle is read, so the caller guarantees the symmetry.
     """
     m = as_cmatrix(m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
 @dataclass
@@ -154,9 +154,23 @@ def sqrtm_psd(m) -> CMatrix:
 # ---------------------------------------------------------------------------
 
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def random_complex_matrix(rng: np.random.Generator, rows: int, cols=None) -> CMatrix:
+    """(G + iH) / sqrt(2) for standard normal G, H, drawn as one (2, rows, cols) block.
+
+    The block holds the real parts first, so it reads the generator's stream
+    exactly as two (rows, cols) draws, G then H, would.  NumPy divides a
+    complex array by the real sqrt(2) as a multiplication by 1 / sqrt(2), so
+    scaling the parts in place gives the same bytes as that division.
+    """
     cols = rows if cols is None else cols
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    parts = rng.standard_normal((2, rows, cols))
+    parts *= _INV_SQRT2
+    out = np.empty((rows, cols), dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> CMatrix:

@@ -77,7 +77,7 @@ _CONFIG_KEYS = {"tower_dims", "seed", "profile", "suites", "tolerance_overrides"
 # suites with a fixed amount of work; determinism reruns a fixed sub-scenario
 _UNCOUNTED_SUITES = frozenset({"min_projection", "dilation", "determinism"})
 # a run-time budget, not a memory limit: no suite allocates a D^2 x D^2 array
-MAX_TOP_DIM = 64
+MAX_TOP_DIM = 256
 
 
 @dataclass

@@ -13,13 +13,12 @@ from .funnel import GenericState
 def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
     """|omega(A* B)|^2, clamped to at most 1 for reporting.
 
-    A hand-built ExcitationState need not be normalised, so a probability
-    above 1 beyond rounding is rejected.
+    A hand-built ExcitationState need not be normalised or finite, so a
+    probability above 1 beyond rounding, or NaN, is rejected.
     """
-    _require_shared_state(a, b)
-    p = abs(overlap(a, b)) ** 2
-    if p > 1.0 + 1e-12:
-        raise ContractError(f"transition probability {p!r} exceeds 1")
+    p = abs(overlap(a, b)) ** 2  # overlap checks that a and b share their state
+    if not p <= 1.0 + 1e-12:
+        raise ContractError(f"transition probability {p!r} is not at most 1")
     return float(min(p, 1.0))
 
 
@@ -142,9 +141,10 @@ def completeness_sum(family: OrthogonalFamily, probe: ExcitationState) -> float:
     if family.state is not probe.state:
         raise ContractError("excitations refer to different reference states")
     terms = np.abs(family.coefficients(probe.vector)) ** 2
-    if terms.max() > 1.0 + 1e-12:
-        raise ContractError(f"transition probability {terms.max()!r} outside the unit interval")
-    return float(np.minimum(terms, 1.0).sum())
+    top = terms.max()  # NaN if any term is: a hand-built probe need not be finite
+    if not top <= 1.0 + 1e-12:
+        raise ContractError(f"transition probability {top!r} outside the unit interval")
+    return float(np.minimum(terms, 1.0, out=terms).sum())
 
 
 def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:

@@ -6,6 +6,12 @@ from funnelstates import numkernel as nk
 from funnelstates.funnel import matrix_units
 
 
+def two_draw_complex_matrix(rng, rows: int, cols=None) -> np.ndarray:
+    """Reference for `numkernel.random_complex_matrix`: two (rows, cols) normal draws, real then imaginary."""
+    cols = rows if cols is None else cols
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
 def random_hermitian(rng, n: int) -> np.ndarray:
     """Seeded Hermitian test matrix (G + G*) / 2."""
     g = nk.random_complex_matrix(rng, n)

@@ -54,6 +54,40 @@ def test_density_is_normalized_conjugation(state, rng):
     assert exc.evaluate(LocalOperator(1, np.eye(2))) == pytest.approx(1.0, abs=1e-12)
 
 
+class CountingGenerator:
+    """A Generator stand-in that counts its `standard_normal` calls."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.normal_calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_random_excitation_draws_once(state, level):
+    rng = CountingGenerator(5)
+    exc = random_excitation(state, rng, level=level)
+    assert rng.normal_calls == 1
+    # the library's own draw is the operator, unvalidated but equal to a checked one
+    d = state.tower.dim_at(level)
+    checked = make_excitation(state, LocalOperator(level, nk.random_complex_matrix(np.random.default_rng(5), d)))
+    assert exc.level == level
+    np.testing.assert_array_equal(exc.mat, checked.mat)
+    np.testing.assert_array_equal(exc.op.matrix, checked.op.matrix)
+
+
+@pytest.mark.parametrize("level", [0, True, 4])  # the default tower has L = 3 levels
+def test_random_excitation_rejects_a_bad_level_before_drawing(state, level):
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ContractError, match="level must be an integer"):
+        random_excitation(state, rng, level=level)
+    assert rng.bit_generator.state == before
+
+
 def test_degenerate_excitation_rejected(pure_state):
     # with a rank-one reference there are operators annihilating the vector
     v = pure_state.basis[:, 0]

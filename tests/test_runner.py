@@ -218,7 +218,7 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("scenario", [
-    {"profile": "nope"}, {"tower_dims": [1, 2]}, {"tower_dims": [2, 2, 4, 16]},
+    {"profile": "nope"}, {"tower_dims": [1, 2]}, {"tower_dims": [2, 2, 128]},
     {"suites": ["lift"], "sample_counts": {"lift": 0}},
     {"sample_counts": {"lift": -3}}, {"sample_counts": {"lift": "abc"}},
     {"sample_counts": {"lift": True}}, {"sample_counts": {"lift": 2.5}}, {"sample_counts": []},
@@ -235,7 +235,7 @@ def test_cli_verify_capacity_failure_exit_code(tmp_path):
     {"tower_dims": [2]}, {"tower_dims": [3]},
 ])
 def test_cli_malformed_scenario_exit_code(tmp_path, capsys, monkeypatch, scenario):
-    # [2, 2, 4, 16] has D=256, above the D <= 64 ceiling that bounds a round's run
+    # [2, 2, 128] has D=512, above the D <= 256 ceiling that bounds a round's run
     # time: a scenario that slips past admission must fail here, not start a run.
     # A zero count would pass `lift` on no samples with an infinite residual.
     # `determinism` reruns a fixed sub-scenario, so an entry for it would be ignored;
@@ -272,6 +272,19 @@ def test_sample_counts_are_taken_only_by_suites_that_read_them(monkeypatch):
     for sid in runner._UNCOUNTED_SUITES:
         with pytest.raises(ConfigurationError, match=f"suite '{sid}' takes no sample count"):
             ScenarioConfig(sample_counts={sid: 1})
+
+
+def test_admission_ceiling_is_d256(tmp_path, capsys, monkeypatch):
+    # D=256 is admitted (a round takes under a minute); D=512 is not, and
+    # verify exits 2 before anything is built
+    assert ScenarioConfig(tower_dims=[2, 2, 64]).tower_dims == (2, 2, 64)
+    with pytest.raises(ConfigurationError, match="top dimension 512, above the maximum 256"):
+        ScenarioConfig(tower_dims=[2, 2, 128])
+    monkeypatch.setattr("funnelstates.cli.run", lambda config: pytest.fail("scenario was admitted"))
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"tower_dims": [2, 2, 128]}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "above the maximum 256" in capsys.readouterr().err
 
 
 def test_size_guard_reads_the_limit_at_call_time(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from funnelstates import (
     CompletenessUnavailableError,
     ContractError,
+    ExcitationState,
     LocalOperator,
     OrthogonalFamily,
     build_complete_family,
@@ -328,6 +329,24 @@ def test_completeness_sum_rejects_foreign_probe(small_state):
     probe = random_excitation(other, np.random.default_rng(4), level=2)
     with pytest.raises(ContractError):
         completeness_sum(family, probe)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_hand_built_excitation_is_a_contract_error(state, bad):
+    # a hand-built excitation is not validated; every read of it must raise, not return NaN
+    family = build_complete_family(state)
+    good = random_excitation(state, np.random.default_rng(6), level=2)
+    mat = good.mat.copy()
+    mat[1, 2] = bad
+    probe = ExcitationState(state, mat)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for read in (lambda: transition_probability(probe, good),
+                     lambda: transition_probability(good, probe),
+                     lambda: completeness_sum(family, probe),
+                     lambda: uhlmann_fidelity(probe, good),
+                     lambda: norm_distance(probe, good, scope="top")):
+            with pytest.raises(ContractError):
+                read()
 
 
 # -- Uhlmann comparison --------------------------------------------------
