@@ -91,7 +91,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suites() -> int:
     for info in list_suites():
-        print(f"{info['id']:<18} {info['claim']}")
+        count = "fixed work" if info["count"] is None else f"{info['count']} samples"
+        tol = "no tolerance" if info["tolerance"] is None else f"tolerance {info['tolerance']:g}"
+        print(f"{info['id']:<18} {info['claim']} ({count}, {tol})")
         print(f"{'':<18} {info['description']}")
     print(f"{len(list_suites())} suites registered")
     return 0

@@ -8,6 +8,7 @@ equality can be tested on representatives directly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -86,8 +87,11 @@ class ExcitationState:
         return self.canonical_phase * self.mat
 
     def evaluate(self, c) -> complex:
-        """omega_A(C) = tr(rho_A C) = <mat, C mat>."""
-        return complex(np.vdot(self.mat, self.state.act(c, self.mat)))
+        """omega_A(C) = tr(rho_A C) = <mat, C mat>; a non-finite value breaks the contract."""
+        value = complex(np.vdot(self.mat, self.state.act(c, self.mat)))
+        if not cmath.isfinite(value):
+            raise ContractError(f"expectation is not finite: {value}")
+        return value
 
 
 def _gauge_phase(vector: np.ndarray) -> complex:
@@ -148,10 +152,14 @@ def overlap(a: ExcitationState, b: ExcitationState) -> complex:
     """omega(A* B) = <A.omega, B.omega> for the operators as held, at the caller's phase.
 
     Not gauge-invariant: rephasing either operator rephases the overlap,
-    which is what `lift_phase` reads the phase t from.
+    which is what `lift_phase` reads the phase t from.  A non-finite overlap
+    (a hand-built excitation with a NaN or inf entry) breaks the contract.
     """
     _require_shared_state(a, b)
-    return complex(np.vdot(a.vector, b.vector))
+    value = complex(np.vdot(a.vector, b.vector))
+    if not cmath.isfinite(value):
+        raise ContractError(f"overlap is not finite: {value}")
+    return value
 
 
 def _require_shared_state(a: ExcitationState, b: ExcitationState) -> None:

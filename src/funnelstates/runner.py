@@ -74,8 +74,6 @@ ENGINE_VERSION = "0.1.0"
 
 
 _CONFIG_KEYS = {"tower_dims", "seed", "profile", "suites", "tolerance_overrides", "sample_counts"}
-# suites with a fixed amount of work; determinism reruns a fixed sub-scenario
-_UNCOUNTED_SUITES = frozenset({"min_projection", "dilation", "determinism"})
 # a run-time budget, not a memory limit: no suite allocates a D^2 x D^2 array
 MAX_TOP_DIM = 256
 
@@ -115,18 +113,18 @@ class ScenarioConfig:
                 raise ConfigurationError(f"unknown suite id {sid!r}")
         if len(set(self.suites)) < len(self.suites):
             raise ConfigurationError(f"suites must be distinct, got {list(self.suites)}")
-        # an entry that no suite reads would be echoed in the report as if it
-        # applied; a zero count would pass a suite on no samples, an infinite
-        # tolerance any check
-        if "determinism" in self.tolerance_overrides:
-            raise ConfigurationError("suite 'determinism' takes no tolerance")
+        # an entry for a suite that declares no such value would be echoed in the
+        # report as if it applied; a zero count would pass a suite on no
+        # samples, an infinite tolerance any check
         for sid, count in self.sample_counts.items():
-            if sid in _UNCOUNTED_SUITES:
+            if SUITES[sid].count is None:
                 raise ConfigurationError(f"suite {sid!r} takes no sample count")
             if not is_integer(count) or count < 1:
                 raise ConfigurationError(
                     f"sample count for {sid!r} must be a positive integer, got {count!r}")
         for sid, tol in self.tolerance_overrides.items():
+            if SUITES[sid].tol is None:
+                raise ConfigurationError(f"suite {sid!r} takes no tolerance")
             if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
                 raise ConfigurationError(
                     f"tolerance for {sid!r} must be a finite positive number, got {tol!r}")
@@ -298,12 +296,8 @@ class SuiteEnv:
     rng: np.random.Generator
     tower: object
     state: object
-
-    def tol(self, default: float) -> float:
-        return float(self.config.tolerance_overrides.get(self.suite_id, default))
-
-    def count(self, default: int) -> int:
-        return int(self.config.sample_counts.get(self.suite_id, default))
+    count: int | None  # the suite's declared sample count, or the scenario's override
+    tol: float | None  # likewise its tolerance; None where the suite declares none
 
     def derived_state(self, tag: str, profile: str, dims=None):
         tower = self.tower if dims is None else build_tower(dims)
@@ -328,20 +322,18 @@ class SuiteEnv:
 
 
 def _suite_lift(env: SuiteEnv):
-    n = env.count(100)
-    tol = env.tol(1e-9)
     tower = env.tower
     worst_phase = 0.0
-    for k in range(n):
+    for k in range(env.count):
         level = 1 + (k % (tower.levels - 1))
         a = random_excitation(env.state, env.rng, level=level)
         t = np.exp(2j * np.pi * env.rng.random())
         b = make_excitation(env.state, LocalOperator(level=level, matrix=t * a.op.matrix))
         worst_phase = max(worst_phase, abs(lift_phase(a, b) - t))
-    checks = [check_le("lift/phase_recovery", worst_phase, tol)]
+    checks = [check_le("lift/phase_recovery", worst_phase, env.tol)]
 
     min_dist = np.inf
-    for _ in range(n):
+    for _ in range(env.count):
         a, b = env.pair(level=1)
         min_dist = min(min_dist, norm_distance(a, b, scope="top"))
     checks.append(check_ge("lift/injectivity_gap", min_dist, 1e-6))
@@ -395,12 +387,10 @@ def _suite_null_transfer(env: SuiteEnv):
     the ratio ||sum_m c_m A_m* C A_m||_F / ||C (x) 1||_F is taken at the common
     level of C and the A_m, where ||C (x) 1||_F = sqrt(k) ||C||_F, k = D_common / D_C.
     """
-    combos = env.count(20)
-    tol = env.tol(1e-7)
     tower = env.tower
     worst = 0.0
     witness = None
-    for k in range(combos):
+    for k in range(env.count):
         level = 1 + (k % (tower.levels - 1))
         excs = _null_family(env, level)
         coeffs = find_null_combination(excs)
@@ -422,7 +412,7 @@ def _suite_null_transfer(env: SuiteEnv):
                 worst = ratio
                 witness = {"combination": k, "a_level": level, "trial": trial,
                            "c_level": c_level, "ratio": ratio}
-    checks = [check_le("null_transfer/max_ratio", worst, tol, witness=witness)]
+    checks = [check_le("null_transfer/max_ratio", worst, env.tol, witness=witness)]
 
     independent = [random_excitation(env.state, env.rng, level=1) for _ in range(3)]
     try:
@@ -434,12 +424,11 @@ def _suite_null_transfer(env: SuiteEnv):
 
 
 def _suite_min_projection(env: SuiteEnv):
-    tol = env.tol(1e-10)
     checks = []
     for n in range(1, env.tower.levels):
         psi = minimal_extension_projection(env.state, n)
         residual = extension_projection_residual(env.state, psi)
-        checks.append(check_le(f"min_projection/compression_identity:{n}", residual, tol))
+        checks.append(check_le(f"min_projection/compression_identity:{n}", residual, env.tol))
         e = np.outer(psi, np.conj(psi))
         valid = max(nk.frob(e @ e - e), nk.frob(e - nk.dagger(e)),
                     abs(np.trace(e) - 1.0))
@@ -456,12 +445,11 @@ def _suite_min_projection(env: SuiteEnv):
 
 
 def _suite_extreme_points(env: SuiteEnv):
-    n = env.count(50)
     checks = []
     worst_second = 0.0
     worst_lead = 0.0
     projections = {}
-    for k in range(n):
+    for k in range(env.count):
         level = 1 + (k % (env.tower.levels - 1))
         exc = random_excitation(env.state, env.rng, level=level)
         if level not in projections:
@@ -473,7 +461,7 @@ def _suite_extreme_points(env: SuiteEnv):
             LocalOperator(level=level, matrix=exc.op.matrix @ nk.dagger(exc.op.matrix)))))
         worst_second = max(worst_second, float(svals[1]))
         worst_lead = max(worst_lead, abs(float(svals[0]) - expected))
-    checks.append(check_le("extreme_points/compression_rank_one", worst_second, env.tol(1e-9)))
+    checks.append(check_le("extreme_points/compression_rank_one", worst_second, env.tol))
     checks.append(check_le("extreme_points/compression_weight", worst_lead, 1e-9))
 
     # a mixture that reproduces the state has every component on its ray
@@ -542,14 +530,13 @@ def _pure_pairs(env: SuiteEnv):
 
 
 def _suite_fuchs(env: SuiteEnv):
-    n = env.count(200)
-    sym, chain, rng_excess, min_slack, max_slack = _fuchs_stats(env.state, env.rng, n)
+    sym, chain, rng_excess, min_slack, max_slack = _fuchs_stats(env.state, env.rng, env.count)
     checks = [
         check_le("fuchs/symmetry", sym, 1e-12),
         check_le("fuchs/range", rng_excess, 1e-12),
         check_le("fuchs/chain_consistency", chain, 1e-12),
         check_ge("fuchs/bound_min_slack", min_slack, -1e-10),
-        check_ge("fuchs/mixed_strict_gap", max_slack, env.tol(1e-3),
+        check_ge("fuchs/mixed_strict_gap", max_slack, env.tol,
                  witness={"max_slack": max_slack}),
     ]
     worst_eq = max(abs(_fuchs_slack(a, b)) for a, b in _pure_pairs(env))
@@ -576,10 +563,9 @@ def _suite_fuchs(env: SuiteEnv):
 
 
 def _suite_uhlmann(env: SuiteEnv):
-    n = env.count(200)
     min_slack = np.inf
     max_gap = -np.inf
-    for _ in range(n):
+    for _ in range(env.count):
         a = random_excitation(env.state, env.rng, level=1 + int(env.rng.integers(env.tower.levels)))
         b = random_excitation(env.state, env.rng, level=a.level)
         gap = uhlmann_fidelity(a, b) - transition_probability(a, b)
@@ -587,7 +573,7 @@ def _suite_uhlmann(env: SuiteEnv):
         max_gap = max(max_gap, gap)
     checks = [
         check_ge("uhlmann/dominates", min_slack, -1e-10),
-        check_ge("uhlmann/mixed_strict_gap", max_gap, env.tol(1e-3),
+        check_ge("uhlmann/mixed_strict_gap", max_gap, env.tol,
                  witness={"max_gap": max_gap}),
     ]
     worst_eq = max(abs(uhlmann_fidelity(a, b) - transition_probability(a, b)) for a, b in _pure_pairs(env))
@@ -607,12 +593,12 @@ def _member_concentration(family, k: int) -> float:
     return float(np.delete(np.abs(family.block[:, k]) ** 2, k).sum())
 
 
-def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
+def _completeness_checks(env: SuiteEnv, state, tag: str):
     # the seeded probes are drawn once; the two families are compared
     # through the first one's recorded sums, so only one is alive
     rng = np.random.default_rng(suite_seed(env.config.seed, f"completeness:probes:{tag}"))
     probe_states = [random_excitation(state, rng, level=state.tower.levels)
-                    for _ in range(probes)]
+                    for _ in range(env.count)]
     family = build_complete_family(state)
     d2 = state.dim ** 2
     checks = [check_flag(f"completeness/size:{tag}", len(family) == d2,
@@ -623,7 +609,7 @@ def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
     checks.append(check_le(f"completeness/normalization:{tag}", diag, 1e-10))
     sums = [completeness_sum(family, probe) for probe in probe_states]
     worst = max([0.0] + [abs(total - 1.0) for total in sums])
-    checks.append(check_le(f"completeness/sum:{tag}", worst, env.tol(1e-8)))
+    checks.append(check_le(f"completeness/sum:{tag}", worst, env.tol))
     concentrated = _member_concentration(family, min(3, len(family) - 1))
     checks.append(check_le(f"completeness/member_concentration:{tag}", concentrated, 1e-12))
     del family
@@ -640,23 +626,20 @@ def _completeness_checks(env: SuiteEnv, state, tag: str, probes: int):
 
 
 def _suite_completeness(env: SuiteEnv):
-    probes = env.count(20)
-    checks = _completeness_checks(env, env.state, "main", probes)
+    checks = _completeness_checks(env, env.state, "main")
     small_state = env.derived_state("small", env.config.profile, dims=(2, 2))
-    checks += _completeness_checks(env, small_state, "2x2", probes)
+    checks += _completeness_checks(env, small_state, "2x2")
     return checks
 
 
 def _suite_state_algebra(env: SuiteEnv):
-    n = env.count(50)
-    tol = env.tol(1e-10)
     worst_assoc = 0.0
-    for _ in range(n):
+    for _ in range(env.count):
         p1, p2, p3 = env.element(), env.element(), env.element()
         left = sa.times(sa.times(p1, p2), p3)
         right = sa.times(p1, sa.times(p2, p3))
         worst_assoc = max(worst_assoc, sa.kernel_distance(left, right))
-    checks = [check_le("state_algebra/associativity", worst_assoc, tol)]
+    checks = [check_le("state_algebra/associativity", worst_assoc, env.tol)]
 
     # the product kernel against applying the factor kernels in turn, on the
     # reference vector and three seeded unit vectors
@@ -676,9 +659,9 @@ def _suite_state_algebra(env: SuiteEnv):
         for x in probes:
             gap = np.linalg.norm(prod.kernel_apply(x) - p1.kernel_apply(p2.kernel_apply(x)))
             worst_mult = max(worst_mult, float(gap) / scale_f)
-    checks.append(check_le("state_algebra/involution_compat", worst_inv, tol))
+    checks.append(check_le("state_algebra/involution_compat", worst_inv, env.tol))
     checks.append(check_le("state_algebra/involution_squared", worst_invol, 1e-12))
-    checks.append(check_le("state_algebra/kernel_multiplicative", worst_mult, tol))
+    checks.append(check_le("state_algebra/kernel_multiplicative", worst_mult, env.tol))
 
     worst_idem = 0.0
     worst_min = 0.0
@@ -701,17 +684,17 @@ def _suite_state_algebra(env: SuiteEnv):
         quad = sa.times(sa.times(sa.times(pa, pb), pc), pd).evaluate(eye)
         closed4 = overlap(a, b) * overlap(b, c) * overlap(c, dd) * overlap(dd, a)
         worst_quad = max(worst_quad, abs(quad - closed4))
-    checks.append(check_le("state_algebra/idempotent", worst_idem, tol))
-    checks.append(check_le("state_algebra/minimality", worst_min, tol))
-    checks.append(check_le("state_algebra/triple_product", worst_triple, tol))
-    checks.append(check_le("state_algebra/quadruple_product", worst_quad, tol))
+    checks.append(check_le("state_algebra/idempotent", worst_idem, env.tol))
+    checks.append(check_le("state_algebra/minimality", worst_min, env.tol))
+    checks.append(check_le("state_algebra/triple_product", worst_triple, env.tol))
+    checks.append(check_le("state_algebra/quadruple_product", worst_quad, env.tol))
 
     # an orthogonal pair: a1.omega is a seeded G.omega with its a0.omega component removed
     a0 = random_excitation(env.state, env.rng, level=env.tower.levels)
     w = (nk.random_complex_matrix(env.rng, env.state.dim) @ env.state.sqrt_lam).ravel()
     a1 = _excitation_with_vector(env.state, w - np.vdot(a0.vector, w) * a0.vector)
     prod = sa.times(sa.excitation_element(a0), sa.excitation_element(a1))
-    checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), tol))
+    checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), env.tol))
 
     worst_bimod = 0.0
     worst_beval = 0.0
@@ -730,7 +713,7 @@ def _suite_state_algebra(env: SuiteEnv):
         acted = sa.bimodule_act("left", a_op, sa.excitation_element(exc))
         direct = exc.evaluate(LocalOperator(level=1, matrix=a_op.matrix @ c_op.matrix))
         worst_beval = max(worst_beval, abs(acted.evaluate(c_op) - direct))
-    checks.append(check_le("state_algebra/bimodule_assoc", worst_bimod, tol))
+    checks.append(check_le("state_algebra/bimodule_assoc", worst_bimod, env.tol))
     checks.append(check_le("state_algebra/bimodule_eval", worst_beval, 1e-12))
 
     worst_null = 0.0
@@ -761,11 +744,10 @@ def _weights(pairs) -> np.ndarray:
 
 
 def _suite_spectral(env: SuiteEnv):
-    n = env.count(20)
     checks = []
     worst_recon = 0.0
     worst_orth = 0.0
-    for _ in range(n):
+    for _ in range(env.count):
         p = env.element(n_terms=3)
         sym = sa.scale(0.5, p + sa.dagger(p))
         pairs = sa.spectral_decompose(sym)
@@ -773,12 +755,12 @@ def _suite_spectral(env: SuiteEnv):
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 worst_orth = max(worst_orth, transition_probability(pairs[i][1], pairs[j][1]))
-    checks.append(check_le("spectral/reconstruction", worst_recon, env.tol(1e-9)))
+    checks.append(check_le("spectral/reconstruction", worst_recon, env.tol))
     checks.append(check_le("spectral/orthogonality", worst_orth, 1e-9))
 
     min_weight = np.inf
     worst_sum = 0.0
-    for _ in range(n):
+    for _ in range(env.count):
         k = 2 + int(env.rng.integers(3))
         probs = env.rng.random(k)
         probs /= probs.sum()
@@ -811,13 +793,12 @@ def _traceless_excitation(env: SuiteEnv):
 
 
 def _suite_duality(env: SuiteEnv):
-    n = env.count(50)
     worst_link = 0.0
     for _ in range(30):
         a, b = env.pair(level=1 + int(env.rng.integers(env.tower.levels)))
         val = sa.dual_state_apply(a, sa.excitation_element(b))
         worst_link = max(worst_link, abs(val - transition_probability(a, b)))
-    checks = [check_le("duality/transition_link", worst_link, env.tol(1e-12))]
+    checks = [check_le("duality/transition_link", worst_link, env.tol)]
 
     exc = random_excitation(env.state, env.rng, level=1)
     self_val = sa.dual_state_apply(exc, sa.excitation_element(exc))
@@ -825,7 +806,7 @@ def _suite_duality(env: SuiteEnv):
 
     min_pos = np.inf
     worst_oracle = 0.0
-    for _ in range(n):
+    for _ in range(env.count):
         psi = env.element(n_terms=2)
         probe = random_excitation(env.state, env.rng, level=1)
         val = sa.dual_state_apply(probe, sa.times(sa.dagger(psi), psi))
@@ -841,7 +822,7 @@ def _suite_duality(env: SuiteEnv):
     checks.append(check_le("duality/gram_oracle", worst_oracle, 1e-10))
 
     found = 0
-    total = env.count(30)
+    total = min(env.count, 30)  # one count sizes both loops; this one keeps its 30
     for k in range(total):
         if k % 3 == 2:  # traceless construction: omega annihilates every term
             terms = []
@@ -860,7 +841,7 @@ def _suite_duality(env: SuiteEnv):
 
 def _suite_w_isomorphism(env: SuiteEnv):
     worst_inner = 0.0
-    for _ in range(env.count(30)):
+    for _ in range(env.count):
         p1 = env.element(n_terms=2)
         p2 = env.element(n_terms=2)
         gns = sa.gns_inner(p1, p2)
@@ -871,7 +852,7 @@ def _suite_w_isomorphism(env: SuiteEnv):
                 chain += (np.conj(cl) * cm * np.vdot(env.state.omega_vector, al.vector)
                           * overlap(al, am) * np.vdot(am.vector, env.state.omega_vector))
         worst_inner = max(worst_inner, abs(gns - w_img), abs(gns - chain))
-    checks = [check_le("w_isomorphism/inner_products", worst_inner, env.tol(1e-10))]
+    checks = [check_le("w_isomorphism/inner_products", worst_inner, env.tol)]
 
     worst_int = 0.0
     for _ in range(20):
@@ -924,7 +905,7 @@ def _suite_dilation(env: SuiteEnv):
     unitaries = pr.dilate_to_unitaries(v, schedule)
     worst_unitary = max(nk.frob(nk.dagger(o.unitary) @ o.unitary - np.eye(d, dtype=complex))
                         for o in unitaries)
-    checks.append(check_le("dilation/unitarity", worst_unitary, env.tol(1e-12)))
+    checks.append(check_le("dilation/unitarity", worst_unitary, env.tol))
     on_step = max(nk.frob((obs.unitary - v.matrix) @ e_m) for obs, e_m in zip(unitaries, schedule))
     checks.append(check_le("dilation/on_schedule_exact", on_step, 1e-12))
     final = unitaries[-1].unitary
@@ -980,15 +961,13 @@ def _concentrated_states(env: SuiteEnv, e_proj, fractions):
 
 
 def _suite_detector(env: SuiteEnv):
-    eps = env.tol(1e-3)
-    n_states = env.count(10)
     d = env.tower.top_dim
     # Rank and cut points follow D so that the projection stays proper and
     # the three recovery blocks non-empty; at D=16 they are 4 and 6/5/5.
-    # The states leak the fractions 0.9 eps (k + 1) / n outside E, below eps at any D.
+    # The states leak 0.9 env.tol (k + 1) / env.count outside E, below env.tol at any D.
     e_proj = nk.random_projection(env.rng, d, min(4, d // 2))
-    states = _concentrated_states(env, e_proj, 0.9 * eps * np.arange(1, n_states + 1) / n_states)
-    obs = pr.tune_detector(e_proj, eps, states)
+    states = _concentrated_states(env, e_proj, 0.9 * env.tol * np.arange(1, env.count + 1) / env.count)
+    obs = pr.tune_detector(e_proj, env.tol, states)
     top = env.tower.levels
     inside = LocalOperator(level=top, matrix=e_proj)
     outside = LocalOperator(level=top, matrix=np.eye(d, dtype=complex) - e_proj)
@@ -999,8 +978,8 @@ def _suite_detector(env: SuiteEnv):
         leaks.append(float(np.real(final.evaluate(outside))))
         gaps.append(abs(abs(np.vdot(exc.vector, final.vector)) ** 2 - mass ** 2))
     checks = [
-        check_le("detector/leak_bound", max(leaks), eps),
-        check_le("detector/probability_bound", max(gaps), 4 * eps),
+        check_le("detector/leak_bound", max(leaks), env.tol),
+        check_le("detector/probability_bound", max(gaps), 4 * env.tol),
     ]
     try:
         pr.tune_detector(e_proj, 1e-15, states)
@@ -1020,18 +999,17 @@ def _suite_detector(env: SuiteEnv):
     estimate = pr.recover_observable([e1, e2, e3], weights, exc)
     observable = weights[0] * e1 + weights[1] * e2 + weights[2] * e3
     direct = float(np.real(np.trace(exc.rho @ observable)))
-    bound = 3 * np.sqrt(4 * eps) * max(abs(w) for w in weights) + 1e-9
+    bound = 3 * np.sqrt(4 * env.tol) * max(abs(w) for w in weights) + 1e-9
     checks.append(check_le("detector/recovery_error", abs(estimate - direct), bound,
                            witness={"estimate": estimate, "direct": direct}))
     return checks
 
 
 def _suite_ut_form(env: SuiteEnv):
-    tol = env.tol(1e-12)
     phases = (1.0, 1j, -1.0, np.exp(0.3j))
     worst = 0.0
     d2 = env.tower.dim_at(2)
-    for k in range(env.count(10)):
+    for k in range(env.count):
         # E at the top level or at level 2, where its size puts it
         d = env.tower.top_dim if k % 2 else d2
         e = nk.random_projection(env.rng, d, int(env.rng.integers(1, d)))
@@ -1042,7 +1020,7 @@ def _suite_ut_form(env: SuiteEnv):
             final = pr.apply_observable(obs, exc)
             operational = transition_probability(exc, final)
             worst = max(worst, abs(closed - operational))
-    checks = [check_le("ut_form/closed_vs_operational", worst, tol)]
+    checks = [check_le("ut_form/closed_vs_operational", worst, env.tol)]
 
     exc = random_excitation(env.state, env.rng, level=1)
     e_full = np.eye(env.tower.top_dim, dtype=complex)
@@ -1054,7 +1032,7 @@ def _suite_ut_form(env: SuiteEnv):
 def _suite_vacuum(env: SuiteEnv):
     det = pr.vacuum_detector(env.state)
     silent = abs(np.trace(env.state.lam @ det.unitary))
-    checks = [check_le("vacuum/silent_on_reference", silent, env.tol(1e-10))]
+    checks = [check_le("vacuum/silent_on_reference", silent, env.tol)]
 
     ident = identity_excitation(env.state)
     response0 = transition_probability(ident, pr.apply_observable(det, ident))
@@ -1062,7 +1040,7 @@ def _suite_vacuum(env: SuiteEnv):
 
     min_dist = np.inf
     responders = 0
-    for _ in range(env.count(10)):
+    for _ in range(env.count):
         exc = random_excitation(env.state, env.rng, level=1 + int(env.rng.integers(env.tower.levels)))
         response = transition_probability(exc, pr.apply_observable(det, exc))
         if response > 1e-9:
@@ -1094,7 +1072,7 @@ def _suite_commensurability(env: SuiteEnv):
     d = env.tower.top_dim
     generic = [pr.commensurable(pr.PrimitiveObservable(nk.haar_unitary(env.rng, d)),
                                 pr.PrimitiveObservable(nk.haar_unitary(env.rng, d)))
-               for _ in range(env.count(20))]
+               for _ in range(env.count)]
     checks.append(check_flag("commensurability/random_rejected", not any(r.commensurable for r in generic)))
     checks.append(check_ge("commensurability/random_residual", min(r.residual for r in generic), 1e-3))
 
@@ -1105,7 +1083,7 @@ def _suite_commensurability(env: SuiteEnv):
     residual = max(pr.commensurable(pr.ut_unitary(e1, t), pr.ut_unitary(e2, t)).residual
                    for t in (1.0, 1j, -1.0, np.exp(0.3j)))
     checks.append(check_le("commensurability/probe_commuting_projections", residual,
-                           env.tol(1e-10), witness={"commutator_norm": nk.frob(e1 @ e2 - e2 @ e1)}))
+                           env.tol, witness={"commutator_norm": nk.frob(e1 @ e2 - e2 @ e1)}))
     return checks
 
 
@@ -1134,58 +1112,71 @@ def _suite_determinism(env: SuiteEnv):
 
 @dataclass(frozen=True)
 class SuiteInfo:
+    """A registered suite; `count` and `tol` are the defaults it reads, None where it reads none."""
     suite_id: str
     claim: str
     description: str
     runner: object
+    count: int | None = None
+    tol: float | None = None
 
 
 SUITES = {}
 
 
-def _register(suite_id, claim, description, fn):
-    SUITES[suite_id] = SuiteInfo(suite_id, claim, description, fn)
+def _register(suite_id, claim, description, fn, count=None, tol=None):
+    SUITES[suite_id] = SuiteInfo(suite_id, claim, description, fn, count, tol)
 
 
 _register("lift", "bijective lift of excitation states onto operator rays",
-          "phase recovery, injectivity gap, gauge stability, genericity self-test", _suite_lift)
+          "phase recovery, injectivity gap, gauge stability, genericity self-test", _suite_lift,
+          count=100, tol=1e-9)
 _register("null_transfer", "null combinations of states annihilate all compressions",
-          "constructed rank-one-kernel dependencies transfer to operators", _suite_null_transfer)
+          "constructed rank-one-kernel dependencies transfer to operators", _suite_null_transfer,
+          count=20, tol=1e-7)
 _register("min_projection", "rank-one extension projections reproduce the state",
-          "E C E = omega(C) E over the full matrix-unit basis at every level", _suite_min_projection)
+          "E C E = omega(C) E over the full matrix-unit basis at every level", _suite_min_projection,
+          tol=1e-10)
 _register("extreme_points", "excitation states are extreme in their convex hull",
-          "rank-one compressions; convex decompositions collapse to one ray", _suite_extreme_points)
+          "rank-one compressions; convex decompositions collapse to one ray", _suite_extreme_points,
+          count=50, tol=1e-9)
 _register("fuchs", "transition probabilities obey the quadratic distance bound",
-          "symmetry, range, 1 - d^2/4 bound, pure-state equality, local continuity", _suite_fuchs)
+          "symmetry, range, 1 - d^2/4 bound, pure-state equality, local continuity", _suite_fuchs,
+          count=200, tol=1e-3)
 _register("uhlmann", "intrinsic overlap never exceeds the fidelity comparison",
-          "dominance on mixed states, equality for a pure reference", _suite_uhlmann)
+          "dominance on mixed states, equality for a pure reference", _suite_uhlmann, count=200, tol=1e-3)
 _register("completeness", "orthogonal families resolve every probe state",
-          "family of D^2 states with unit completeness sums", _suite_completeness)
+          "family of D^2 states with unit completeness sums", _suite_completeness, count=20, tol=1e-8)
 _register("state_algebra", "the span of excitations closes into a *-algebra",
-          "associativity, involution, closed product forms, bimodule actions", _suite_state_algebra)
+          "associativity, involution, closed product forms, bimodule actions", _suite_state_algebra,
+          count=50, tol=1e-10)
 _register("spectral", "symmetric elements split into orthogonal states",
-          "reconstruction, orthogonality, convex mixtures keep weights", _suite_spectral)
+          "reconstruction, orthogonality, convex mixtures keep weights", _suite_spectral, count=20, tol=1e-9)
 _register("duality", "dual states are positive and faithful on the algebra",
-          "positivity oracle, faithfulness witnesses incl. shifted probes", _suite_duality)
+          "positivity oracle, faithfulness witnesses incl. shifted probes", _suite_duality,
+          count=50, tol=1e-12)
 _register("w_isomorphism", "the kernel picture is a spatial isomorphism",
-          "inner products match, intertwines products with kernels", _suite_w_isomorphism)
+          "inner products match, intertwines products with kernels", _suite_w_isomorphism,
+          count=30, tol=1e-10)
 _register("dilation", "partial isometries dilate to convergent unitaries",
-          "exact unitarity, final-step identity, monotone tuned tables", _suite_dilation)
+          "exact unitarity, final-step identity, monotone tuned tables", _suite_dilation, tol=1e-12)
 _register("detector", "tuned operations detect projections within epsilon",
-          "leak and probability bounds, observable recovery", _suite_detector)
+          "leak and probability bounds, observable recovery", _suite_detector, count=10, tol=1e-3)
 _register("ut_form", "two-projection unitaries have a closed survival formula",
-          "analytic versus operational probability at several phases", _suite_ut_form)
+          "analytic versus operational probability at several phases", _suite_ut_form, count=10, tol=1e-12)
 _register("vacuum", "a silent unitary flags every deviation from the reference",
-          "zero response on the reference, positive distance witnesses", _suite_vacuum)
+          "zero response on the reference, positive distance witnesses", _suite_vacuum, count=10, tol=1e-10)
 _register("commensurability", "operations can commute up to a phase",
-          "clock-and-shift pair, genuinely commuting and generic pairs", _suite_commensurability)
+          "clock-and-shift pair, genuinely commuting and generic pairs", _suite_commensurability,
+          count=20, tol=1e-10)
 _register("determinism", "identical scenarios reproduce identical reports",
           "re-runs a suite subset and compares digests", _suite_determinism)
 
 
 def list_suites():
     return [
-        {"id": info.suite_id, "claim": info.claim, "description": info.description}
+        {"id": info.suite_id, "claim": info.claim, "description": info.description,
+         "count": info.count, "tolerance": info.tol}
         for info in SUITES.values()
     ]
 
@@ -1206,12 +1197,16 @@ def _execute(config: ScenarioConfig):
             results.append(SuiteResult(suite_id=suite_id, checks=[], error=construction_error))
             continue
         info = SUITES[suite_id]
+        count = config.sample_counts.get(suite_id, info.count)
+        tol = config.tolerance_overrides.get(suite_id, info.tol)
         env = SuiteEnv(
             config=config,
             suite_id=suite_id,
             rng=np.random.default_rng(suite_seed(config.seed, suite_id)),
             tower=tower,
             state=state,
+            count=None if count is None else int(count),
+            tol=None if tol is None else float(tol),
         )
         try:
             checks = info.runner(env)

@@ -390,8 +390,9 @@ def test_null_combination_found_and_transfers(state, rng):
 
 
 def _null_transfer_env(state, combos):
-    config = runner.ScenarioConfig(suites=("null_transfer",), sample_counts={"null_transfer": combos})
-    return runner.SuiteEnv(config, "null_transfer", np.random.default_rng(9), state.tower, state)
+    config = runner.ScenarioConfig(suites=("null_transfer",))
+    return runner.SuiteEnv(config, "null_transfer", np.random.default_rng(9), state.tower, state,
+                           count=combos, tol=runner.SUITES["null_transfer"].tol)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6)])

@@ -83,6 +83,10 @@ def test_list_suites_contents():
     assert len(infos) >= 14
     for info in infos:
         assert info["claim"] and info["description"]
+    # the declared defaults: a count and a tolerance, or None for fixed work
+    declared = {info["id"]: (info["count"], info["tolerance"]) for info in infos}
+    assert declared["lift"] == (100, 1e-9) and declared["detector"] == (10, 1e-3)
+    assert declared["min_projection"] == (None, 1e-10) and declared["determinism"] == (None, None)
 
 
 def test_single_suite_run_passes():
@@ -185,6 +189,10 @@ def test_cli_suites_command(capsys):
     assert main(["suites"]) == 0
     out = capsys.readouterr().out
     assert "lift" in out and "spectral" in out
+    lines = {line.split()[0]: line for line in out.splitlines() if line[:1].strip()}
+    assert lines["lift"].endswith("(100 samples, tolerance 1e-09)")
+    assert lines["dilation"].endswith("(fixed work, tolerance 1e-12)")
+    assert lines["determinism"].endswith("(fixed work, no tolerance)")
 
 
 def _reject_constant(name):
@@ -260,18 +268,41 @@ def test_cli_demo_rejects_a_one_level_tower(tmp_path, capsys):
     assert "at least two nested levels" in capsys.readouterr().err
 
 
-def test_sample_counts_are_taken_only_by_suites_that_read_them(monkeypatch):
-    # every suite outside the uncounted set reads its count, and a count for
-    # one inside it is rejected rather than echoed unused in the report
-    read = set()
-    count = runner.SuiteEnv.count
-    monkeypatch.setattr(runner.SuiteEnv, "count",
-                        lambda env, default: read.add(env.suite_id) or count(env, default))
-    run(ScenarioConfig(tower_dims=(2, 2)))
-    assert read == set(runner.SUITES) - runner._UNCOUNTED_SUITES
-    for sid in runner._UNCOUNTED_SUITES:
-        with pytest.raises(ConfigurationError, match=f"suite '{sid}' takes no sample count"):
-            ScenarioConfig(sample_counts={sid: 1})
+def test_sample_counts_are_taken_only_by_suites_that_read_them():
+    # each suite's declared count and tolerance are what it reads: a count
+    # override changes its report, a tolerance override (half the default,
+    # which keeps the detector's epsilon tunable) is carried by one of its
+    # checks, and an entry for a suite that declares none is rejected
+    counted = [sid for sid, info in runner.SUITES.items() if info.count is not None]
+    halved = {sid: info.tol / 2 for sid, info in runner.SUITES.items() if info.tol is not None}
+
+    def by_suite(count):
+        report = run(ScenarioConfig(tower_dims=(2, 2), sample_counts=dict.fromkeys(counted, count),
+                                    tolerance_overrides=halved))
+        return {s.suite_id: s for s in report.suites}
+
+    # far apart: a worst case over the samples can sit on the first one for a
+    # while (null_transfer's does up to count 5 on (2, 2))
+    first, second = by_suite(1), by_suite(8)
+    for sid in counted:
+        assert first[sid].error is None and first[sid].to_dict() != second[sid].to_dict(), sid
+    for sid, tol in halved.items():
+        assert tol in [c.tolerance for c in first[sid].checks], sid
+    for sid, info in runner.SUITES.items():
+        if info.count is None:
+            with pytest.raises(ConfigurationError, match=f"suite '{sid}' takes no sample count"):
+                ScenarioConfig(sample_counts={sid: 1})
+        if info.tol is None:
+            with pytest.raises(ConfigurationError, match=f"suite '{sid}' takes no tolerance"):
+                ScenarioConfig(tolerance_overrides={sid: 1e-3})
+
+
+@pytest.mark.parametrize("count, total", [(7, 7), (45, 30)])
+def test_duality_count_caps_the_faithfulness_witnesses_at_30(count, total):
+    # one count sizes the positivity loop and, up to its default 30, the witness loop
+    report = run(ScenarioConfig(tower_dims=(2, 2), suites=("duality",), sample_counts={"duality": count}))
+    check = next(c for c in report.suites[0].checks if c.check_id == "duality/faithfulness_witnesses")
+    assert check.witness["total"] == total
 
 
 def test_admission_ceiling_is_d256(tmp_path, capsys, monkeypatch):

@@ -344,7 +344,10 @@ def test_non_finite_hand_built_excitation_is_a_contract_error(state, bad):
                      lambda: transition_probability(good, probe),
                      lambda: completeness_sum(family, probe),
                      lambda: uhlmann_fidelity(probe, good),
-                     lambda: norm_distance(probe, good, scope="top")):
+                     lambda: norm_distance(probe, good, scope="top"),
+                     lambda: overlap(probe, good),
+                     lambda: overlap(good, probe),
+                     lambda: probe.evaluate(LocalOperator(1, np.eye(2, dtype=complex)))):
             with pytest.raises(ContractError):
                 read()
 
