@@ -131,6 +131,84 @@ def make_excitation(state: GenericState, op) -> ExcitationState:
     return _normalized(state, state.act(op, state.sqrt_lam), op)
 
 
+# ---------------------------------------------------------------------------
+# Stacked forms: one numpy call per step for n excitations or n pairs, each
+# member bit-equal to what the single form gives it.  The single forms keep
+# their own code: a one-member stack costs a few microseconds more per call.
+# ---------------------------------------------------------------------------
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k, b_k> for each member of two (n, ...) stacks, bit-equal to np.vdot of the pair."""
+    n = len(a)
+    return (np.conj(a.reshape(n, 1, -1)) @ b.reshape(n, -1, 1))[:, 0, 0]
+
+
+def make_excitations(state: GenericState, ops) -> tuple:
+    """Stacked `make_excitation` of finite (n, d, d) operators, read at the level of their size d.
+
+    Returns the normalized (n, D, D) mats and the operators scaled with them.
+    The first member whose norm is not finite or vanishes raises as
+    `_normalized` does.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    n, d = len(ops), ops.shape[-1]
+    state.tower.level_of(d)
+    if ops.shape != (n, d, d):
+        raise ContractError(f"expected a stack of square matrices, got shape {ops.shape}")
+    # one (n d, d) product: each member's rows get the bits `act` gives them, at
+    # a fraction of a batched matmul's per-matrix cost
+    mats = (ops.reshape(n * d, d) @ state.sqrt_lam.reshape(d, -1)).reshape(n, state.dim, state.dim)
+    norm_sq = _row_dots(mats, mats).real
+    for k in np.flatnonzero(~(np.isfinite(norm_sq) & (norm_sq > 1e-12)))[:1]:
+        _normalized(state, mats[k])  # raises
+    scale = (1.0 / np.sqrt(norm_sq))[:, None, None]
+    return mats * scale, ops * scale
+
+
+def canonical_mats(mats: np.ndarray) -> np.ndarray:
+    """Stacked `ExcitationState.canonical_mat`: each mat at its deterministic ray phase."""
+    return np.array([_gauge_phase(m.ravel()) for m in mats])[:, None, None] * mats
+
+
+def overlaps(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Stacked `overlap`, <A_k.omega, B_k.omega> per pair of (n, D, D) mats; a non-finite one raises."""
+    values = _row_dots(a_mats, b_mats)
+    for value in values[~np.isfinite(values)][:1]:
+        raise ContractError(f"overlap is not finite: {complex(value)}")
+    return values
+
+
+def top_distances(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Stacked `norm_distance(scope="top")`: the trace norm of rho_A - rho_B per pair."""
+    return nk.herm_trace_norm(a_mats @ nk.dagger(a_mats) - b_mats @ nk.dagger(b_mats))
+
+
+def lift_phases(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Stacked `lift_phase`: the phase t_k with B_k = t_k A_k for each pair of equal states.
+
+    ||X||_1 <= sqrt(D) ||X||_F, so a pair with sqrt(D) ||rho_A - rho_B||_F
+    within STATE_EQ_TOL is equal without eigenvalues; the others take the
+    exact trace norm, which a NotSameRayError carries.
+    """
+    diff = a_mats @ nk.dagger(a_mats) - b_mats @ nk.dagger(b_mats)
+    screened = math.sqrt(diff.shape[-1]) * np.linalg.norm(diff, axis=(-2, -1)) <= STATE_EQ_TOL
+    unscreened = np.flatnonzero(~screened)
+    for dist in nk.herm_trace_norm(diff[unscreened]).tolist() if len(unscreened) else ():
+        if dist > STATE_EQ_TOL:
+            raise NotSameRayError(f"states differ by {dist:.3e} in functional norm", distance=dist)
+    t = overlaps(a_mats, b_mats)
+    # for unit vectors ||B.omega - t A.omega||^2 = 1 - |t|^2; A -> A.omega is
+    # injective on a separating state, so there the test is B = t A
+    missed = np.linalg.norm(b_mats - t[:, None, None] * a_mats, axis=(-2, -1)) > OP_RECOVERY_TOL
+    for value in t[missed][:1]:
+        raise GenericityViolationError(
+            f"equal states but |omega(A*B)| = {abs(complex(value)):.12f}: the representatives are not "
+            "phase multiples, so the reference state fails the lift property"
+        )
+    return t
+
+
 def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationState:
     """The top-level excitation holding X.omega = v / ||v|| as given, mat = v.reshape(D, D).
 
@@ -189,22 +267,9 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
 
 
 def lift_phase(a: ExcitationState, b: ExcitationState) -> complex:
-    """Recover the phase t with B = t A for two equal excitation states."""
+    """Recover the phase t with B = t A for two equal excitation states (`lift_phases` of one pair)."""
     _require_shared_state(a, b)
-    dist = norm_distance(a, b, scope="top")
-    if dist > STATE_EQ_TOL:
-        raise NotSameRayError(
-            f"states differ by {dist:.3e} in functional norm", distance=dist
-        )
-    t = overlap(a, b)
-    # for unit vectors ||B.omega - t A.omega||^2 = 1 - |t|^2; A -> A.omega is
-    # injective on a separating state, so there the test is B = t A
-    if nk.frob(b.mat - t * a.mat) > OP_RECOVERY_TOL:
-        raise GenericityViolationError(
-            f"equal states but |omega(A*B)| = {abs(t):.12f}: the representatives are not "
-            "phase multiples, so the reference state fails the lift property"
-        )
-    return t
+    return complex(lift_phases(a.mat[None], b.mat[None])[0])
 
 
 def superpose(c_a: complex, a: ExcitationState, c_b: complex, b: ExcitationState) -> ExcitationState:
@@ -258,14 +323,13 @@ def find_null_combination(excs):
     their densities) is Hermitian PSD; an eigenvector below the numerical
     kernel threshold, 1e-10 relative, gives the dependency.  Raises when the
     family is independent, and on an empty family or one that spans two
-    reference states.
+    reference states.  Each density is Hermitian, so tr(rho_j rho_k) is the
+    inner product <rho_j, rho_k>, and the Gram matrix is one product of the
+    flattened densities.
     """
     _require_family(excs)
-    m = len(excs)
-    gram = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            gram[j, k] = np.trace(excs[j].rho @ excs[k].rho)
+    flat = np.array([e.rho.ravel() for e in excs])
+    gram = np.conj(flat) @ flat.T
     eig = nk.herm_eig(gram)
     scale = max(eig.eigenvalues[0], 1.0)
     if eig.eigenvalues[-1] > 1e-10 * scale:

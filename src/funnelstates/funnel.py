@@ -364,14 +364,16 @@ def check_genericity(state: GenericState, trials: int, rng) -> dict:
     unit C to omega(C) E, within 1e-10 (`extension_projection_residual`).
     `lift_injectivity:n` (n <= L): pairs of level-n operators, half
     Gaussian, half Haar unitary (these expose tracial products, whose density
-    conjugation leaves invariant), built with `make_excitation`, are more
-    than INJECTIVITY_GAP apart unless one ray (`canonical_mat` vectors equal
-    within RAY_EQ_TOL).  Phase recovery is not re-proved: once
-    omega(A*A) = 1, omega(A*(tA)) = t by linearity; the `lift` suite checks
-    it operationally through `lift_phase`.
+    conjugation leaves invariant), built with `make_excitations`, are more
+    than INJECTIVITY_GAP apart in trace norm unless one ray (`canonical_mats`
+    equal within RAY_EQ_TOL).  ||X||_1 >= ||X||_F, so a pair whose densities
+    are more than INJECTIVITY_GAP apart in Frobenius norm is cleared without
+    eigenvalues; the least trace norm, the witness, is exact.  Phase recovery
+    is not re-proved: once omega(A*A) = 1, omega(A*(tA)) = t by linearity;
+    the `lift` suite checks it operationally through `lift_phases`.
     """
     # excitations imports this module, so its constructors are bound at call time
-    from .excitations import make_excitation, norm_distance
+    from .excitations import canonical_mats
 
     tower = state.tower
     failures = {}
@@ -390,22 +392,42 @@ def check_genericity(state: GenericState, trials: int, rng) -> dict:
     for level in range(1, tower.levels + 1):
         d = tower.dim_at(level)
         worst, worst_kind = math.inf, None
-        for trial in range(max(trials, 2)):
-            kind, draw = (("unitary", nk.haar_unitary) if trial % 2
-                          else ("gaussian", nk.random_complex_matrix))
-            a, b = draw(rng, d), draw(rng, d)
-            try:  # the draws are finite complex matrices at a level of the tower
-                exc_a = make_excitation(state, LocalOperator._validated(level, a))
-                exc_b = make_excitation(state, LocalOperator._validated(level, b))
-            except DegenerateExcitationError:
-                continue
-            ca, cb = exc_a.canonical_mat, exc_b.canonical_mat
-            if nk.frob(ca - cb) <= RAY_EQ_TOL * nk.frob(ca):
-                continue
-            gap = norm_distance(exc_a, exc_b, scope="top")
-            if gap < worst:
-                worst, worst_kind = gap, kind
+        for stack in nk.stacks((_genericity_pair(rng, d, trial) for trial in range(max(trials, 2))),
+                               state.dim**2):
+            for a, b, kinds in _excited_pairs(state, *stack):
+                ca = canonical_mats(a)
+                distinct = ~(np.linalg.norm(ca - canonical_mats(b), axis=(1, 2))
+                             <= RAY_EQ_TOL * np.linalg.norm(ca, axis=(1, 2)))
+                diff = a @ nk.dagger(a) - b @ nk.dagger(b)
+                near = np.flatnonzero(distinct & ~(np.linalg.norm(diff, axis=(1, 2)) > INJECTIVITY_GAP))
+                for k, gap in zip(near, nk.herm_trace_norm(diff[near]).tolist() if len(near) else ()):
+                    if gap < worst:
+                        worst, worst_kind = gap, kinds[k]
         if not worst > INJECTIVITY_GAP:
             failures[f"lift_injectivity:{level}"] = {"level": level, "kind": worst_kind, "distance": worst}
 
     return failures
+
+
+def _genericity_pair(rng, d: int, trial: int) -> tuple:
+    """Two seeded d x d operators and their kind: Gaussian on even trials, Haar unitary on odd ones."""
+    kind, draw = ("unitary", nk.haar_unitary) if trial % 2 else ("gaussian", nk.random_complex_matrix)
+    return draw(rng, d), draw(rng, d), kind
+
+
+def _excited_pairs(state: GenericState, a_ops, b_ops, kinds) -> list:
+    """(A mats, B mats, kinds) stacks for a stack of operator pairs, in order.
+
+    A pair with an operator that annihilates the reference vector is dropped,
+    as its excitation is undefined.
+    """
+    # excitations imports this module, so its constructor is bound at call time
+    from .excitations import make_excitations
+
+    try:
+        return [(make_excitations(state, a_ops)[0], make_excitations(state, b_ops)[0], kinds)]
+    except DegenerateExcitationError:
+        if len(kinds) == 1:
+            return []
+        return [stack for a, b, kind in zip(a_ops, b_ops, kinds)
+                for stack in _excited_pairs(state, (a,), (b,), (kind,))]

@@ -37,7 +37,8 @@ def require_finite(a) -> None:
 
 
 def dagger(m: CMatrix) -> CMatrix:
-    return np.conj(m.T)
+    """The adjoint of a matrix, or of each matrix in a (..., n, n) stack."""
+    return np.conj(m.swapaxes(-1, -2))
 
 
 def frob(m: CMatrix) -> float:
@@ -82,19 +83,33 @@ def herm_eig(m) -> HermEig:
     return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    m = as_cmatrix(m)
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+def _matrix_stack(m) -> np.ndarray:
+    """A complex matrix or (..., n, n) stack of them, every entry finite."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise ContractError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    require_finite(a)
+    return a
 
 
-def herm_trace_norm(m) -> float:
-    """`trace_norm` of a Hermitian matrix, as the sum of its eigenvalues' moduli.
+def trace_norm(m):
+    """Sum of singular values, per matrix of a (..., n, n) stack.
+
+    A stacked SVD gives each matrix the bits it gets alone.
+    """
+    m = _matrix_stack(m)
+    sums = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    return float(sums) if m.ndim == 2 else sums
+
+
+def herm_trace_norm(m):
+    """`trace_norm` of a Hermitian matrix, or of each in a stack, as the sum of its eigenvalues' moduli.
 
     Only the lower triangle is read, so the caller guarantees the symmetry.
     """
-    m = as_cmatrix(m)
-    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    m = _matrix_stack(m)
+    sums = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    return float(sums) if m.ndim == 2 else sums
 
 
 @dataclass
@@ -152,6 +167,33 @@ def sqrtm_psd(m) -> CMatrix:
 # ---------------------------------------------------------------------------
 # Seeded sampling helpers
 # ---------------------------------------------------------------------------
+
+
+# Sample loops draw their samples one at a time, in a fixed order, and
+# evaluate them in same-level stacks of max(1, STACK_ENTRIES // D^2): no
+# (n, D, D) complex temporary exceeds 64 KiB.  Larger temporaries would each
+# be a fresh mapping from the allocator, paid for in page faults on every
+# stack.
+STACK_ENTRIES = 4096
+
+
+def stacks(draws, entries: int):
+    """Draws grouped by the size of their first matrix, as stacks of at most max(1, STACK_ENTRIES // entries).
+
+    Each draw is a tuple whose first item is a matrix; a stack is yielded as
+    its columns, one tuple per item.  The draws are pulled in order, and a
+    stack is yielded as soon as it is full, so at most one partial stack per
+    size waits; the partial stacks follow at the end, smallest size first.
+    """
+    size = max(1, STACK_ENTRIES // entries)
+    pending = {}
+    for draw in draws:
+        stack = pending.setdefault(len(draw[0]), [])
+        stack.append(draw)
+        if len(stack) == size:
+            yield tuple(zip(*pending.pop(len(draw[0]))))
+    for d in sorted(pending):
+        yield tuple(zip(*pending[d]))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

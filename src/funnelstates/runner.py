@@ -21,6 +21,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import (
+    CompletenessUnavailableError,
     ConfigurationError,
     FunnelError,
     GenericityViolationError,
@@ -47,19 +48,24 @@ from .excitations import (
     find_null_combination,
     functional_norm,
     lift_phase,
+    lift_phases,
     make_excitation,
+    make_excitations,
     identity_excitation,
     norm_distance,
     overlap,
+    overlaps,
     random_excitation,
+    top_distances,
 )
 from .transitions import (
     OrthogonalFamily,
     build_complete_family,
     completeness_sum,
     orthonormal_rows,
+    transition_probabilities,
     transition_probability,
-    uhlmann_fidelity,
+    uhlmann_fidelities,
 )
 from . import statealgebra as sa
 from . import primitives as pr
@@ -321,22 +327,32 @@ class SuiteEnv:
 # ---------------------------------------------------------------------------
 
 
+def _pair_ops(rng, tower, level: int):
+    """Two seeded level operators, drawn as `SuiteEnv.pair` draws its excitations."""
+    d = tower.dim_at(level)
+    return nk.random_complex_matrix(rng, d), nk.random_complex_matrix(rng, d)
+
+
+def _random_level_pairs(rng, tower, count: int):
+    """`count` seeded operator pairs, each at a level drawn just before its two operators."""
+    return (_pair_ops(rng, tower, 1 + int(rng.integers(tower.levels))) for _ in range(count))
+
+
 def _suite_lift(env: SuiteEnv):
-    tower = env.tower
+    tower, state = env.tower, env.state
     worst_phase = 0.0
-    for k in range(env.count):
-        level = 1 + (k % (tower.levels - 1))
-        a = random_excitation(env.state, env.rng, level=level)
-        t = np.exp(2j * np.pi * env.rng.random())
-        b = make_excitation(env.state, LocalOperator(level=level, matrix=t * a.op.matrix))
-        worst_phase = max(worst_phase, abs(lift_phase(a, b) - t))
+    draws = ((nk.random_complex_matrix(env.rng, tower.dim_at(1 + k % (tower.levels - 1))),
+              np.exp(2j * np.pi * env.rng.random())) for k in range(env.count))
+    for ops, ts in nk.stacks(draws, state.dim**2):
+        a, a_ops = make_excitations(state, ops)
+        b, _ = make_excitations(state, np.array(ts)[:, None, None] * a_ops)
+        worst_phase = max([worst_phase] + [abs(complex(p) - t) for p, t in zip(lift_phases(a, b), ts)])
     checks = [check_le("lift/phase_recovery", worst_phase, env.tol)]
 
-    min_dist = np.inf
-    for _ in range(env.count):
-        a, b = env.pair(level=1)
-        min_dist = min(min_dist, norm_distance(a, b, scope="top"))
-    checks.append(check_ge("lift/injectivity_gap", min_dist, 1e-6))
+    dists = []
+    for a_ops, b_ops in nk.stacks((_pair_ops(env.rng, tower, 1) for _ in range(env.count)), state.dim**2):
+        dists += top_distances(make_excitations(state, a_ops)[0], make_excitations(state, b_ops)[0]).tolist()
+    checks.append(check_ge("lift/injectivity_gap", min(dists), 1e-6))
 
     worst_gauge = 0.0
     for _ in range(10):
@@ -364,20 +380,44 @@ def _null_family(env: SuiteEnv, level: int):
 
 
 def _compressions(a_ops: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Every (A_m (x) 1)* C (A_m (x) 1) of an (M, D_n, D_n) stack, at the larger level.
+    """Every (A (x) 1)* C (A (x) 1) at the larger level, for a level operator A and C, or stacks of them.
 
-    Nothing is embedded.  For C at or above the A_m's level, y = (A* (x) 1) C by
-    a reshape, then the same step on y* and the adjoint; for C below,
-    A* (C (x) 1) A = A* (C A reshaped to (D_C, -1)).
+    The leading axes of `a_ops` and `c` broadcast: an (M, D_n, D_n) stack of A
+    against one C, or one A against a stack of C.  Nothing is embedded.  For C
+    at or above A's level, y = (A* (x) 1) C by a reshape, then the same step on
+    y* and the adjoint; for C below, A* (C (x) 1) A = A* (C A reshaped to (D_C, -1)).
     """
-    m, d_a, _ = a_ops.shape
-    d_c = len(c)
-    a_adj = np.conj(a_ops.transpose(0, 2, 1))
+    d_a, d_c = a_ops.shape[-1], c.shape[-1]
+    lead = np.broadcast_shapes(a_ops.shape[:-2], c.shape[:-2])
+    a_adj = nk.dagger(a_ops)
     if d_c >= d_a:
-        y = (a_adj @ c.reshape(d_a, -1)).reshape(m, d_c, d_c)
-        z = (a_adj @ np.conj(y.transpose(0, 2, 1)).reshape(m, d_a, -1)).reshape(m, d_c, d_c)
-        return np.conj(z.transpose(0, 2, 1))
-    return a_adj @ (c @ a_ops.reshape(m, d_c, -1)).reshape(m, d_a, d_a)
+        y = (a_adj @ c.reshape(c.shape[:-2] + (d_a, -1))).reshape(lead + (d_c, d_c))
+        # y* is laid out in C order by the conjugation itself: a reshape of the
+        # transposed view would gather it element by element
+        y = np.conj(np.swapaxes(y, -1, -2), order="C")
+        return nk.dagger((a_adj @ y.reshape(lead + (d_a, -1))).reshape(lead + (d_c, d_c)))
+    return a_adj @ (c @ a_ops.reshape(a_ops.shape[:-2] + (d_c, -1))).reshape(lead + (d_a, d_a))
+
+
+def _transfer_ratios(coeffs: np.ndarray, a_ops: np.ndarray, cs) -> list:
+    """||sum_m c_m A_m* C A_m||_F / ||C (x) 1||_F for each of a stack of same-size C, in order.
+
+    The ratio is taken at the common level of C and the A_m, where
+    ||C (x) 1||_F = sqrt(k) ||C||_F, k = D_common / D_C.  The C are compressed
+    by every member of the (M, D_a, D_a) stack at once, in parts whose
+    compressions hold at most STACK_ENTRIES entries, and summed in member order.
+    """
+    cs = np.array(cs)
+    d_c = cs.shape[-1]
+    step = max(1, nk.STACK_ENTRIES // (len(a_ops) * max(d_c, a_ops.shape[-1]) ** 2))
+    ratios = []
+    for start in range(0, len(cs), step):
+        part = cs[start:start + step]
+        # numpy reduces a leading axis in order: the members' sum, left to right
+        acc = (coeffs[:, None, None, None] * _compressions(a_ops[:, None], part)).sum(axis=0)
+        scale = math.sqrt(acc.shape[-1] // d_c) * np.linalg.norm(part, axis=(1, 2))
+        ratios += (np.linalg.norm(acc, axis=(1, 2)) / scale).tolist()
+    return ratios
 
 
 def _suite_null_transfer(env: SuiteEnv):
@@ -399,19 +439,17 @@ def _suite_null_transfer(env: SuiteEnv):
             raise NotNullCombinationError(
                 f"functional norm of the combination is {pre:.3e} > {STATE_EQ_TOL}")
         a_ops = np.stack([e.op.matrix for e in excs])
-        for trial in range(50):
-            c_level = 1 + (trial % tower.levels)
-            c = nk.random_complex_matrix(env.rng, tower.dim_at(c_level))
-            # every A_m* C A_m from one batched product, summed in member order
-            prods = _compressions(a_ops, c)
-            acc = np.zeros_like(prods[0])
-            for cm, prod in zip(coeffs, prods):
-                acc = acc + cm * prod
-            ratio = nk.frob(acc) / (math.sqrt(len(acc) // len(c)) * nk.frob(c))
+        draws = ((nk.random_complex_matrix(env.rng, tower.dim_at(1 + trial % tower.levels)), trial)
+                 for trial in range(50))
+        ratios = [0.0] * 50
+        for cs, trials in nk.stacks(draws, env.state.dim**2):
+            for trial, ratio in zip(trials, _transfer_ratios(coeffs, a_ops, cs)):
+                ratios[trial] = ratio
+        for trial, ratio in enumerate(ratios):
             if ratio > worst:
                 worst = ratio
                 witness = {"combination": k, "a_level": level, "trial": trial,
-                           "c_level": c_level, "ratio": ratio}
+                           "c_level": 1 + trial % tower.levels, "ratio": ratio}
     checks = [check_le("null_transfer/max_ratio", worst, env.tol, witness=witness)]
 
     independent = [random_excitation(env.state, env.rng, level=1) for _ in range(3)]
@@ -456,7 +494,7 @@ def _suite_extreme_points(env: SuiteEnv):
             psi = minimal_extension_projection(env.state, level)
             projections[level] = np.outer(psi, np.conj(psi))
         # A* E_n A one level up is rank one, its weight omega(A A*)
-        svals = np.linalg.svd(_compressions(exc.op.matrix[None], projections[level])[0], compute_uv=False)
+        svals = np.linalg.svd(_compressions(exc.op.matrix, projections[level]), compute_uv=False)
         expected = float(np.real(env.state.expect(
             LocalOperator(level=level, matrix=exc.op.matrix @ nk.dagger(exc.op.matrix)))))
         worst_second = max(worst_second, float(svals[1]))
@@ -490,43 +528,49 @@ def _mixture_distance(target, candidates) -> float:
     return nk.herm_trace_norm(mix - target.rho)
 
 
-def _fuchs_slack(a, b) -> float:
-    """1 - ||omega_A - omega_B||^2 / 4 - omega_A.omega_B, in the top-algebra functional norm.
+def _fuchs_slacks(a: np.ndarray, b: np.ndarray) -> list:
+    """1 - ||omega_A - omega_B||^2 / 4 - omega_A.omega_B per pair of mats, in the top-algebra functional norm.
 
     The bound says it is nonnegative; for a pure reference that norm is the
     doubled-space vector-state distance and the slack is zero.
     """
-    dist = norm_distance(a, b, scope="top")
-    return 1.0 - 0.25 * dist**2 - transition_probability(a, b)
+    return [1.0 - 0.25 * dist**2 - p
+            for dist, p in zip(top_distances(a, b).tolist(), transition_probabilities(a, b).tolist())]
+
+
+def _squared_moduli(values: np.ndarray) -> list:
+    """|v|^2 of each complex value, as Python computes it for one."""
+    return [abs(v) ** 2 for v in values.tolist()]
 
 
 def _fuchs_stats(state, rng, n):
     worst_sym = 0.0
     worst_chain = 0.0
-    min_slack = np.inf
-    max_slack = -np.inf
     raw_range = 0.0
-    for _ in range(n):
-        a = random_excitation(state, rng, level=1 + int(rng.integers(state.tower.levels)))
-        b = random_excitation(state, rng, level=a.level)
-        p_ab = abs(overlap(a, b)) ** 2
-        p_ba = abs(overlap(b, a)) ** 2
-        worst_sym = max(worst_sym, abs(p_ab - p_ba))
-        raw_range = max(raw_range, -p_ab, p_ab - 1.0)
-        reduced = abs(state.expect(LocalOperator(a.level, nk.dagger(a.op.matrix) @ b.op.matrix))) ** 2
-        worst_chain = max(worst_chain, abs(reduced - p_ab))
-        slack = _fuchs_slack(a, b)
-        min_slack = min(min_slack, slack)
-        max_slack = max(max_slack, slack)
-    return worst_sym, worst_chain, raw_range, min_slack, max_slack
+    slacks = []
+    for a_ops, b_ops in nk.stacks(_random_level_pairs(rng, state.tower, n), state.dim**2):
+        a, a_ops = make_excitations(state, a_ops)
+        b, b_ops = make_excitations(state, b_ops)
+        # omega(A* B) read off the reference vector, against <A.omega, B.omega>
+        d = b_ops.shape[-1]
+        acted = ((nk.dagger(a_ops) @ b_ops).reshape(-1, d) @ state.sqrt_lam.reshape(d, -1)).reshape(a.shape)
+        reduced = _squared_moduli(overlaps(np.broadcast_to(state.sqrt_lam, a.shape), acted))
+        for p_ab, p_ba, red in zip(_squared_moduli(overlaps(a, b)), _squared_moduli(overlaps(b, a)), reduced):
+            worst_sym = max(worst_sym, abs(p_ab - p_ba))
+            raw_range = max(raw_range, -p_ab, p_ab - 1.0)
+            worst_chain = max(worst_chain, abs(red - p_ab))
+        slacks += _fuchs_slacks(a, b)
+    return worst_sym, worst_chain, raw_range, min(slacks), max(slacks)
 
 
 def _pure_pairs(env: SuiteEnv):
-    """50 seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, one at a time."""
+    """50 seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, as mat stacks."""
     pure = env.derived_state("pure", "pure")
     rng = np.random.default_rng(suite_seed(env.config.seed, f"{env.suite_id}:pure-pairs"))
-    for _ in range(50):
-        yield random_excitation(pure, rng, level=1), random_excitation(pure, rng, level=2)
+    d1, d2 = pure.tower.dim_at(1), pure.tower.dim_at(2)
+    draws = ((nk.random_complex_matrix(rng, d1), nk.random_complex_matrix(rng, d2)) for _ in range(50))
+    for a_ops, b_ops in nk.stacks(draws, pure.dim**2):
+        yield make_excitations(pure, a_ops)[0], make_excitations(pure, b_ops)[0]
 
 
 def _suite_fuchs(env: SuiteEnv):
@@ -539,7 +583,7 @@ def _suite_fuchs(env: SuiteEnv):
         check_ge("fuchs/mixed_strict_gap", max_slack, env.tol,
                  witness={"max_slack": max_slack}),
     ]
-    worst_eq = max(abs(_fuchs_slack(a, b)) for a, b in _pure_pairs(env))
+    worst_eq = max(abs(slack) for a, b in _pure_pairs(env) for slack in _fuchs_slacks(a, b))
     checks.append(check_le("fuchs/pure_equality", worst_eq, 1e-9))
 
     # the deviation |omega_{A_m}.omega_B - omega_A.omega_B| along A_m = normalize(A + X / m)
@@ -562,21 +606,22 @@ def _suite_fuchs(env: SuiteEnv):
     return checks
 
 
+def _uhlmann_gaps(a: np.ndarray, b: np.ndarray) -> list:
+    """Uhlmann fidelity minus transition probability per pair of mats."""
+    return [f - p for f, p in zip(uhlmann_fidelities(a, b).tolist(), transition_probabilities(a, b).tolist())]
+
+
 def _suite_uhlmann(env: SuiteEnv):
-    min_slack = np.inf
-    max_gap = -np.inf
-    for _ in range(env.count):
-        a = random_excitation(env.state, env.rng, level=1 + int(env.rng.integers(env.tower.levels)))
-        b = random_excitation(env.state, env.rng, level=a.level)
-        gap = uhlmann_fidelity(a, b) - transition_probability(a, b)
-        min_slack = min(min_slack, gap)
-        max_gap = max(max_gap, gap)
+    gaps = []
+    for a_ops, b_ops in nk.stacks(_random_level_pairs(env.rng, env.tower, env.count), env.state.dim**2):
+        gaps += _uhlmann_gaps(make_excitations(env.state, a_ops)[0], make_excitations(env.state, b_ops)[0])
+    max_gap = max(gaps)
     checks = [
-        check_ge("uhlmann/dominates", min_slack, -1e-10),
+        check_ge("uhlmann/dominates", min(gaps), -1e-10),
         check_ge("uhlmann/mixed_strict_gap", max_gap, env.tol,
                  witness={"max_gap": max_gap}),
     ]
-    worst_eq = max(abs(uhlmann_fidelity(a, b) - transition_probability(a, b)) for a, b in _pure_pairs(env))
+    worst_eq = max(abs(gap) for a, b in _pure_pairs(env) for gap in _uhlmann_gaps(a, b))
     checks.append(check_le("uhlmann/pure_equality", worst_eq, 1e-9))
     return checks
 
@@ -1265,7 +1310,11 @@ def emit_demo_tables(config: ScenarioConfig = None) -> str:
 
     lines.append("")
     lines.append("completeness sums over the orthogonal family")
-    family_c = build_complete_family(state)
+    try:
+        family_c = build_complete_family(state)
+    except CompletenessUnavailableError:
+        lines.append("(not shown: the complete family needs a full-rank reference state)")
+        return "\n".join(lines)
     lines.append(f"{'probe':>6} {'sum':>20} {'|1 - sum|':>12}")
     for k in range(8):
         probe = random_excitation(state, rng, level=tower.levels)

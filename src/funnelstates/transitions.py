@@ -6,7 +6,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import ExcitationState, _require_shared_state, overlap
+from .excitations import ExcitationState, _require_shared_state, overlap, overlaps
 from .funnel import GenericState
 
 
@@ -20,6 +20,15 @@ def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
     if not p <= 1.0 + 1e-12:
         raise ContractError(f"transition probability {p!r} is not at most 1")
     return float(min(p, 1.0))
+
+
+def transition_probabilities(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Stacked `transition_probability` per pair of (n, D, D) mats, each squared as a Python float."""
+    probs = [abs(v) ** 2 for v in overlaps(a_mats, b_mats).tolist()]
+    for p in probs:
+        if not p <= 1.0 + 1e-12:
+            raise ContractError(f"transition probability {p!r} is not at most 1")
+    return np.minimum(probs, 1.0)
 
 
 class OrthogonalFamily:
@@ -158,3 +167,8 @@ def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:
     """
     _require_shared_state(a, b)
     return float(nk.trace_norm(nk.dagger(a.mat) @ b.mat) ** 2)
+
+
+def uhlmann_fidelities(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Stacked `uhlmann_fidelity`: ||M_A^* M_B||_1^2 per pair, each squared as a Python float."""
+    return np.array([norm**2 for norm in nk.trace_norm(nk.dagger(a_mats) @ b_mats).tolist()])

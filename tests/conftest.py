@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from funnelstates import LocalOperator, build_tower, sample_generic_state
+from funnelstates import (DegenerateExcitationError, LocalOperator, build_tower, lift_phase, make_excitation,
+                          norm_distance, overlap, sample_generic_state, transition_probability,
+                          uhlmann_fidelity)
+from funnelstates.excitations import random_excitation
 from funnelstates import numkernel as nk
-from funnelstates.funnel import matrix_units
+from funnelstates.funnel import RAY_EQ_TOL, matrix_units
+from funnelstates.runner import suite_seed
 
 
 def two_draw_complex_matrix(rng, rows: int, cols=None) -> np.ndarray:
@@ -66,3 +70,96 @@ def extension_residual_sweep(state, psi) -> float:
         omega_c = state.expect(LocalOperator(n, unit))
         worst = max(worst, nk.frob(e_u @ e - omega_c * e))
     return worst
+
+
+# -- reference sample loops ------------------------------------------------
+# The suites' sample loops as they ran before they were stacked: one
+# excitation, one pair and one single-form read at a time, drawing in the
+# same order.  The stacked suites must reproduce their results bit for bit.
+
+
+def fuchs_slack_reference(a, b) -> float:
+    dist = norm_distance(a, b, scope="top")
+    return 1.0 - 0.25 * dist**2 - transition_probability(a, b)
+
+
+def fuchs_stats_reference(state, rng, n):
+    """`runner._fuchs_stats`, one pair at a time."""
+    worst_sym = 0.0
+    worst_chain = 0.0
+    min_slack = np.inf
+    max_slack = -np.inf
+    raw_range = 0.0
+    for _ in range(n):
+        a = random_excitation(state, rng, level=1 + int(rng.integers(state.tower.levels)))
+        b = random_excitation(state, rng, level=a.level)
+        p_ab = abs(overlap(a, b)) ** 2
+        p_ba = abs(overlap(b, a)) ** 2
+        worst_sym = max(worst_sym, abs(p_ab - p_ba))
+        raw_range = max(raw_range, -p_ab, p_ab - 1.0)
+        reduced = abs(state.expect(LocalOperator(a.level, nk.dagger(a.op.matrix) @ b.op.matrix))) ** 2
+        worst_chain = max(worst_chain, abs(reduced - p_ab))
+        slack = fuchs_slack_reference(a, b)
+        min_slack = min(min_slack, slack)
+        max_slack = max(max_slack, slack)
+    return worst_sym, worst_chain, raw_range, min_slack, max_slack
+
+
+def pure_pairs_reference(env):
+    """`runner._pure_pairs`, one pair of excitations at a time."""
+    pure = env.derived_state("pure", "pure")
+    rng = np.random.default_rng(suite_seed(env.config.seed, f"{env.suite_id}:pure-pairs"))
+    for _ in range(50):
+        yield random_excitation(pure, rng, level=1), random_excitation(pure, rng, level=2)
+
+
+def uhlmann_gaps_reference(state, rng, n) -> list:
+    """The `uhlmann` suite's fidelity-minus-transition gaps, one pair at a time."""
+    gaps = []
+    for _ in range(n):
+        a = random_excitation(state, rng, level=1 + int(rng.integers(state.tower.levels)))
+        b = random_excitation(state, rng, level=a.level)
+        gaps.append(uhlmann_fidelity(a, b) - transition_probability(a, b))
+    return gaps
+
+
+def lift_loops_reference(state, rng, n):
+    """The `lift` suite's phase-recovery worst and injectivity minimum, one pair at a time."""
+    levels = state.tower.levels
+    worst_phase = 0.0
+    for k in range(n):
+        level = 1 + (k % (levels - 1))
+        a = random_excitation(state, rng, level=level)
+        t = np.exp(2j * np.pi * rng.random())
+        b = make_excitation(state, LocalOperator(level=level, matrix=t * a.op.matrix))
+        worst_phase = max(worst_phase, abs(lift_phase(a, b) - t))
+    min_dist = np.inf
+    for _ in range(n):
+        a, b = random_excitation(state, rng, level=1), random_excitation(state, rng, level=1)
+        min_dist = min(min_dist, norm_distance(a, b, scope="top"))
+    return worst_phase, min_dist
+
+
+def genericity_pairs_reference(state, trials, rng) -> dict:
+    """`check_genericity`'s pair loop, one pair at a time: level -> (least distance, its kind)."""
+    least = {}
+    for level in range(1, state.tower.levels + 1):
+        d = state.tower.dim_at(level)
+        worst, worst_kind = np.inf, None
+        for trial in range(max(trials, 2)):
+            kind, draw = (("unitary", nk.haar_unitary) if trial % 2
+                          else ("gaussian", nk.random_complex_matrix))
+            a, b = draw(rng, d), draw(rng, d)
+            try:
+                exc_a = make_excitation(state, LocalOperator(level, a))
+                exc_b = make_excitation(state, LocalOperator(level, b))
+            except DegenerateExcitationError:
+                continue
+            ca, cb = exc_a.canonical_mat, exc_b.canonical_mat
+            if nk.frob(ca - cb) <= RAY_EQ_TOL * nk.frob(ca):
+                continue
+            gap = norm_distance(exc_a, exc_b, scope="top")
+            if gap < worst:
+                worst, worst_kind = gap, kind
+        least[level] = (worst, worst_kind)
+    return least

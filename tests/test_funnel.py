@@ -246,10 +246,11 @@ def test_genericity_tracial_product_fails_lift(tower):
 
 
 def test_genericity_reports_its_checks_on_make_excitation(state, monkeypatch):
+    # the self-test builds its pairs with the stacked constructor, a stack per level
     built = []
-    make = excitations.make_excitation
-    monkeypatch.setattr(excitations, "make_excitation",
-                        lambda st, op: built.append(op.level) or make(st, op))
+    make = excitations.make_excitations
+    monkeypatch.setattr(excitations, "make_excitations",
+                        lambda st, ops: built.append(st.tower.level_of(len(ops[0]))) or make(st, ops))
     assert check_genericity(state, trials=4, rng=np.random.default_rng(0)) == {}
     assert sorted(set(built)) == list(range(1, state.tower.levels + 1))
 

@@ -3,7 +3,10 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -268,6 +271,18 @@ def test_cli_demo_rejects_a_one_level_tower(tmp_path, capsys):
     assert "at least two nested levels" in capsys.readouterr().err
 
 
+def test_cli_demo_on_a_pure_reference_says_why_the_completeness_table_is_missing(tmp_path, capsys):
+    # a pure reference is an accepted scenario; the complete family needs full
+    # rank, so the demo prints the first two tables and one line in place of
+    # the third, where a CompletenessUnavailableError escaped before
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"profile": "pure"}))
+    assert main(["demo", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "survival probability" in out and "weak" in out
+    assert out.rstrip().splitlines()[-1] == "(not shown: the complete family needs a full-rank reference state)"
+
+
 def test_sample_counts_are_taken_only_by_suites_that_read_them():
     # each suite's declared count and tolerance are what it reads: a count
     # override changes its report, a tolerance override (half the default,
@@ -365,6 +380,20 @@ def test_names_traced_by_the_benchmark_exist():
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
     assert callable(runner.make_excitation)
     assert set(spans.SUITE_IDS) <= set(runner.SUITES)
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # the benchmark's set-up time includes `import funnelstates`: a fresh
+    # interpreter's import adds no module outside numpy and the standard library
+    src = str(Path(runner.__file__).resolve().parent.parent)
+    code = ("import json, sys; before = set(sys.modules); import funnelstates; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+    roots = {name.partition(".")[0] for name in loaded}
+    assert "funnelstates" in roots
+    assert roots - {"funnelstates", "numpy"} <= set(sys.stdlib_module_names)
 
 
 def test_randomness_is_passed_in_explicitly():
