@@ -106,64 +106,65 @@ def _gauge_phase(vector: np.ndarray) -> complex:
     return np.conj(x) / abs(x)
 
 
-def _normalized(state: GenericState, mat: np.ndarray, op: LocalOperator = None) -> ExcitationState:
-    """The excitation with ``mat``, and validated ``op`` if given, both scaled by 1 / ||mat||.
+def _normalized(mats: np.ndarray, ops: np.ndarray = None) -> tuple:
+    """The (n, D, D) mats, and the (n, d, d) ops if given, each member scaled by 1 / ||mat||.
 
-    An overflowing norm breaks the contract; a vanishing one means that the
-    operator annihilates the reference vector.
+    The first member whose norm overflows breaks the contract; one whose norm
+    vanishes is an operator that annihilates the reference vector.
     """
-    norm_sq = float(np.real(np.vdot(mat, mat)))
-    if not math.isfinite(norm_sq):
-        raise ContractError(f"excitation norm is not finite: ||A.omega||^2 = {norm_sq}")
-    if norm_sq <= 1e-12:
-        raise DegenerateExcitationError(
-            "operator annihilates the reference vector; excitation undefined"
-        )
-    scale = 1.0 / np.sqrt(norm_sq)
-    return ExcitationState(state, mat * scale,
-                           None if op is None else LocalOperator._validated(op.level, op.matrix * scale))
+    norm_sq = [value.real for value in _row_dots(mats, mats)]
+    for value in norm_sq:
+        if not math.isfinite(value):
+            raise ContractError(f"excitation norm is not finite: ||A.omega||^2 = {value}")
+        if value <= 1e-12:
+            raise DegenerateExcitationError(
+                "operator annihilates the reference vector; excitation undefined"
+            )
+    scale = [1.0 / math.sqrt(value) for value in norm_sq]
+    # one member scales by a Python float: a (1, 1, 1) array costs over twice as much
+    scale = scale[0] if len(scale) == 1 else np.array(scale)[:, None, None]
+    return mats * scale, None if ops is None else ops * scale
 
 
 def make_excitation(state: GenericState, op) -> ExcitationState:
     """Normalize an operator into an excitation; a raw matrix is read at the level of its size."""
     if not isinstance(op, LocalOperator):
         op = state.tower.operator(op)
-    return _normalized(state, state.act(op, state.sqrt_lam), op)
+    mats, ops = make_excitations(state, op.matrix[None])
+    return ExcitationState(state, mats[0], LocalOperator._validated(op.level, ops[0]))
 
 
 # ---------------------------------------------------------------------------
-# Stacked forms: one numpy call per step for n excitations or n pairs, each
-# member bit-equal to what the single form gives it.  The single forms keep
-# their own code: a one-member stack costs a few microseconds more per call.
+# Stacked forms: one numpy call per step for n excitations or n pairs.  The
+# single forms are their one-member stacks, so a member of a stack gets the
+# bits it gets alone.
 # ---------------------------------------------------------------------------
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_k, b_k> for each member of two (n, ...) stacks, bit-equal to np.vdot of the pair."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
+    """<a_k, b_k> for each member of two (n, ...) stacks, as Python complex numbers bit-equal to np.vdot of the pair."""
     n = len(a)
-    return (np.conj(a.reshape(n, 1, -1)) @ b.reshape(n, -1, 1))[:, 0, 0]
+    if n == 1:  # np.vdot itself: under half the stacked product's call cost
+        return [complex(np.vdot(a, b))]
+    return (np.conj(a.reshape(n, 1, -1)) @ b.reshape(n, -1, 1)).reshape(n).tolist()
 
 
 def make_excitations(state: GenericState, ops) -> tuple:
     """Stacked `make_excitation` of finite (n, d, d) operators, read at the level of their size d.
 
     Returns the normalized (n, D, D) mats and the operators scaled with them.
-    The first member whose norm is not finite or vanishes raises as
-    `_normalized` does.
+    The first member whose norm is not finite or vanishes raises.
     """
     ops = np.asarray(ops, dtype=complex)
     n, d = len(ops), ops.shape[-1]
     state.tower.level_of(d)
     if ops.shape != (n, d, d):
         raise ContractError(f"expected a stack of square matrices, got shape {ops.shape}")
-    # one (n d, d) product: each member's rows get the bits `act` gives them, at
-    # a fraction of a batched matmul's per-matrix cost
+    # (A (x) 1) sqrt(lam) for every member in one (n d, d) product: each
+    # member's rows get the bits `GenericState.act` gives them, at a fraction
+    # of a batched matmul's per-matrix cost
     mats = (ops.reshape(n * d, d) @ state.sqrt_lam.reshape(d, -1)).reshape(n, state.dim, state.dim)
-    norm_sq = _row_dots(mats, mats).real
-    for k in np.flatnonzero(~(np.isfinite(norm_sq) & (norm_sq > 1e-12)))[:1]:
-        _normalized(state, mats[k])  # raises
-    scale = (1.0 / np.sqrt(norm_sq))[:, None, None]
-    return mats * scale, ops * scale
+    return _normalized(mats, ops)
 
 
 def canonical_mats(mats: np.ndarray) -> np.ndarray:
@@ -171,11 +172,12 @@ def canonical_mats(mats: np.ndarray) -> np.ndarray:
     return np.array([_gauge_phase(m.ravel()) for m in mats])[:, None, None] * mats
 
 
-def overlaps(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+def overlaps(a_mats: np.ndarray, b_mats: np.ndarray) -> list:
     """Stacked `overlap`, <A_k.omega, B_k.omega> per pair of (n, D, D) mats; a non-finite one raises."""
     values = _row_dots(a_mats, b_mats)
-    for value in values[~np.isfinite(values)][:1]:
-        raise ContractError(f"overlap is not finite: {complex(value)}")
+    for value in values:
+        if not cmath.isfinite(value):
+            raise ContractError(f"overlap is not finite: {value}")
     return values
 
 
@@ -189,21 +191,25 @@ def lift_phases(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
 
     ||X||_1 <= sqrt(D) ||X||_F, so a pair with sqrt(D) ||rho_A - rho_B||_F
     within STATE_EQ_TOL is equal without eigenvalues; the others take the
-    exact trace norm, which a NotSameRayError carries.
+    exact trace norm, which a NotSameRayError carries.  The pairs are judged
+    in order, and the first that fails raises; a non-finite mat raises
+    ContractError for the whole stack.
     """
     diff = a_mats @ nk.dagger(a_mats) - b_mats @ nk.dagger(b_mats)
-    screened = math.sqrt(diff.shape[-1]) * np.linalg.norm(diff, axis=(-2, -1)) <= STATE_EQ_TOL
-    unscreened = np.flatnonzero(~screened)
-    for dist in nk.herm_trace_norm(diff[unscreened]).tolist() if len(unscreened) else ():
-        if dist > STATE_EQ_TOL:
-            raise NotSameRayError(f"states differ by {dist:.3e} in functional norm", distance=dist)
-    t = overlaps(a_mats, b_mats)
+    dists = math.sqrt(diff.shape[-1]) * np.linalg.norm(diff, axis=(-2, -1))
+    unscreened = np.flatnonzero(~(dists <= STATE_EQ_TOL))
+    if len(unscreened):
+        dists[unscreened] = nk.herm_trace_norm(diff[unscreened])
+    t = np.array(overlaps(a_mats, b_mats))
     # for unit vectors ||B.omega - t A.omega||^2 = 1 - |t|^2; A -> A.omega is
     # injective on a separating state, so there the test is B = t A
     missed = np.linalg.norm(b_mats - t[:, None, None] * a_mats, axis=(-2, -1)) > OP_RECOVERY_TOL
-    for value in t[missed][:1]:
+    for k in np.flatnonzero((dists > STATE_EQ_TOL) | missed)[:1].tolist():
+        if dists[k] > STATE_EQ_TOL:
+            dist = float(dists[k])
+            raise NotSameRayError(f"states differ by {dist:.3e} in functional norm", distance=dist)
         raise GenericityViolationError(
-            f"equal states but |omega(A*B)| = {abs(complex(value)):.12f}: the representatives are not "
+            f"equal states but |omega(A*B)| = {abs(complex(t[k])):.12f}: the representatives are not "
             "phase multiples, so the reference state fails the lift property"
         )
     return t
@@ -215,7 +221,8 @@ def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationSta
     v must be some X.omega: a mat with a relative component above 1e-10 on
     lam's kernel (never there at full rank) is rejected, never projected.
     """
-    exc = _normalized(state, np.asarray(v, dtype=complex).reshape(state.dim, state.dim))
+    mats, _ = _normalized(np.asarray(v, dtype=complex).reshape(1, state.dim, state.dim))
+    exc = ExcitationState(state, mats[0])
     off = nk.frob(exc.mat @ state.basis[:, state.rank:])  # relative: ||mat|| = 1
     if off > 1e-10:
         raise ContractError(f"vector is not in the GNS space: a fraction {off:.3e} lies off lam's support")
@@ -234,10 +241,7 @@ def overlap(a: ExcitationState, b: ExcitationState) -> complex:
     (a hand-built excitation with a NaN or inf entry) breaks the contract.
     """
     _require_shared_state(a, b)
-    value = complex(np.vdot(a.vector, b.vector))
-    if not cmath.isfinite(value):
-        raise ContractError(f"overlap is not finite: {value}")
-    return value
+    return overlaps(a.mat[None], b.mat[None])[0]
 
 
 def _require_shared_state(a: ExcitationState, b: ExcitationState) -> None:
@@ -255,7 +259,7 @@ def norm_distance(a: ExcitationState, b: ExcitationState, scope) -> float:
     """
     _require_shared_state(a, b)
     if scope == "top":
-        return nk.herm_trace_norm(a.rho - b.rho)
+        return float(top_distances(a.mat[None], b.mat[None])[0])
     if scope == "full_bh":
         # normalize the overlap so the self-distance is exactly zero
         # instead of sqrt(machine-eps) noise

@@ -177,21 +177,23 @@ def sqrtm_psd(m) -> CMatrix:
 STACK_ENTRIES = 4096
 
 
-def stacks(draws, entries: int):
-    """Draws grouped by the size of their first matrix, as stacks of at most max(1, STACK_ENTRIES // entries).
+def stacks(draws, entries):
+    """Draws grouped by the size d of their first matrix, as stacks of at most max(1, STACK_ENTRIES // entries).
 
-    Each draw is a tuple whose first item is a matrix; a stack is yielded as
-    its columns, one tuple per item.  The draws are pulled in order, and a
-    stack is yielded as soon as it is full, so at most one partial stack per
-    size waits; the partial stacks follow at the end, smallest size first.
+    `entries` counts the entries one draw's largest temporary holds: an int,
+    or a function of d where that temporary grows with the draw.  Each draw
+    is a tuple whose first item is a matrix; a stack is yielded as its
+    columns, one tuple per item.  The draws are pulled in order, and a stack
+    is yielded as soon as it is full, so at most one partial stack per size
+    waits; the partial stacks follow at the end, smallest size first.
     """
-    size = max(1, STACK_ENTRIES // entries)
     pending = {}
     for draw in draws:
-        stack = pending.setdefault(len(draw[0]), [])
+        d = len(draw[0])
+        stack = pending.setdefault(d, [])
         stack.append(draw)
-        if len(stack) == size:
-            yield tuple(zip(*pending.pop(len(draw[0]))))
+        if len(stack) >= STACK_ENTRIES // (entries(d) if callable(entries) else entries):
+            yield tuple(zip(*pending.pop(d)))
     for d in sorted(pending):
         yield tuple(zip(*pending[d]))
 

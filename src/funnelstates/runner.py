@@ -404,20 +404,13 @@ def _transfer_ratios(coeffs: np.ndarray, a_ops: np.ndarray, cs) -> list:
 
     The ratio is taken at the common level of C and the A_m, where
     ||C (x) 1||_F = sqrt(k) ||C||_F, k = D_common / D_C.  The C are compressed
-    by every member of the (M, D_a, D_a) stack at once, in parts whose
-    compressions hold at most STACK_ENTRIES entries, and summed in member order.
+    by every member of the (M, D_a, D_a) stack at once and summed in member order.
     """
     cs = np.array(cs)
-    d_c = cs.shape[-1]
-    step = max(1, nk.STACK_ENTRIES // (len(a_ops) * max(d_c, a_ops.shape[-1]) ** 2))
-    ratios = []
-    for start in range(0, len(cs), step):
-        part = cs[start:start + step]
-        # numpy reduces a leading axis in order: the members' sum, left to right
-        acc = (coeffs[:, None, None, None] * _compressions(a_ops[:, None], part)).sum(axis=0)
-        scale = math.sqrt(acc.shape[-1] // d_c) * np.linalg.norm(part, axis=(1, 2))
-        ratios += (np.linalg.norm(acc, axis=(1, 2)) / scale).tolist()
-    return ratios
+    # numpy reduces a leading axis in order: the members' sum, left to right
+    acc = (coeffs[:, None, None, None] * _compressions(a_ops[:, None], cs)).sum(axis=0)
+    scale = math.sqrt(acc.shape[-1] // cs.shape[-1]) * np.linalg.norm(cs, axis=(1, 2))
+    return (np.linalg.norm(acc, axis=(1, 2)) / scale).tolist()
 
 
 def _suite_null_transfer(env: SuiteEnv):
@@ -442,7 +435,8 @@ def _suite_null_transfer(env: SuiteEnv):
         draws = ((nk.random_complex_matrix(env.rng, tower.dim_at(1 + trial % tower.levels)), trial)
                  for trial in range(50))
         ratios = [0.0] * 50
-        for cs, trials in nk.stacks(draws, env.state.dim**2):
+        # a stack of C holds M compressions of each C at the common level
+        for cs, trials in nk.stacks(draws, lambda d_c: len(a_ops) * max(d_c, a_ops.shape[-1]) ** 2):
             for trial, ratio in zip(trials, _transfer_ratios(coeffs, a_ops, cs)):
                 ratios[trial] = ratio
         for trial, ratio in enumerate(ratios):
@@ -535,12 +529,12 @@ def _fuchs_slacks(a: np.ndarray, b: np.ndarray) -> list:
     doubled-space vector-state distance and the slack is zero.
     """
     return [1.0 - 0.25 * dist**2 - p
-            for dist, p in zip(top_distances(a, b).tolist(), transition_probabilities(a, b).tolist())]
+            for dist, p in zip(top_distances(a, b).tolist(), transition_probabilities(a, b))]
 
 
-def _squared_moduli(values: np.ndarray) -> list:
-    """|v|^2 of each complex value, as Python computes it for one."""
-    return [abs(v) ** 2 for v in values.tolist()]
+def _squared_moduli(values: list) -> list:
+    """|v|^2 of each complex value, as Python computes it (numpy's abs differs in the last bit)."""
+    return [abs(v) ** 2 for v in values]
 
 
 def _fuchs_stats(state, rng, n):
@@ -608,7 +602,7 @@ def _suite_fuchs(env: SuiteEnv):
 
 def _uhlmann_gaps(a: np.ndarray, b: np.ndarray) -> list:
     """Uhlmann fidelity minus transition probability per pair of mats."""
-    return [f - p for f, p in zip(uhlmann_fidelities(a, b).tolist(), transition_probabilities(a, b).tolist())]
+    return [f - p for f, p in zip(uhlmann_fidelities(a, b), transition_probabilities(a, b))]
 
 
 def _suite_uhlmann(env: SuiteEnv):

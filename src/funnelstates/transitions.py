@@ -6,7 +6,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import CompletenessUnavailableError, ContractError
-from .excitations import ExcitationState, _require_shared_state, overlap, overlaps
+from .excitations import ExcitationState, _require_shared_state, overlaps
 from .funnel import GenericState
 
 
@@ -16,19 +16,17 @@ def transition_probability(a: ExcitationState, b: ExcitationState) -> float:
     A hand-built ExcitationState need not be normalised or finite, so a
     probability above 1 beyond rounding, or NaN, is rejected.
     """
-    p = abs(overlap(a, b)) ** 2  # overlap checks that a and b share their state
-    if not p <= 1.0 + 1e-12:
-        raise ContractError(f"transition probability {p!r} is not at most 1")
-    return float(min(p, 1.0))
+    _require_shared_state(a, b)
+    return transition_probabilities(a.mat[None], b.mat[None])[0]
 
 
-def transition_probabilities(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
-    """Stacked `transition_probability` per pair of (n, D, D) mats, each squared as a Python float."""
-    probs = [abs(v) ** 2 for v in overlaps(a_mats, b_mats).tolist()]
+def transition_probabilities(a_mats: np.ndarray, b_mats: np.ndarray) -> list:
+    """Stacked `transition_probability` per pair of (n, D, D) mats, each modulus that of a Python complex."""
+    probs = [abs(v) ** 2 for v in overlaps(a_mats, b_mats)]
     for p in probs:
         if not p <= 1.0 + 1e-12:
             raise ContractError(f"transition probability {p!r} is not at most 1")
-    return np.minimum(probs, 1.0)
+    return [min(p, 1.0) for p in probs]
 
 
 class OrthogonalFamily:
@@ -166,9 +164,9 @@ def uhlmann_fidelity(a: ExcitationState, b: ExcitationState) -> float:
     which ignores the unitaries, is ||M_A^* M_B||_1.
     """
     _require_shared_state(a, b)
-    return float(nk.trace_norm(nk.dagger(a.mat) @ b.mat) ** 2)
+    return uhlmann_fidelities(a.mat[None], b.mat[None])[0]
 
 
-def uhlmann_fidelities(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+def uhlmann_fidelities(a_mats: np.ndarray, b_mats: np.ndarray) -> list:
     """Stacked `uhlmann_fidelity`: ||M_A^* M_B||_1^2 per pair, each squared as a Python float."""
-    return np.array([norm**2 for norm in nk.trace_norm(nk.dagger(a_mats) @ b_mats).tolist()])
+    return [norm**2 for norm in nk.trace_norm(nk.dagger(a_mats) @ b_mats).tolist()]
