@@ -59,7 +59,6 @@ from .statealgebra import (
     w_isomorphism,
 )
 from .primitives import (
-    CommensurabilityResult,
     PartialIsometry,
     PrimitiveObservable,
     apply_observable,

@@ -72,21 +72,21 @@ def _cmd_verify(args) -> int:
     config = _resolve_config(args)
     path = _output_path(args)
     report = run(config)
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    path.write_text(json.dumps(report, indent=2) + "\n")
 
-    for suite in report.suites:
-        if suite.error is not None:
-            print(f"[fail] {suite.suite_id}: {suite.error}")
+    for suite in report["suites"]:
+        if suite["error"] is not None:
+            print(f"[fail] {suite['suite']}: {suite['error']}")
             continue
-        failed = [c for c in suite.checks if c.status == "fail"]
+        failed = [c for c in suite["checks"] if c["status"] == "fail"]
         status = "fail" if failed else "pass"
-        print(f"[{status}] {suite.suite_id} ({len(suite.checks)} checks)")
+        print(f"[{status}] {suite['suite']} ({len(suite['checks'])} checks)")
         for c in failed:
-            print(f"    {c.check_id}: residual {c.residual:.3e} vs {c.comparator} {c.tolerance:.3e}")
-    counts = report.counts()
+            print(f"    {c['id']}: residual {c['residual']:.3e} vs {c['comparator']} {c['tolerance']:.3e}")
+    counts = report["counts"]
     print(f"checks: {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
     print(f"report: {path}")
-    return 0 if report.passed else 1
+    return 0 if counts["fail"] == 0 else 1
 
 
 def _cmd_suites() -> int:

@@ -56,6 +56,13 @@ class ExcitationState:
     _op: LocalOperator = field(repr=False, default=None)
     _rho: np.ndarray = field(repr=False, init=False, default=None)
 
+    def __post_init__(self):
+        # a mat of another shape would be read as some other excitation, or fail inside numpy
+        d = self.state.dim
+        if np.shape(self.mat) != (d, d):
+            raise ContractError(
+                f"excitation mat of shape {np.shape(self.mat)} is not the top-level shape {(d, d)}")
+
     @property
     def level(self) -> int:
         return self.state.tower.levels if self._op is None else self._op.level
@@ -334,14 +341,12 @@ def find_null_combination(excs):
     _require_family(excs)
     flat = np.array([e.rho.ravel() for e in excs])
     gram = np.conj(flat) @ flat.T
-    eig = nk.herm_eig(gram)
-    scale = max(eig.eigenvalues[0], 1.0)
-    if eig.eigenvalues[-1] > 1e-10 * scale:
+    vals, vecs = nk.herm_eig(gram)
+    scale = max(vals[0], 1.0)
+    if vals[-1] > 1e-10 * scale:
         raise NotNullCombinationError(
-            f"family is linearly independent: smallest Gram eigenvalue "
-            f"{eig.eigenvalues[-1]:.3e}"
-        )
-    coeffs = eig.eigenvectors[:, -1]
+            f"family is linearly independent: smallest Gram eigenvalue {vals[-1]:.3e}")
+    coeffs = vecs[:, -1]
     return coeffs / np.linalg.norm(coeffs)
 
 

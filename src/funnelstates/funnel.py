@@ -180,9 +180,7 @@ class GenericState:
         trace = np.trace(self.lam)
         if abs(trace - 1.0) > nk.CONTRACT_TOL:
             raise ContractError(f"density trace {trace:.6g} is not 1")
-        eig = nk.herm_eig(self.lam)
-        self.spectrum = eig.eigenvalues
-        self.basis = eig.eigenvectors
+        self.spectrum, self.basis = nk.herm_eig(self.lam)
         if self.spectrum[-1] < -nk.CONTRACT_TOL * self.spectrum[0]:
             raise ContractError(f"density is not positive: least eigenvalue {self.spectrum[-1]:.3e}")
         self.eps_sep = SEPARATION_SCALE / d
@@ -304,8 +302,8 @@ def minimal_extension_projection(state: GenericState, n: int) -> np.ndarray:
     d_n = tower.dim_at(n)
     k_next = tower.factor_dims[n]
     rho = state.reduced(n)
-    eig = nk.herm_eig(rho)
-    weights = np.clip(eig.eigenvalues, 0.0, None)
+    vals, vecs = nk.herm_eig(rho)
+    weights = np.clip(vals, 0.0, None)
     rank = int(np.sum(weights > 1e-14 * max(weights[0], 1e-300)))
     if rank > k_next:
         raise CapacityError(
@@ -313,7 +311,7 @@ def minimal_extension_projection(state: GenericState, n: int) -> np.ndarray:
         )
     # psi = sum_i sqrt(w_i) e_i (x) f_i: column i of the d_n x k_next matrix of psi
     psi = np.zeros((d_n, k_next), dtype=complex)
-    psi[:, :rank] = eig.eigenvectors[:, :rank] * np.sqrt(weights[:rank])
+    psi[:, :rank] = vecs[:, :rank] * np.sqrt(weights[:rank])
     return psi.ravel()
 
 

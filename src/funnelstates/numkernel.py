@@ -57,16 +57,8 @@ def _phase_fix_columns(q: CMatrix) -> CMatrix:
     return q * phases
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(m) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(m) -> tuple:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix, eigenvalues descending.
 
     Raises ContractError when the input is not Hermitian within the relative
     tolerance.  Column phases are fixed deterministically; the basis within a
@@ -80,7 +72,7 @@ def herm_eig(m) -> HermEig:
     order = np.argsort(vals)[::-1]
     vals = np.real(vals[order])
     vecs = _phase_fix_columns(vecs[:, order])
-    return HermEig(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def _matrix_stack(m) -> np.ndarray:
@@ -154,13 +146,11 @@ def gram_schmidt(vectors) -> GramSchmidtResult:
 
 def sqrtm_psd(m) -> CMatrix:
     """Square root of a positive semidefinite Hermitian matrix."""
-    eig = herm_eig(m)
-    vals = eig.eigenvalues
+    vals, q = herm_eig(m)
     floor = -1e-13 * max(abs(vals[0]) if len(vals) else 1.0, 1.0)
     if len(vals) and vals[-1] < floor:
         raise ContractError(f"matrix is not PSD: min eigenvalue {vals[-1]:.3e}")
     clipped = np.clip(vals, 0.0, None)
-    q = eig.eigenvectors
     return (q * np.sqrt(clipped)) @ dagger(q)
 
 

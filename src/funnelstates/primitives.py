@@ -120,8 +120,8 @@ def ut_probability(e_proj, t: complex, exc: ExcitationState) -> float:
 
 def _range_basis(p: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the range of an already validated projection."""
-    eig = nk.herm_eig(p)
-    return eig.eigenvectors[:, eig.eigenvalues > 0.5]
+    vals, vecs = nk.herm_eig(p)
+    return vecs[:, vals > 0.5]
 
 
 def increasing_projection_schedule(f_proj, steps: int):
@@ -222,7 +222,7 @@ def balanced_unitary(weight_matrix) -> np.ndarray:
     m = nk.as_cmatrix(weight_matrix)
     if m.shape[0] < 2:
         raise ContractError("phase balancing needs dimension >= 2")
-    q = nk.herm_eig(m).eigenvectors
+    _, q = nk.herm_eig(m)
     return np.roll(q, 1, axis=1) @ nk.dagger(q)
 
 
@@ -283,6 +283,8 @@ def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
     d = state.tower.top_dim
     if e.shape != (d, d):
         raise ContractError(f"E must be top-level, of dimension {d}")
+    if np.real(np.trace(e)) < 0.5:
+        raise ContractError("E must be a nonzero projection")
     e_local = LocalOperator(level=state.tower.levels, matrix=e)
 
     best = max(1.0 - float(np.real(exc.evaluate(e_local))) for exc in states)
@@ -293,8 +295,6 @@ def tune_detector(e_proj, epsilon: float, states) -> PrimitiveObservable:
             best_epsilon=best,
         )
 
-    if np.real(np.trace(e)) < 0.5:
-        raise ContractError("E must be a nonzero projection")
     # E is top-level, so 1 - E needs no embedding
     comp = np.eye(d, dtype=complex) - e
     mean_leak = sum(comp @ exc.rho @ comp for exc in states) / len(states)
@@ -338,20 +338,13 @@ def recover_observable(projections, weights, exc: ExcitationState) -> float:
     return estimate
 
 
-@dataclass
-class CommensurabilityResult:
-    commensurable: bool
-    phase: complex
-    commutes: bool
-    residual: float
+def commensurable(obs1, obs2) -> tuple:
+    """The phase t of U2 U1 = t U1 U2 and the relative residual ||U2 U1 - t U1 U2|| / ||U1 U2||.
 
-
-def commensurable(obs1, obs2) -> CommensurabilityResult:
-    """Whether Ad(U1 U2) = Ad(U2 U1), i.e. U2 U1 = t U1 U2 for a phase t.
-
-    On a full matrix algebra equality of the adjoint maps is exactly phase
-    proportionality of the two products; commensurability does not require
-    the unitaries themselves to commute (t = 1).  Accepts raw unitary
+    The pair is commensurable, Ad(U1 U2) = Ad(U2 U1), when the residual
+    vanishes: on a full matrix algebra equality of the adjoint maps is
+    exactly phase proportionality of the two products.  Commensurability does
+    not require the unitaries themselves to commute (t = 1).  Accepts raw unitary
     matrices, validated by `require_unitary`, or PrimitiveObservables, all of
     one size.
     """
@@ -364,13 +357,7 @@ def commensurable(obs1, obs2) -> CommensurabilityResult:
     z = np.trace(nk.dagger(x) @ y)
     phase = z / abs(z) if abs(z) > 1e-14 else 1.0 + 0.0j
     residual = nk.frob(y - phase * x) / nk.frob(x)
-    flag = residual <= 1e-10
-    return CommensurabilityResult(
-        commensurable=flag,
-        phase=complex(phase),
-        commutes=bool(flag and abs(phase - 1.0) <= 1e-8),
-        residual=float(residual),
-    )
+    return complex(phase), float(residual)
 
 
 def clock_and_shift(dim: int):

@@ -137,9 +137,9 @@ def _eigen_excitations(state, basis, part, drop) -> list:
     """
     if nk.frob(part) <= drop:
         return []
-    eig = nk.herm_eig(part)
+    vals, vecs = nk.herm_eig(part)
     return [(val, _excitation_with_vector(state, basis @ g))
-            for val, g in zip(eig.eigenvalues, eig.eigenvectors.T) if abs(val) > drop]
+            for val, g in zip(vals, vecs.T) if abs(val) > drop]
 
 
 def _canonical_terms(el: StateAlgebraElement) -> tuple:

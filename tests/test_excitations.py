@@ -7,11 +7,14 @@ from funnelstates import (
     ContractError,
     DegenerateExcitationError,
     DegenerateSuperpositionError,
+    ExcitationState,
     LocalOperator,
     NotNullCombinationError,
     NotSameRayError,
     apply_observable,
+    build_complete_family,
     build_tower,
+    completeness_sum,
     find_null_combination,
     identity_excitation,
     lift_phase,
@@ -21,6 +24,8 @@ from funnelstates import (
     overlap,
     sample_generic_state,
     superpose,
+    transition_probability,
+    uhlmann_fidelity,
     vacuum_detector,
 )
 from funnelstates import numkernel as nk
@@ -29,7 +34,7 @@ from funnelstates import statealgebra as sa
 from funnelstates.excitations import (STATE_EQ_TOL, _excitation_with_vector, functional_norm,
                                       random_excitation)
 
-from conftest import kron_embed, random_hermitian
+from conftest import kernel, kron_embed, random_hermitian
 
 
 def test_identity_excitation_reproduces_reference(state, rng):
@@ -108,6 +113,32 @@ def test_non_finite_vector_is_a_contract_error(state, bad):
     v[3] = bad
     with pytest.raises(ContractError):
         _excitation_with_vector(state, v)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (16, 4), (256,), (1, 16, 16)])
+def test_an_excitation_mat_has_the_top_level_shape(state, shape):
+    # a (4, 4) mat on (2, 2, 4) evaluated the identity to 16 and made a
+    # 16-dimensional element on the 256-dimensional doubled space; the pair
+    # reads failed inside numpy.  It is refused where it is built.
+    with pytest.raises(ContractError, match="top-level shape"):
+        ExcitationState(state, np.ones(shape))
+
+
+def test_a_hand_built_excitation_reads_as_the_library_one(state, rng):
+    # every read goes through `mat`, so a top-level mat built by hand reads
+    # bit for bit as the level-2 excitation it copies
+    a, b = random_excitation(state, rng, level=2), random_excitation(state, rng, level=1)
+    hand = ExcitationState(state, a.mat.copy())
+    family = build_complete_family(state)
+    assert hand.evaluate(np.eye(2)) == a.evaluate(np.eye(2))
+    assert transition_probability(hand, b) == transition_probability(a, b)
+    assert overlap(hand, b) == overlap(a, b)
+    assert uhlmann_fidelity(hand, b) == uhlmann_fidelity(a, b)
+    assert norm_distance(hand, b, scope="top") == norm_distance(a, b, scope="top")
+    assert lift_phase(hand, a) == lift_phase(a, a)
+    assert completeness_sum(family, hand) == completeness_sum(family, a)
+    np.testing.assert_array_equal(superpose(1.0, hand, 1j, b).mat, superpose(1.0, a, 1j, b).mat)
+    np.testing.assert_array_equal(kernel(sa.excitation_element(hand)), kernel(sa.excitation_element(a)))
 
 
 def test_vanishing_vector_is_degenerate(state):
@@ -325,8 +356,8 @@ def test_norm_distance_variational_sweep(state, rng):
     tn = norm_distance(a, b, scope="top")
     delta = a.rho - b.rho
     # the sweep contains the eigh-derived sign operator plus random directions
-    eig = nk.herm_eig(delta)
-    candidates = [eig.eigenvectors @ np.diag(np.sign(eig.eigenvalues)) @ nk.dagger(eig.eigenvectors)]
+    vals, vecs = nk.herm_eig(delta)
+    candidates = [vecs @ np.diag(np.sign(vals)) @ nk.dagger(vecs)]
     for _ in range(500):
         h = random_hermitian(rng, 16)
         candidates.append(h / np.linalg.norm(h, 2))
@@ -431,16 +462,16 @@ def test_null_transfer_batched_matches_per_matrix_loop(state, combos):
                 worst, witness = ratio, {"combination": k, "a_level": 1 + k, "trial": trial,
                                          "c_level": c_op.level, "ratio": ratio}
     # a different product order rounds differently, but names the same worst draw
-    assert checks[0].check_id == "null_transfer/max_ratio"
-    assert abs(checks[0].residual - worst) <= 1e-15 and worst > 0.0
-    suite_witness = dict(checks[0].witness)
-    assert suite_witness.pop("ratio") == checks[0].residual
+    assert checks[0]["id"] == "null_transfer/max_ratio"
+    assert abs(checks[0]["residual"] - worst) <= 1e-15 and worst > 0.0
+    suite_witness = dict(checks[0]["witness"])
+    assert suite_witness.pop("ratio") == checks[0]["residual"]
     del witness["ratio"]
     assert suite_witness == witness
     # the witness names the worst draw: the suite replays it alone with
     # sample count combination + 1, bit for bit
     replay = runner._suite_null_transfer(_null_transfer_env(state, witness["combination"] + 1))
-    assert replay[0].witness == checks[0].witness
+    assert replay[0]["witness"] == checks[0]["witness"]
 
 
 def test_independent_family_rejected(state, rng, monkeypatch):

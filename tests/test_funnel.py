@@ -343,12 +343,12 @@ def test_extension_projection_vector_is_the_schmidt_sum(state, pure_state, n):
     # the reference construction: sum_i sqrt(w_i) e_i (x) f_i, term by term,
     # over the eigenpairs of the level-n reduction above 1e-14 w_max
     for s in (state, pure_state):
-        eig = nk.herm_eig(s.reduced(n))
-        weights = np.clip(eig.eigenvalues, 0.0, None)
+        vals, vecs = nk.herm_eig(s.reduced(n))
+        weights = np.clip(vals, 0.0, None)
         k_next = s.tower.factor_dims[n]
         psi = np.zeros(s.tower.dim_at(n) * k_next, dtype=complex)
         for i in np.flatnonzero(weights > 1e-14 * weights[0]):
-            psi += np.sqrt(weights[i]) * np.kron(eig.eigenvectors[:, i], np.eye(k_next)[i])
+            psi += np.sqrt(weights[i]) * np.kron(vecs[:, i], np.eye(k_next)[i])
         np.testing.assert_array_equal(minimal_extension_projection(s, n), psi)
 
 

@@ -46,21 +46,20 @@ def test_kron_vec_convention(rng):
 
 
 def test_herm_eig_diagonal():
-    eig = nk.herm_eig(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(eig.eigenvalues, [2.0, 1.0])
+    vals, _ = nk.herm_eig(np.diag([2.0, 1.0]))
+    np.testing.assert_allclose(vals, [2.0, 1.0])
 
 
 def test_herm_eig_flip():
-    eig = nk.herm_eig(SIGMA_X)
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, -1.0])
+    vals, _ = nk.herm_eig(SIGMA_X)
+    np.testing.assert_allclose(vals, [1.0, -1.0])
 
 
 def test_herm_eig_reconstruction_seed7():
     rng = np.random.default_rng(7)
     m = random_hermitian(rng, 8)
-    eig = nk.herm_eig(m)
-    q = eig.eigenvectors
-    assert nk.frob((q * eig.eigenvalues) @ nk.dagger(q) - m) <= 1e-10 * nk.frob(m)
+    vals, q = nk.herm_eig(m)
+    assert nk.frob((q * vals) @ nk.dagger(q) - m) <= 1e-10 * nk.frob(m)
     assert nk.frob(nk.dagger(q) @ q - np.eye(8)) <= 1e-10
 
 
@@ -71,9 +70,9 @@ def test_herm_eig_rejects_non_hermitian(rng):
 
 def test_herm_eig_deterministic_phases(rng):
     m = random_hermitian(rng, 6)
-    e1 = nk.herm_eig(m)
-    e2 = nk.herm_eig(m.copy())
-    np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)
+    _, q1 = nk.herm_eig(m)
+    _, q2 = nk.herm_eig(m.copy())
+    np.testing.assert_array_equal(q1, q2)
 
 
 def _phase_fix_columns_loop(q):

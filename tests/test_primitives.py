@@ -320,6 +320,15 @@ def test_tune_detector_needs_a_top_level_projection(state, rng):
         tune_detector(np.eye(4), 0.9, [a])
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 2.0])
+def test_tune_detector_needs_a_nonzero_projection(state, rng, epsilon):
+    # below 1 the capture test ran first, and a zero E, which captures
+    # nothing, raised TuningFailureError(best_epsilon=1.0) instead
+    states = [random_excitation(state, rng, level=1)]
+    with pytest.raises(ContractError, match="nonzero projection"):
+        tune_detector(np.zeros((16, 16)), epsilon, states)
+
+
 def test_tune_detector_needs_one_reference_state(tower, state, rng):
     # the mean leak density of two states' excitations mixed their densities
     other = sample_generic_state(tower, seed=43)
@@ -457,18 +466,18 @@ def test_balanced_unitary_is_a_silent_shift(m):
 
 def test_clock_shift_commensurable_not_commuting():
     clock, shift = clock_and_shift(3)
-    res = commensurable(shift, clock)
-    assert res.commensurable
-    assert not res.commutes
-    assert res.phase == pytest.approx(np.exp(2j * np.pi / 3), abs=1e-12)
+    phase, residual = commensurable(shift, clock)
+    assert residual <= 1e-10  # commensurable
+    assert not abs(phase - 1.0) <= 1e-8  # not commuting
+    assert phase == pytest.approx(np.exp(2j * np.pi / 3), abs=1e-12)
 
 
 def test_commuting_diagonal_unitaries(rng):
     u1 = np.diag(np.exp(2j * np.pi * rng.random(4)))
     u2 = np.diag(np.exp(2j * np.pi * rng.random(4)))
-    res = commensurable(PrimitiveObservable(u1), PrimitiveObservable(u2))
-    assert res.commensurable and res.commutes
-    assert res.phase == pytest.approx(1.0, abs=1e-10)
+    phase, residual = commensurable(PrimitiveObservable(u1), PrimitiveObservable(u2))
+    assert residual <= 1e-10 and abs(phase - 1.0) <= 1e-8  # commensurable and commuting
+    assert phase == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("raw", [np.zeros((2, 2)), 2 * np.eye(2), np.eye(2, 3)])
@@ -524,14 +533,14 @@ def test_schedule_clamps_its_steps_to_the_rank(rng):
 
 
 def test_generic_pair_not_commensurable(rng):
-    res = commensurable(nk.haar_unitary(rng, 5), nk.haar_unitary(rng, 5))
-    assert not res.commensurable
-    assert res.residual > 1e-3
+    _, residual = commensurable(nk.haar_unitary(rng, 5), nk.haar_unitary(rng, 5))
+    assert not residual <= 1e-10  # not commensurable
+    assert residual > 1e-3
 
 
 def test_ut_pairs_follow_the_projection_commutator(rng):
     def residuals(e1, e2):
-        return [commensurable(ut_unitary(e1, t), ut_unitary(e2, t)).residual
+        return [commensurable(ut_unitary(e1, t), ut_unitary(e2, t))[1]
                 for t in (1.0, 1j, -1.0, np.exp(0.3j))]
 
     e1 = nk.random_projection(rng, 4, 2)

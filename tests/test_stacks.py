@@ -238,41 +238,41 @@ def _suite_env(state, suite_id, seed):
 
 def test_fuchs_suite_equals_its_per_sample_loops(tower_state):
     state = tower_state
-    checks = {c.check_id: c for c in runner._suite_fuchs(_suite_env(state, "fuchs", 5))}
+    checks = {c["id"]: c for c in runner._suite_fuchs(_suite_env(state, "fuchs", 5))}
     sym, chain, excess, lo, hi = fuchs_stats_reference(state, np.random.default_rng(5), 200)
-    assert checks["fuchs/symmetry"].residual == sym
-    assert checks["fuchs/chain_consistency"].residual == chain
-    assert checks["fuchs/range"].residual == excess
-    assert checks["fuchs/bound_min_slack"].residual == lo
-    assert checks["fuchs/mixed_strict_gap"].residual == hi
-    assert checks["fuchs/mixed_strict_gap"].witness == {"max_slack": hi}
+    assert checks["fuchs/symmetry"]["residual"] == sym
+    assert checks["fuchs/chain_consistency"]["residual"] == chain
+    assert checks["fuchs/range"]["residual"] == excess
+    assert checks["fuchs/bound_min_slack"]["residual"] == lo
+    assert checks["fuchs/mixed_strict_gap"]["residual"] == hi
+    assert checks["fuchs/mixed_strict_gap"]["witness"] == {"max_slack": hi}
     pure_env = _suite_env(state, "fuchs", 5)
     worst = max(abs(fuchs_slack_reference(a, b)) for a, b in pure_pairs_reference(pure_env))
-    assert checks["fuchs/pure_equality"].residual == worst
+    assert checks["fuchs/pure_equality"]["residual"] == worst
 
 
 def test_uhlmann_suite_equals_its_per_sample_loops(tower_state):
     state = tower_state
-    checks = {c.check_id: c for c in runner._suite_uhlmann(_suite_env(state, "uhlmann", 6))}
+    checks = {c["id"]: c for c in runner._suite_uhlmann(_suite_env(state, "uhlmann", 6))}
     gaps = uhlmann_gaps_reference(state, np.random.default_rng(6), 200)
-    assert checks["uhlmann/dominates"].residual == min(gaps)
-    assert checks["uhlmann/mixed_strict_gap"].residual == max(gaps)
-    assert checks["uhlmann/mixed_strict_gap"].witness == {"max_gap": max(gaps)}
+    assert checks["uhlmann/dominates"]["residual"] == min(gaps)
+    assert checks["uhlmann/mixed_strict_gap"]["residual"] == max(gaps)
+    assert checks["uhlmann/mixed_strict_gap"]["witness"] == {"max_gap": max(gaps)}
     pure_env = _suite_env(state, "uhlmann", 6)
     worst = max(abs(uhlmann_fidelity_reference(a, b) - transition_probability_reference(a, b))
                 for a, b in pure_pairs_reference(pure_env))
-    assert checks["uhlmann/pure_equality"].residual == worst
+    assert checks["uhlmann/pure_equality"]["residual"] == worst
 
 
 def test_lift_suite_equals_its_per_sample_loops(tower_state):
     # the tracial state is not separating, so its genericity self-test fails;
     # the stacked loops still read what the per-sample ones read
     for state in (tower_state, _tracial_state(tower_state.tower)):
-        checks = {c.check_id: c for c in runner._suite_lift(_suite_env(state, "lift", 7))}
+        checks = {c["id"]: c for c in runner._suite_lift(_suite_env(state, "lift", 7))}
         worst_phase, min_dist = lift_loops_reference(state, np.random.default_rng(7), 100)
-        assert checks["lift/phase_recovery"].residual == worst_phase
-        assert checks["lift/injectivity_gap"].residual == min_dist
-    assert checks["lift/genericity_selftest"].status == "fail"
+        assert checks["lift/phase_recovery"]["residual"] == worst_phase
+        assert checks["lift/injectivity_gap"]["residual"] == min_dist
+    assert checks["lift/genericity_selftest"]["status"] == "fail"
 
 
 def _tracial_state(tower):
