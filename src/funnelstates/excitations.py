@@ -149,11 +149,17 @@ def make_excitation(state: GenericState, op) -> ExcitationState:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
-    """<a_k, b_k> for each member of two (n, ...) stacks, as Python complex numbers bit-equal to np.vdot of the pair."""
-    n = len(a)
-    if n == 1:  # np.vdot itself: under half the stacked product's call cost
+    """<a_k, b_k> for each pair of members of two stacks of matrices, as Python complex numbers bit-equal to np.vdot of the pair.
+
+    The leading axes broadcast, and the pairs are listed in C order of the
+    broadcast shape: a (T1, 1, D, D) stack against a (1, T2, D, D) one pairs
+    every member of the first with every member of the second, and a vector
+    is read as a (1, N) matrix.
+    """
+    if a.size == a.shape[-2] * a.shape[-1] and b.size == b.shape[-2] * b.shape[-1]:
+        # one pair: np.vdot itself, under half the stacked product's call cost
         return [complex(np.vdot(a, b))]
-    return (np.conj(a.reshape(n, 1, -1)) @ b.reshape(n, -1, 1)).reshape(n).tolist()
+    return (np.conj(a.reshape(a.shape[:-2] + (1, -1))) @ b.reshape(b.shape[:-2] + (-1, 1))).reshape(-1).tolist()
 
 
 def make_excitations(state: GenericState, ops) -> tuple:
@@ -180,7 +186,11 @@ def canonical_mats(mats: np.ndarray) -> np.ndarray:
 
 
 def overlaps(a_mats: np.ndarray, b_mats: np.ndarray) -> list:
-    """Stacked `overlap`, <A_k.omega, B_k.omega> per pair of (n, D, D) mats; a non-finite one raises."""
+    """Stacked `overlap`, <A_k.omega, B_k.omega> per pair of (n, D, D) mats; a non-finite one raises.
+
+    The leading axes broadcast as in `_row_dots`, which lists every pair of a
+    (T1, 1, D, D) and a (1, T2, D, D) stack.
+    """
     values = _row_dots(a_mats, b_mats)
     for value in values:
         if not cmath.isfinite(value):
@@ -228,12 +238,17 @@ def _excitation_with_vector(state: GenericState, v: np.ndarray) -> ExcitationSta
     v must be some X.omega: a mat with a relative component above 1e-10 on
     lam's kernel (never there at full rank) is rejected, never projected.
     """
-    mats, _ = _normalized(np.asarray(v, dtype=complex).reshape(1, state.dim, state.dim))
-    exc = ExcitationState(state, mats[0])
-    off = nk.frob(exc.mat @ state.basis[:, state.rank:])  # relative: ||mat|| = 1
-    if off > 1e-10:
-        raise ContractError(f"vector is not in the GNS space: a fraction {off:.3e} lies off lam's support")
-    return exc
+    return _excitations_with_vectors(state, np.asarray(v, dtype=complex)[None])[0]
+
+
+def _excitations_with_vectors(state: GenericState, vectors: np.ndarray) -> list:
+    """Stacked `_excitation_with_vector` of (n, N) vectors; the first member that fails raises."""
+    mats, _ = _normalized(vectors.reshape(len(vectors), state.dim, state.dim))
+    if state.rank < state.dim:  # lam has a kernel
+        offs = nk.frobs(mats @ state.basis[:, state.rank:])  # relative: ||mat|| = 1
+        for off in offs[offs > 1e-10][:1].tolist():
+            raise ContractError(f"vector is not in the GNS space: a fraction {off:.3e} lies off lam's support")
+    return [ExcitationState(state, mat) for mat in mats]
 
 
 def identity_excitation(state: GenericState) -> ExcitationState:

@@ -45,34 +45,64 @@ def frob(m: CMatrix) -> float:
     return float(np.linalg.norm(m))
 
 
+def frobs(m: np.ndarray) -> np.ndarray:
+    """`frob` of each member of an (n, ...) stack whose leading axis is outermost in memory, bit for bit.
+
+    np.linalg.norm ravels a matrix in memory order and sums the squares of its
+    real and of its imaginary parts by two dot products; a row of the stack
+    raveled the same way takes the same dot products in `np.vecdot`.
+    """
+    flat = m.ravel(order="K").reshape(len(m), -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def column_major(m: np.ndarray) -> np.ndarray:
+    """A copy of a matrix, or of each matrix in a stack, laid out column by column.
+
+    Indexing the columns of a matrix with an index array lays the copy out so,
+    and BLAS reads the two layouts through different kernels.
+    """
+    return np.swapaxes(np.swapaxes(m, -1, -2).copy(), -1, -2)
+
+
 def _phase_fix_columns(q: CMatrix) -> CMatrix:
-    """Rotate each column so its largest-modulus entry is real positive.
+    """Rotate each column, of a matrix or of each in a stack, so its largest-modulus entry is real positive.
 
     Makes eigenbases deterministic up to degenerate clusters.  The phases are
     computed as scalars: array division rounds differently in the last bit.
     """
-    peaks = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    columns = np.swapaxes(q, -1, -2).reshape(-1, q.shape[-2])
+    peaks = columns[np.arange(len(columns)), np.argmax(np.abs(columns), axis=-1)]
     phases = np.array([np.conj(a) / abs(a) if abs(a) > 0.0 else 1.0 for a in peaks],
                       dtype=complex)
-    return q * phases
+    # a single matrix takes its phases as a vector that broadcasts over its
+    # rows: for a 1 x 1 matrix numpy multiplies by another loop than it does
+    # for a (1, 1) operand, one that rounds differently in the last bit
+    return q * phases.reshape(q.shape[:-2] + (1,) * (q.ndim > 2) + q.shape[-1:])
 
 
 def herm_eig(m) -> tuple:
-    """(eigenvalues, eigenvectors) of a Hermitian matrix, eigenvalues descending.
+    """(eigenvalues, eigenvectors) of a Hermitian matrix, eigenvalues descending, or of each in a (..., n, n) stack.
 
-    Raises ContractError when the input is not Hermitian within the relative
-    tolerance.  Column phases are fixed deterministically; the basis within a
-    degenerate eigenvalue cluster remains implementation-defined.
+    Raises ContractError when the input, or a member of the stack, is not
+    Hermitian within the relative tolerance.  Column phases are fixed
+    deterministically; the basis within a degenerate eigenvalue cluster
+    remains implementation-defined.
     """
-    m = as_cmatrix(m)
-    scale = max(frob(m), 1.0)
-    if frob(m - dagger(m)) > CONTRACT_TOL * scale:
+    m = _matrix_stack(m)
+    flat = m.reshape((-1,) + m.shape[-2:])
+    if np.any(frobs(flat - dagger(flat)) > CONTRACT_TOL * np.maximum(frobs(flat), 1.0)):
         raise ContractError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    order = np.argsort(vals)[::-1]
-    vals = np.real(vals[order])
-    vecs = _phase_fix_columns(vecs[:, order])
-    return vals, vecs
+    n = vals.shape[-1]
+    # descending, member by member: flat indices into the values and into the
+    # vectors' columns, which are gathered into rows and so come out laid out
+    # column by column, as indexing the columns of a single matrix lays them out
+    order = np.argsort(vals, axis=-1)[..., ::-1].reshape(-1, n) + n * np.arange(vals.size // n)[:, None]
+    vals = np.real(vals.reshape(-1)[order]).reshape(vals.shape)
+    columns = np.swapaxes(vecs, -1, -2).reshape(-1, n)[order]
+    return vals, _phase_fix_columns(np.swapaxes(columns.reshape(vecs.shape), -1, -2))
 
 
 def _matrix_stack(m) -> np.ndarray:
@@ -195,15 +225,22 @@ def random_complex_matrix(rng: np.random.Generator, rows: int, cols=None) -> CMa
     """(G + iH) / sqrt(2) for standard normal G, H, drawn as one (2, rows, cols) block.
 
     The block holds the real parts first, so it reads the generator's stream
-    exactly as two (rows, cols) draws, G then H, would.  NumPy divides a
-    complex array by the real sqrt(2) as a multiplication by 1 / sqrt(2), so
-    scaling the parts in place gives the same bytes as that division.
+    exactly as two (rows, cols) draws, G then H, would.
     """
     cols = rows if cols is None else cols
-    parts = rng.standard_normal((2, rows, cols))
+    return gaussian_from_normals(rng.standard_normal((2, rows, cols)))
+
+
+def gaussian_from_normals(parts: np.ndarray) -> np.ndarray:
+    """(G + iH) / sqrt(2) from a (..., 2, rows, cols) block of standard normals, G before H.
+
+    NumPy divides a complex array by the real sqrt(2) as a multiplication by
+    1 / sqrt(2), so scaling the parts, which is done in place, gives the same
+    bytes as that division.
+    """
     parts *= _INV_SQRT2
-    out = np.empty((rows, cols), dtype=complex)
-    out.real, out.imag = parts
+    out = np.empty(parts.shape[:-3] + parts.shape[-2:], dtype=complex)
+    out.real, out.imag = parts[..., 0, :, :], parts[..., 1, :, :]
     return out
 
 

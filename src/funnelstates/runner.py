@@ -53,7 +53,6 @@ from .excitations import (
     make_excitations,
     identity_excitation,
     norm_distance,
-    overlap,
     overlaps,
     random_excitation,
     top_distances,
@@ -250,11 +249,56 @@ class SuiteEnv:
                 random_excitation(self.state, self.rng, level=level))
 
     def element(self, n_terms=2):
-        terms = []
-        for _ in range(n_terms):
-            c = complex(self.rng.standard_normal(), self.rng.standard_normal())
-            terms.append((c, random_excitation(self.state, self.rng, level=self.tower.levels)))
-        return sa.element_from_terms(self.state, terms)
+        """A seeded element of `n_terms` top-level Gaussian excitations with complex normal coefficients."""
+        return self.elements(1, n_terms)[0]
+
+    def elements(self, n: int, n_terms=2):
+        """n seeded elements as one stack, drawn as n `element` calls draw them.
+
+        Each term draws its coefficient's real and imaginary parts and then its
+        operator's (2, D, D) block, all standard normals, so one standard_normal
+        call reads the generator's stream as the n calls would, value for value.
+        """
+        return _elements_from_normals(self.state, self.rng.standard_normal((n, n_terms, _term_normals(self.state))))
+
+
+def _term_normals(state) -> int:
+    """How many standard normals one term of a `SuiteEnv.element` draws."""
+    return 2 + 2 * state.dim ** 2
+
+
+def _terms_from_normals(state, normals: np.ndarray):
+    """The (n, t) coefficients and (n, t, D, D) operators drawn as the (n, t, 2 + 2 D^2) `normals`.
+
+    Each term holds two parts of its coefficient and then its operator's block.
+    """
+    n, t, _ = normals.shape
+    d = state.dim
+    coeffs = np.empty((n, t), dtype=complex)
+    coeffs.real, coeffs.imag = normals[..., 0], normals[..., 1]
+    return coeffs, nk.gaussian_from_normals(normals[..., 2:].reshape(n, t, 2, d, d))
+
+
+def _elements_from_ops(state, coeffs: np.ndarray, ops: np.ndarray):
+    """The stack of elements sum_m c_km omega_{A_km}: one `make_excitations` call and one stacked SVD."""
+    mats, _ = make_excitations(state, ops.reshape((-1,) + ops.shape[-2:]))
+    return sa.elements_from_mats(state, coeffs, mats.reshape(ops.shape))
+
+
+def _elements_from_normals(state, normals: np.ndarray):
+    """The stack of elements drawn as the (n, t, 2 + 2 D^2) `normals` (see `_terms_from_normals`)."""
+    return _elements_from_ops(state, *_terms_from_normals(state, normals))
+
+
+def _stack_lengths(count: int, entries: int) -> list:
+    """`count` samples cut, in order, into stacks of max(1, STACK_ENTRIES // entries) samples.
+
+    `entries` counts the entries of one sample's excitation mats, D^2 for each,
+    so that a stack's mats, and its doubled-space vectors, hold about
+    STACK_ENTRIES entries.
+    """
+    size = max(1, nk.STACK_ENTRIES // entries)
+    return [min(size, count - start) for start in range(0, count, size)]
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +651,14 @@ def _suite_completeness(env: SuiteEnv):
 
 
 def _suite_state_algebra(env: SuiteEnv):
+    d2 = env.state.dim ** 2
     worst_assoc = 0.0
-    for _ in range(env.count):
-        p1, p2, p3 = env.element(), env.element(), env.element()
+    for n in _stack_lengths(env.count, 3 * 2 * d2):
+        els = env.elements(3 * n)
+        p1, p2, p3 = els[0::3], els[1::3], els[2::3]
         left = sa.times(sa.times(p1, p2), p3)
         right = sa.times(p1, sa.times(p2, p3))
-        worst_assoc = max(worst_assoc, sa.kernel_distance(left, right))
+        worst_assoc = max([worst_assoc] + sa.kernel_distance(left, right))
     checks = [check_le("state_algebra/associativity", worst_assoc, env.tol)]
 
     # the product kernel against applying the factor kernels in turn, on the
@@ -623,41 +669,44 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_inv = 0.0
     worst_invol = 0.0
     worst_mult = 0.0
-    for _ in range(20):
-        p1, p2 = env.element(), env.element()
+    for n in _stack_lengths(20, 2 * 2 * d2):
+        els = env.elements(2 * n)
+        p1, p2 = els[0::2], els[1::2]
         prod = sa.times(p1, p2)
-        worst_inv = max(worst_inv, sa.kernel_distance(
+        worst_inv = max([worst_inv] + sa.kernel_distance(
             sa.dagger(prod), sa.times(sa.dagger(p2), sa.dagger(p1))))
-        worst_invol = max(worst_invol, sa.kernel_distance(sa.dagger(sa.dagger(p1)), p1))
-        scale_f = max(prod.kernel_norm(), 1.0)
+        worst_invol = max([worst_invol] + sa.kernel_distance(sa.dagger(sa.dagger(p1)), p1))
+        scales = [max(norm, 1.0) for norm in prod.kernel_norm()]
         for x in probes:
-            gap = np.linalg.norm(prod.kernel_apply(x) - p1.kernel_apply(p2.kernel_apply(x)))
-            worst_mult = max(worst_mult, float(gap) / scale_f)
+            gaps = nk.frobs(prod.kernel_apply(x) - p1.kernel_apply(p2.kernel_apply(x))).tolist()
+            worst_mult = max([worst_mult] + [gap / scale_f for gap, scale_f in zip(gaps, scales)])
     checks.append(check_le("state_algebra/involution_compat", worst_inv, env.tol))
     checks.append(check_le("state_algebra/involution_squared", worst_invol, 1e-12))
     checks.append(check_le("state_algebra/kernel_multiplicative", worst_mult, env.tol))
 
+    # each sample draws excitations A and C at levels 1 and 2, then B and D at levels 1 and 2
+    d1, d2 = env.tower.dim_at(1), env.tower.dim_at(2)
+    eye = LocalOperator(level=1, matrix=np.eye(d1, dtype=complex))
+    dims = (d1, d2, d1, d2)
     worst_idem = 0.0
     worst_min = 0.0
     worst_triple = 0.0
     worst_quad = 0.0
-    for _ in range(20):
-        a = random_excitation(env.state, env.rng, level=1)
-        c = random_excitation(env.state, env.rng, level=2)
-        b = random_excitation(env.state, env.rng, level=1)
-        dd = random_excitation(env.state, env.rng, level=2)
-        pa, pb, pc, pd = (sa.excitation_element(x) for x in (a, b, c, dd))
-        worst_idem = max(worst_idem, sa.kernel_distance(sa.times(pa, pa), pa))
+    for n in _stack_lengths(20, 4 * env.state.dim ** 2):
+        normals = np.split(env.rng.standard_normal((n, sum(2 * d * d for d in dims))),
+                           np.cumsum([2 * d * d for d in dims[:-1]]), axis=1)
+        a, c, b, dd = (make_excitations(env.state, nk.gaussian_from_normals(x.reshape(n, 2, d, d)))[0]
+                       for x, d in zip(normals, dims))
+        pa, pb, pc, pd = (sa.excitation_elements(env.state, x) for x in (a, b, c, dd))
+        worst_idem = max([worst_idem] + sa.kernel_distance(sa.times(pa, pa), pa))
         chain = sa.times(sa.times(pa, pc), pa)
-        worst_min = max(worst_min, sa.kernel_distance(
-            chain, sa.scale(transition_probability(a, c), pa)))
-        eye = LocalOperator(level=1, matrix=np.eye(env.tower.dim_at(1), dtype=complex))
-        triple = sa.times(sa.times(pa, pb), pc).evaluate(eye)
-        closed = overlap(a, b) * overlap(b, c) * overlap(c, a)
-        worst_triple = max(worst_triple, abs(triple - closed))
-        quad = sa.times(sa.times(sa.times(pa, pb), pc), pd).evaluate(eye)
-        closed4 = overlap(a, b) * overlap(b, c) * overlap(c, dd) * overlap(dd, a)
-        worst_quad = max(worst_quad, abs(quad - closed4))
+        worst_min = max([worst_min] + sa.kernel_distance(chain, sa.scale(transition_probabilities(a, c), pa)))
+        triples = sa.times(sa.times(pa, pb), pc)
+        quads = sa.times(triples, pd)
+        ab, bc, ca, cd, da = (overlaps(x, y) for x, y in ((a, b), (b, c), (c, a), (c, dd), (dd, a)))
+        for k in range(n):
+            worst_triple = max(worst_triple, abs(triples[k].evaluate(eye) - ab[k] * bc[k] * ca[k]))
+            worst_quad = max(worst_quad, abs(quads[k].evaluate(eye) - ab[k] * bc[k] * cd[k] * da[k]))
     checks.append(check_le("state_algebra/idempotent", worst_idem, env.tol))
     checks.append(check_le("state_algebra/minimality", worst_min, env.tol))
     checks.append(check_le("state_algebra/triple_product", worst_triple, env.tol))
@@ -721,28 +770,39 @@ def _suite_spectral(env: SuiteEnv):
     checks = []
     worst_recon = 0.0
     worst_orth = 0.0
-    for _ in range(env.count):
-        p = env.element(n_terms=3)
+    for n in _stack_lengths(env.count, 3 * env.state.dim ** 2):
+        p = env.elements(n, n_terms=3)
         sym = sa.scale(0.5, p + sa.dagger(p))
-        pairs = sa.spectral_decompose(sym)
-        worst_recon = max(worst_recon, sa.kernel_distance(sa.element_from_terms(env.state, pairs), sym))
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                worst_orth = max(worst_orth, transition_probability(pairs[i][1], pairs[j][1]))
+        # the members are rebuilt from their pairs in stacks of one pair count
+        members = []
+        for k, pairs in enumerate(sa.spectral_decompose(sym)):
+            mats = np.array([exc.mat for _, exc in pairs])
+            members.append((mats, [w for w, _ in pairs], k))
+            upper = np.triu_indices(len(pairs), 1)
+            worst_orth = max([worst_orth] + transition_probabilities(mats[upper[0]], mats[upper[1]]))
+        for mats, weights, index in nk.stacks(members, lambda t: t * env.state.dim ** 2):
+            rebuilt = sa.elements_from_mats(env.state, weights, mats)
+            worst_recon = max([worst_recon] + sa.kernel_distance(rebuilt, sym[list(index)]))
     checks.append(check_le("spectral/reconstruction", worst_recon, env.tol))
     checks.append(check_le("spectral/orthogonality", worst_orth, 1e-9))
 
+    def mixtures():
+        """Each sample's term mats, its excitations at seeded levels, and its probabilities."""
+        for _ in range(env.count):
+            probs = env.rng.random(2 + int(env.rng.integers(3)))
+            probs /= probs.sum()
+            ops = [nk.random_complex_matrix(env.rng, env.tower.dim_at(1 + int(env.rng.integers(env.tower.levels))))
+                   for _ in probs]
+            yield np.array([make_excitations(env.state, op[None])[0][0] for op in ops]), probs
+
+    # the mixtures are decomposed in stacks of one term count
     min_weight = np.inf
     worst_sum = 0.0
-    for _ in range(env.count):
-        k = 2 + int(env.rng.integers(3))
-        probs = env.rng.random(k)
-        probs /= probs.sum()
-        terms = [(p, random_excitation(env.state, env.rng, level=1 + int(env.rng.integers(env.tower.levels))))
-                 for p in probs]
-        weights = _weights(sa.spectral_decompose(sa.element_from_terms(env.state, terms)))
-        min_weight = min(min_weight, float(np.min(weights)))
-        worst_sum = max(worst_sum, abs(float(np.sum(weights)) - 1.0))
+    for mats, probs in nk.stacks(mixtures(), lambda k: k * env.state.dim ** 2):
+        for pairs in sa.spectral_decompose(sa.elements_from_mats(env.state, probs, mats)):
+            weights = _weights(pairs)
+            min_weight = min(min_weight, float(np.min(weights)))
+            worst_sum = max(worst_sum, abs(float(np.sum(weights)) - 1.0))
     checks.append(check_ge("spectral/mixture_weights_nonnegative", min_weight, -1e-10))
     checks.append(check_le("spectral/mixture_weight_sum", worst_sum, 1e-9))
 
@@ -758,83 +818,125 @@ def _suite_spectral(env: SuiteEnv):
     return checks
 
 
+def _traceless(state, x: np.ndarray) -> np.ndarray:
+    """X - omega(X) 1 for a top-level X: an operator omega annihilates."""
+    return x - np.trace(state.lam @ x) * np.eye(state.dim, dtype=complex)
+
+
 def _traceless_excitation(env: SuiteEnv):
     """Excitation of X - omega(X) 1 for a seeded top-level X, an operator omega annihilates."""
-    d = env.state.dim
-    x = nk.random_complex_matrix(env.rng, d)
-    x = x - np.trace(env.state.lam @ x) * np.eye(d, dtype=complex)
-    return make_excitation(env.state, LocalOperator(env.tower.levels, x))
+    x = nk.random_complex_matrix(env.rng, env.state.dim)
+    return make_excitation(env.state, LocalOperator(env.tower.levels, _traceless(env.state, x)))
+
+
+def _gram_oracle(probe: np.ndarray, terms) -> complex:
+    """sum_kl conj(c_k) c_l omega_P(omega_{B_k} x omega_{B_l}) through the term overlaps with the probe mat P.
+
+    The overlaps come from one stacked `overlaps` call each way, bit-equal to
+    the pairwise ones.
+    """
+    coeffs = np.array([c for c, _ in terms])
+    mats = np.array([exc.mat for _, exc in terms])
+    with_probe = overlaps(probe[None], mats)
+    to_probe = overlaps(mats, probe[None])
+    between = iter(overlaps(mats[:, None], mats[None]))
+    gram = np.zeros((len(coeffs), len(coeffs)), dtype=complex)
+    for k in range(len(coeffs)):
+        for l in range(len(coeffs)):
+            gram[k, l] = with_probe[k] * next(between) * to_probe[l]
+    return np.conj(coeffs) @ gram @ coeffs
 
 
 def _suite_duality(env: SuiteEnv):
     worst_link = 0.0
-    for _ in range(30):
-        a, b = env.pair(level=1 + int(env.rng.integers(env.tower.levels)))
-        val = sa.dual_state_apply(a, sa.excitation_element(b))
-        worst_link = max(worst_link, abs(val - transition_probability(a, b)))
+    for a_ops, b_ops in nk.stacks(_random_level_pairs(env.rng, env.tower, 30), env.state.dim ** 2):
+        a, b = make_excitations(env.state, a_ops)[0], make_excitations(env.state, b_ops)[0]
+        vals = sa.dual_state_apply(a, sa.excitation_elements(env.state, b))
+        worst_link = max([worst_link] + [abs(v - p) for v, p in zip(vals, transition_probabilities(a, b))])
     checks = [check_le("duality/transition_link", worst_link, env.tol)]
 
     exc = random_excitation(env.state, env.rng, level=1)
     self_val = sa.dual_state_apply(exc, sa.excitation_element(exc))
     checks.append(check_le("duality/projection_expectation", abs(self_val - 1.0), 1e-10))
 
+    # each sample draws an element and then a level-1 probe, all standard
+    # normals, so one call per stack reads them in order
+    state = env.state
+    d1 = env.tower.dim_at(1)
+    element_normals = 2 * _term_normals(state)
     min_pos = np.inf
     worst_oracle = 0.0
-    for _ in range(env.count):
-        psi = env.element(n_terms=2)
-        probe = random_excitation(env.state, env.rng, level=1)
-        val = sa.dual_state_apply(probe, sa.times(sa.dagger(psi), psi))
-        min_pos = min(min_pos, float(np.real(val)))
-        coeffs = np.array([c for c, _ in psi.terms])
-        gram = np.zeros((len(coeffs), len(coeffs)), dtype=complex)
-        for k, (_, bk) in enumerate(psi.terms):
-            for l, (_, bl) in enumerate(psi.terms):
-                gram[k, l] = (overlap(probe, bk) * overlap(bk, bl) * overlap(bl, probe))
-        oracle = np.conj(coeffs) @ gram @ coeffs
-        worst_oracle = max(worst_oracle, abs(val - oracle))
+    for n in _stack_lengths(env.count, 3 * state.dim ** 2):
+        normals = env.rng.standard_normal((n, element_normals + 2 * d1 * d1))
+        psi = _elements_from_normals(state, normals[:, :element_normals].reshape(n, 2, -1))
+        probes, _ = make_excitations(state, nk.gaussian_from_normals(
+            normals[:, element_normals:].reshape(n, 2, d1, d1)))
+        vals = sa.dual_state_apply(probes, sa.times(sa.dagger(psi), psi))
+        for val, probe, terms in zip(vals, probes, psi.terms):
+            min_pos = min(min_pos, float(np.real(val)))
+            worst_oracle = max(worst_oracle, abs(val - _gram_oracle(probe, terms)))
     checks.append(check_ge("duality/positivity", min_pos, -1e-10))
     checks.append(check_le("duality/gram_oracle", worst_oracle, 1e-10))
 
+    # every third sample is traceless: each of its terms draws the operator's
+    # block before the coefficient, where an element's term draws it after
     found = 0
     total = min(env.count, 30)  # one count sizes both loops; this one keeps its 30
-    for k in range(total):
-        if k % 3 == 2:  # traceless construction: omega annihilates every term
-            terms = []
-            for _ in range(2):
-                exc = _traceless_excitation(env)
-                terms.append((complex(env.rng.standard_normal(), env.rng.standard_normal()), exc))
-            psi = sa.element_from_terms(env.state, terms)
-        else:
-            psi = env.element(n_terms=2)
-        if abs(sa.faithfulness_probe(psi)) > 1e-9:
-            found += 1
+    width = _term_normals(state)
+    start = 0
+    for n in _stack_lengths(total, 2 * state.dim ** 2):
+        normals = env.rng.standard_normal((n, 2, width))
+        traceless = [k for k in range(n) if (start + k) % 3 == 2]
+        normals[traceless] = np.roll(normals[traceless], 2, axis=-1)
+        coeffs, ops = _terms_from_normals(state, normals)
+        for k in traceless:
+            ops[k] = [_traceless(state, x) for x in ops[k]]
+        psi = _elements_from_ops(state, coeffs, ops)
+        found += sum(abs(sa.faithfulness_probe(psi[k])) > 1e-9 for k in range(n))
+        start += n
     checks.append(check_flag("duality/faithfulness_witnesses", found == total,
                              witness={"found": found, "total": total}))
     return checks
 
 
+def _gns_chain(state, terms_a, terms_b):
+    """sum_lm conj(c_l) c_m omega(A_l) omega(A_l* A_m) omega(A_m*) over two term lists, pair by pair in order.
+
+    Its overlaps come from three stacked `overlaps` calls.
+    """
+    omega = state.omega_vector.reshape(1, state.dim, state.dim)
+    a = np.array([exc.mat for _, exc in terms_a])
+    b = np.array([exc.mat for _, exc in terms_b])
+    from_omega = overlaps(omega, a)
+    pairs = iter(overlaps(a[:, None], b[None]))
+    to_omega = overlaps(b, omega)
+    chain = 0.0 + 0.0j
+    for (cl, _), left in zip(terms_a, from_omega):
+        for (cm, _), right in zip(terms_b, to_omega):
+            chain += np.conj(cl) * cm * left * next(pairs) * right
+    return chain
+
+
 def _suite_w_isomorphism(env: SuiteEnv):
+    d2 = env.state.dim ** 2
     worst_inner = 0.0
-    for _ in range(env.count):
-        p1 = env.element(n_terms=2)
-        p2 = env.element(n_terms=2)
-        gns = sa.gns_inner(p1, p2)
-        w_img = np.vdot(sa.w_isomorphism(p1), sa.w_isomorphism(p2))
-        chain = 0.0 + 0.0j
-        for cl, al in p1.terms:
-            for cm, am in p2.terms:
-                chain += (np.conj(cl) * cm * np.vdot(env.state.omega_vector, al.vector)
-                          * overlap(al, am) * np.vdot(am.vector, env.state.omega_vector))
-        worst_inner = max(worst_inner, abs(gns - w_img), abs(gns - chain))
+    for n in _stack_lengths(env.count, 2 * 2 * d2):
+        els = env.elements(2 * n)
+        p1, p2 = els[0::2], els[1::2]
+        w1, w2 = sa.w_isomorphism(p1), sa.w_isomorphism(p2)
+        w_imgs = np.array(overlaps(w1[:, None], w2[:, None]))
+        for gns, w_img, terms_1, terms_2 in zip(sa.gns_inner(p1, p2), w_imgs, p1.terms, p2.terms):
+            chain = _gns_chain(env.state, terms_1, terms_2)
+            worst_inner = max(worst_inner, abs(gns - w_img), abs(gns - chain))
     checks = [check_le("w_isomorphism/inner_products", worst_inner, env.tol)]
 
     worst_int = 0.0
-    for _ in range(20):
-        psi = env.element(n_terms=2)
-        phi = env.element(n_terms=2)
+    for n in _stack_lengths(20, 2 * 2 * d2):
+        els = env.elements(2 * n)
+        psi, phi = els[0::2], els[1::2]
         lhs = sa.w_isomorphism(sa.times(psi, phi))
         rhs = psi.kernel_apply(sa.w_isomorphism(phi))
-        worst_int = max(worst_int, float(np.linalg.norm(lhs - rhs)))
+        worst_int = max([worst_int] + nk.frobs(lhs - rhs).tolist())
     checks.append(check_le("w_isomorphism/intertwining", worst_int, 1e-9))
 
     ident = sa.excitation_element(identity_excitation(env.state))

@@ -228,3 +228,286 @@ def genericity_pairs_reference(state, trials, rng) -> dict:
                 worst, worst_kind = gap, kind
         least[level] = (worst, worst_kind)
     return least
+
+
+# -- reference state algebra ---------------------------------------------
+# The state-algebra element and its operations as they were written before
+# elements became stacks: one element, two-dimensional factors, one thin SVD
+# and one matrix-vector product per step.  Every stacked form, and every
+# single form through it, must give their bits.
+
+
+class ElementReference:
+    """One element ``left @ core @ right^*``; ``terms`` is derived on first read."""
+
+    def __init__(self, state, left, core, right):
+        self.state, self.left, self.core, self.right = state, left, core, right
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = canonical_terms_reference(self)
+        return self._terms
+
+    def kernel_apply(self, x):
+        return self.left @ (self.core @ (nk.dagger(self.right) @ x))
+
+    def kernel_norm(self):
+        return nk.frob(self.core)
+
+
+def herm_eig_reference(m):
+    """`numkernel.herm_eig` of one matrix: descending values, columns gathered by index, phases fixed."""
+    m = nk.as_cmatrix(m)
+    if nk.frob(m - nk.dagger(m)) > nk.CONTRACT_TOL * max(nk.frob(m), 1.0):
+        raise ContractError("herm_eig requires a Hermitian matrix")
+    vals, vecs = np.linalg.eigh((m + nk.dagger(m)) / 2.0)
+    order = np.argsort(vals)[::-1]
+    q = vecs[:, order]
+    peaks = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    phases = np.array([np.conj(a) / abs(a) if abs(a) > 0.0 else 1.0 for a in peaks], dtype=complex)
+    return np.real(vals[order]), q * phases
+
+
+def excitation_with_vector_reference(state, v) -> ExcitationState:
+    """The top-level excitation of the vector v / ||v||."""
+    mat = np.asarray(v, dtype=complex).reshape(state.dim, state.dim)
+    norm_sq = float(np.real(np.vdot(mat, mat)))
+    if norm_sq <= 1e-12:
+        raise DegenerateExcitationError("operator annihilates the reference vector; excitation undefined")
+    return ExcitationState(state, mat * (1.0 / math.sqrt(norm_sq)))
+
+
+def orthonormal_basis_reference(v):
+    u, s, wh = np.linalg.svd(v, full_matrices=False)
+    keep = s > 1e-12 * np.max(s, initial=1.0)
+    return u[:, keep], s[keep, None] * wh[keep]
+
+
+def orthonormalised_reference(state, left, core, right) -> ElementReference:
+    ql, bl = orthonormal_basis_reference(left)
+    qr, br = (ql, bl) if right is left else orthonormal_basis_reference(right)
+    return ElementReference(state, ql, bl @ core @ nk.dagger(br), qr)
+
+
+def element_from_terms_reference(state, terms) -> ElementReference:
+    vectors = np.array([exc.vector for _, exc in terms], dtype=complex).reshape(len(terms), -1).T
+    core = np.diag(np.array([complex(c) for c, _ in terms], dtype=complex))
+    return orthonormalised_reference(state, vectors, core, vectors)
+
+
+def excitation_element_reference(exc) -> ElementReference:
+    v = exc.vector[:, None]
+    return ElementReference(exc.state, v, np.array([[1.0 + 0.0j]]), v)
+
+
+def times_reference(a, b) -> ElementReference:
+    return ElementReference(a.state, a.left, a.core @ (nk.dagger(a.right) @ b.left) @ b.core, b.right)
+
+
+def dagger_reference(el) -> ElementReference:
+    return ElementReference(el.state, el.right, nk.dagger(el.core), el.left)
+
+
+def scale_reference(c, el) -> ElementReference:
+    return ElementReference(el.state, el.left, complex(c) * el.core, el.right)
+
+
+def add_reference(a, b) -> ElementReference:
+    if a.left is b.left and a.right is b.right:
+        return ElementReference(a.state, a.left, a.core + b.core, a.right)
+    (ra, ca), (rb, cb) = a.core.shape, b.core.shape
+    core = np.zeros((ra + rb, ca + cb), dtype=complex)
+    core[:ra, :ca] = a.core
+    core[ra:, ca:] = b.core
+    left = np.hstack([a.left, b.left])
+    right = left if a.left is a.right and b.left is b.right else np.hstack([a.right, b.right])
+    return orthonormalised_reference(a.state, left, core, right)
+
+
+def kernel_distance_reference(a, b) -> float:
+    return add_reference(a, scale_reference(-1.0, b)).kernel_norm()
+
+
+def support_form_reference(el):
+    if el.left is el.right:
+        return el.left, el.core
+    basis, _ = orthonormal_basis_reference(np.hstack([el.left, el.right]))
+    bh = nk.dagger(basis)
+    return basis, (bh @ el.left) @ el.core @ nk.dagger(bh @ el.right)
+
+
+def eigen_excitations_reference(state, basis, part, drop) -> list:
+    if nk.frob(part) <= drop:
+        return []
+    vals, vecs = herm_eig_reference(part)
+    return [(val, excitation_with_vector_reference(state, basis @ g))
+            for val, g in zip(vals, vecs.T) if abs(val) > drop]
+
+
+def canonical_terms_reference(el) -> tuple:
+    basis, s_mat = support_form_reference(el)
+    drop = 1e-12 * max(nk.frob(s_mat), 1.0)
+    herm = eigen_excitations_reference(el.state, basis, (s_mat + nk.dagger(s_mat)) / 2.0, drop)
+    anti = eigen_excitations_reference(el.state, basis, (s_mat - nk.dagger(s_mat)) / 2.0j, drop)
+    return tuple(herm + [(1j * val, exc) for val, exc in anti])
+
+
+def spectral_decompose_reference(el) -> list:
+    basis, s_mat = support_form_reference(el)
+    scale_f = max(nk.frob(s_mat), 1.0)
+    asym = nk.frob(s_mat - nk.dagger(s_mat))
+    if asym > 1e-10 * scale_f:
+        raise ContractError(f"element is not symmetric: ||psi - dagger(psi)|| = {asym:.3e}")
+    return eigen_excitations_reference(el.state, basis, (s_mat + nk.dagger(s_mat)) / 2.0, 1e-12 * scale_f)
+
+
+def dual_state_apply_reference(exc, el) -> complex:
+    v = exc.vector
+    return complex(np.vdot(v, el.kernel_apply(v)))
+
+
+def gns_inner_reference(a, b) -> complex:
+    v = a.state.omega_vector
+    return complex(np.vdot(a.kernel_apply(v), b.kernel_apply(v)))
+
+
+def w_isomorphism_reference(el) -> np.ndarray:
+    omega = el.state.omega_vector
+    out = np.zeros_like(omega)
+    for c, exc in el.terms:
+        v = exc.vector
+        out = out + c * np.vdot(v, omega) * v
+    return out
+
+
+def element_reference(state, rng, n_terms=2) -> ElementReference:
+    """`SuiteEnv.element` as it drew: per term, two scalar normals and then a top-level Gaussian excitation."""
+    terms = []
+    for _ in range(n_terms):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        terms.append((c, random_excitation_reference(state, rng, level=state.tower.levels)))
+    return element_from_terms_reference(state, terms)
+
+
+# -- reference state-algebra loops -----------------------------------------
+# The state-algebra suites' sample loops as they ran before they were
+# stacked, on the reference elements, drawing in the same order.
+
+
+def state_algebra_loops_reference(state, rng, count, probes) -> dict:
+    """`state_algebra`'s associativity, involution, multiplicativity and closed-form loops."""
+    out = dict.fromkeys(("associativity", "involution_compat", "involution_squared", "kernel_multiplicative",
+                         "idempotent", "minimality", "triple_product", "quadruple_product"), 0.0)
+    for _ in range(count):
+        p1, p2, p3 = (element_reference(state, rng) for _ in range(3))
+        left = times_reference(times_reference(p1, p2), p3)
+        right = times_reference(p1, times_reference(p2, p3))
+        out["associativity"] = max(out["associativity"], kernel_distance_reference(left, right))
+    for _ in range(20):
+        p1, p2 = element_reference(state, rng), element_reference(state, rng)
+        prod = times_reference(p1, p2)
+        out["involution_compat"] = max(out["involution_compat"], kernel_distance_reference(
+            dagger_reference(prod), times_reference(dagger_reference(p2), dagger_reference(p1))))
+        out["involution_squared"] = max(out["involution_squared"], kernel_distance_reference(
+            dagger_reference(dagger_reference(p1)), p1))
+        scale_f = max(prod.kernel_norm(), 1.0)
+        for x in probes:
+            gap = np.linalg.norm(prod.kernel_apply(x) - p1.kernel_apply(p2.kernel_apply(x)))
+            out["kernel_multiplicative"] = max(out["kernel_multiplicative"], float(gap) / scale_f)
+    for _ in range(20):
+        a = random_excitation_reference(state, rng, level=1)
+        c = random_excitation_reference(state, rng, level=2)
+        b = random_excitation_reference(state, rng, level=1)
+        dd = random_excitation_reference(state, rng, level=2)
+        pa, pb, pc, pd = (excitation_element_reference(x) for x in (a, b, c, dd))
+        out["idempotent"] = max(out["idempotent"], kernel_distance_reference(times_reference(pa, pa), pa))
+        chain = times_reference(times_reference(pa, pc), pa)
+        out["minimality"] = max(out["minimality"], kernel_distance_reference(
+            chain, scale_reference(transition_probability_reference(a, c), pa)))
+        triple = times_reference(times_reference(pa, pb), pc)
+        quad = times_reference(triple, pd)
+        ab, bc, ca = overlap_reference(a, b), overlap_reference(b, c), overlap_reference(c, a)
+        cd, da = overlap_reference(c, dd), overlap_reference(dd, a)
+        eye = LocalOperator(1, np.eye(state.tower.dim_at(1), dtype=complex))
+        value = [complex(np.trace(el.core @ nk.dagger(el.right) @ state.act(eye, el.left))) for el in (triple, quad)]
+        out["triple_product"] = max(out["triple_product"], abs(value[0] - ab * bc * ca))
+        out["quadruple_product"] = max(out["quadruple_product"], abs(value[1] - ab * bc * cd * da))
+    return out
+
+
+def w_isomorphism_loops_reference(state, rng, count) -> tuple:
+    """`w_isomorphism`'s inner-product and intertwining loops."""
+    omega = state.omega_vector
+    worst_inner = 0.0
+    for _ in range(count):
+        p1, p2 = element_reference(state, rng), element_reference(state, rng)
+        gns = gns_inner_reference(p1, p2)
+        w_img = np.vdot(w_isomorphism_reference(p1), w_isomorphism_reference(p2))
+        chain = 0.0 + 0.0j
+        for cl, al in p1.terms:
+            for cm, am in p2.terms:
+                chain += (np.conj(cl) * cm * np.vdot(omega, al.vector)
+                          * overlap_reference(al, am) * np.vdot(am.vector, omega))
+        worst_inner = max(worst_inner, abs(gns - w_img), abs(gns - chain))
+    worst_int = 0.0
+    for _ in range(20):
+        psi, phi = element_reference(state, rng), element_reference(state, rng)
+        lhs = w_isomorphism_reference(times_reference(psi, phi))
+        rhs = psi.kernel_apply(w_isomorphism_reference(phi))
+        worst_int = max(worst_int, float(np.linalg.norm(lhs - rhs)))
+    return worst_inner, worst_int
+
+
+def duality_loops_reference(state, rng, count) -> tuple:
+    """`duality`'s transition-link, positivity and Gram-oracle loops."""
+    levels = state.tower.levels
+    worst_link = 0.0
+    for _ in range(30):
+        level = 1 + int(rng.integers(levels))
+        a = random_excitation_reference(state, rng, level=level)
+        b = random_excitation_reference(state, rng, level=level)
+        val = dual_state_apply_reference(a, excitation_element_reference(b))
+        worst_link = max(worst_link, abs(val - transition_probability_reference(a, b)))
+    rng.standard_normal((2, state.tower.dim_at(1), state.tower.dim_at(1)))  # the projection probe
+    min_pos = np.inf
+    worst_oracle = 0.0
+    for _ in range(count):
+        psi = element_reference(state, rng)
+        probe = random_excitation_reference(state, rng, level=1)
+        val = dual_state_apply_reference(probe, times_reference(dagger_reference(psi), psi))
+        min_pos = min(min_pos, float(np.real(val)))
+        coeffs = np.array([c for c, _ in psi.terms])
+        gram = np.zeros((len(coeffs), len(coeffs)), dtype=complex)
+        for k, (_, bk) in enumerate(psi.terms):
+            for l, (_, bl) in enumerate(psi.terms):
+                gram[k, l] = overlap_reference(probe, bk) * overlap_reference(bk, bl) * overlap_reference(bl, probe)
+        worst_oracle = max(worst_oracle, abs(val - np.conj(coeffs) @ gram @ coeffs))
+    return worst_link, min_pos, worst_oracle
+
+
+def spectral_loops_reference(state, rng, count) -> tuple:
+    """`spectral`'s reconstruction, orthogonality and mixture-weight loops."""
+    worst_recon = 0.0
+    worst_orth = 0.0
+    for _ in range(count):
+        p = element_reference(state, rng, n_terms=3)
+        sym = scale_reference(0.5, add_reference(p, dagger_reference(p)))
+        pairs = spectral_decompose_reference(sym)
+        worst_recon = max(worst_recon, kernel_distance_reference(element_from_terms_reference(state, pairs), sym))
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                worst_orth = max(worst_orth, transition_probability_reference(pairs[i][1], pairs[j][1]))
+    min_weight = np.inf
+    worst_sum = 0.0
+    for _ in range(count):
+        k = 2 + int(rng.integers(3))
+        probs = rng.random(k)
+        probs /= probs.sum()
+        terms = [(p, random_excitation_reference(state, rng, level=1 + int(rng.integers(state.tower.levels))))
+                 for p in probs]
+        weights = np.array([float(w) for w, _ in spectral_decompose_reference(element_from_terms_reference(state, terms))])
+        min_weight = min(min_weight, float(np.min(weights)))
+        worst_sum = max(worst_sum, abs(float(np.sum(weights)) - 1.0))
+    return worst_recon, worst_orth, min_weight, worst_sum

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -632,13 +633,15 @@ def test_every_record_field_is_read_outside_the_tests():
 def test_svd_count_of_the_state_algebra_suites(suite_id, svds, monkeypatch):
     # sums over shared factors add their cores, a factor shared by both sides is
     # read as the support basis, and the set-up's trace norms are Hermitian
-    # (eigvalsh): these stay exact counts of the thin SVDs that remain
-    calls = []
+    # (eigvalsh): these stay exact counts of the thin SVDs that remain, a
+    # stacked SVD counting each matrix of its stack
+    matrices = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **k: matrices.append(math.prod(np.shape(a)[:-2])) or svd(a, *args, **k))
     (suite,) = run(ScenarioConfig(suites=(suite_id,)))["suites"]
     assert suite["error"] is None
-    assert len(calls) == svds
+    assert sum(matrices) == svds
 
 
 def test_state_algebra_suites_read_no_inverse_square_root(monkeypatch):

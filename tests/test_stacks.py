@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from funnelstates import (
+    BudgetError,
     ContractError,
     DegenerateExcitationError,
     GenericState,
@@ -23,6 +24,7 @@ from funnelstates import (
     uhlmann_fidelity,
 )
 from funnelstates import funnel, runner
+from funnelstates import statealgebra as sa
 from funnelstates import numkernel as nk
 from funnelstates.excitations import (
     ExcitationState,
@@ -34,6 +36,24 @@ from funnelstates.excitations import (
 from funnelstates.transitions import transition_probabilities, uhlmann_fidelities
 
 from conftest import (
+    add_reference,
+    dagger_reference,
+    dual_state_apply_reference,
+    duality_loops_reference,
+    element_from_terms_reference,
+    element_reference,
+    excitation_element_reference,
+    gns_inner_reference,
+    herm_eig_reference,
+    kernel_distance_reference,
+    random_excitation_reference,
+    scale_reference,
+    spectral_decompose_reference,
+    spectral_loops_reference,
+    state_algebra_loops_reference,
+    times_reference,
+    w_isomorphism_loops_reference,
+    w_isomorphism_reference,
     fuchs_slack_reference,
     fuchs_stats_reference,
     genericity_pairs_reference,
@@ -305,3 +325,201 @@ def test_genericity_clears_distant_pairs_without_eigenvalues(state, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
     assert funnel.check_genericity(state, trials=10, rng=np.random.default_rng(9)) == {}
     assert calls == []
+
+
+# -- state algebra ---------------------------------------------------------
+
+
+def _seeded_terms(state, rng, n, t):
+    """n lists of t seeded (complex coefficient, top-level excitation) terms."""
+    return [[(complex(*rng.standard_normal(2)), random_excitation_reference(state, rng, state.tower.levels))
+             for _ in range(t)] for _ in range(n)]
+
+
+def _stack_of(state, terms):
+    return sa.elements_from_mats(state, [[c for c, _ in member] for member in terms],
+                                 np.array([[exc.mat for _, exc in member] for member in terms]))
+
+
+def _same_element(el, ref):
+    assert np.array_equal(el.left, ref.left) and np.array_equal(el.core, ref.core)
+    assert np.array_equal(el.right, ref.right)
+    assert (el.left is el.right) == (ref.left is ref.right)
+
+
+def _same_terms(terms, ref_terms):
+    assert [complex(c) for c, _ in terms] == [complex(c) for c, _ in ref_terms]
+    for (_, exc), (_, ref) in zip(terms, ref_terms):
+        assert np.array_equal(exc.mat, ref.mat)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_stacked_state_algebra_forms_equal_the_reference(tower_state, n):
+    # each stacked form, member by member, and each single form through its
+    # one-member stack give the bits of the former single-element code
+    state = tower_state
+    rng = np.random.default_rng(20 + n)
+    terms = _seeded_terms(state, rng, 3 * n, 2)
+    refs = [element_from_terms_reference(state, member) for member in terms]
+    stack = _stack_of(state, terms)
+    for k, ref in enumerate(refs):
+        _same_element(stack[k], ref)
+        _same_element(sa.element_from_terms(state, terms[k]), ref)
+    p1, p2, p3 = stack[0::3], stack[1::3], stack[2::3]
+    r1, r2, r3 = refs[0::3], refs[1::3], refs[2::3]
+    s1, s2 = [sa.element_from_terms(state, t) for t in terms[0::3]], [sa.element_from_terms(state, t) for t in terms[1::3]]
+
+    def each(fn, *refs_):
+        return [fn(*members) for members in zip(*refs_)]
+
+    prods = sa.times(p1, p2)
+    ref_prods = each(times_reference, r1, r2)
+    for k in range(n):
+        _same_element(prods[k], ref_prods[k])
+        _same_element(sa.times(s1[k], s2[k]), ref_prods[k])
+        _same_element(sa.dagger(prods)[k], dagger_reference(ref_prods[k]))
+        _same_element(sa.add(p1, p2)[k], add_reference(r1[k], r2[k]))
+        _same_element(sa.add(s1[k], s2[k]), add_reference(r1[k], r2[k]))
+    assert prods.kernel_norm() == [el.kernel_norm() for el in ref_prods]
+    assert [sa.times(a, b).kernel_norm() for a, b in zip(s1, s2)] == [el.kernel_norm() for el in ref_prods]
+    # a shared-factor difference adds cores; any other difference is orthonormalised
+    left, right = sa.times(sa.times(p1, p2), p3), sa.times(p1, sa.times(p2, p3))
+    assert sa.kernel_distance(left, right) == [
+        kernel_distance_reference(times_reference(times_reference(a, b), c), times_reference(a, times_reference(b, c)))
+        for a, b, c in zip(r1, r2, r3)]
+    assert sa.kernel_distance(p1, p2) == each(kernel_distance_reference, r1, r2)
+    assert [sa.kernel_distance(a, b) for a, b in zip(s1, s2)] == each(kernel_distance_reference, r1, r2)
+    weights = rng.standard_normal(n).tolist()
+    for k, el in enumerate(sa.scale(weights, p1)[k] for k in range(n)):
+        _same_element(el, scale_reference(weights[k], r1[k]))
+    _same_element(sa.scale(0.3 - 0.7j, p1)[0], scale_reference(0.3 - 0.7j, r1[0]))
+
+    # kernel reads: one vector for every member, or one per member
+    x = nk.random_unit_vector(rng, state.doubled_dim)
+    xs = np.array([nk.random_unit_vector(rng, state.doubled_dim) for _ in range(n)])
+    assert np.array_equal(prods.kernel_apply(x), np.array([el.kernel_apply(x) for el in ref_prods]))
+    assert np.array_equal(prods.kernel_apply(xs), np.array([el.kernel_apply(v) for el, v in zip(ref_prods, xs)]))
+    assert np.array_equal(sa.times(s1[0], s2[0]).kernel_apply(x), ref_prods[0].kernel_apply(x))
+    assert sa.gns_inner(p1, p2) == each(gns_inner_reference, r1, r2)
+    assert [sa.gns_inner(a, b) for a, b in zip(s1, s2)] == each(gns_inner_reference, r1, r2)
+    probes = [random_excitation_reference(state, rng, 1) for _ in range(n)]
+    expected = [dual_state_apply_reference(p, el) for p, el in zip(probes, ref_prods)]
+    assert sa.dual_state_apply(np.array([p.mat for p in probes]), prods) == expected
+    assert [sa.dual_state_apply(p, sa.times(a, b)) for p, a, b in zip(probes, s1, s2)] == expected
+
+    # term lists, the W image and the spectral split: per member, as the reference derives them
+    for stacked, ref_els in ((p1, r1), (prods, ref_prods)):
+        for terms_k, ref in zip(stacked.terms, ref_els):
+            _same_terms(terms_k, ref.terms)
+        assert np.array_equal(sa.w_isomorphism(stacked), np.array([w_isomorphism_reference(el) for el in ref_els]))
+    for a, ref in zip(s1, r1):
+        _same_terms(a.terms, ref.terms)
+        assert np.array_equal(sa.w_isomorphism(a), w_isomorphism_reference(ref))
+    sym = sa.scale(0.5, p1 + sa.dagger(p1))
+    ref_sym = [scale_reference(0.5, add_reference(el, dagger_reference(el))) for el in r1]
+    for pairs, ref in zip(sa.spectral_decompose(sym), ref_sym):
+        _same_terms(pairs, spectral_decompose_reference(ref))
+    _same_terms(sa.spectral_decompose(sa.scale(0.5, s1[0] + sa.dagger(s1[0]))), spectral_decompose_reference(ref_sym[0]))
+
+    # excitation elements
+    excs = [random_excitation_reference(state, rng, 2) for _ in range(n)]
+    stacked = sa.excitation_elements(state, np.array([e.mat for e in excs]))
+    for k, exc in enumerate(excs):
+        _same_element(stacked[k], excitation_element_reference(exc))
+        _same_element(sa.excitation_element(exc), excitation_element_reference(exc))
+
+
+def test_stacked_herm_eig_and_frobenius_norms_equal_the_single_ones(rng):
+    for n in (1, 2, 3, 6):
+        stack = np.array([nk.random_complex_matrix(rng, n) for _ in range(5)])
+        herm = (stack + nk.dagger(stack)) / 2.0
+        vals, vecs = nk.herm_eig(herm)
+        for k, m in enumerate(herm):
+            ref_vals, ref_vecs = herm_eig_reference(m)
+            assert np.array_equal(vals[k], ref_vals) and np.array_equal(vecs[k], ref_vecs)
+            single_vals, single_vecs = nk.herm_eig(m)
+            assert np.array_equal(single_vals, ref_vals) and np.array_equal(single_vecs, ref_vecs)
+        assert nk.frobs(stack).tolist() == [nk.frob(m) for m in stack]
+        assert nk.frobs(nk.dagger(stack)).tolist() == [nk.frob(nk.dagger(m)) for m in stack]
+
+
+def test_a_stack_raises_for_its_first_member_over_the_budget(state, rng):
+    base = _seeded_terms(state, rng, 1, 70)[0]
+    over = base[:66] + base[:4]  # rank 66
+    with pytest.raises(BudgetError) as err:
+        _stack_of(state, [base[:70], over])
+    assert err.value.suggested_budget == 70
+    with pytest.raises(BudgetError) as err:
+        _stack_of(state, [base[:2] * 35, over])
+    assert err.value.suggested_budget == 66
+
+
+def test_members_of_a_stack_agree_in_rank(state, rng):
+    (a, b), = _seeded_terms(state, rng, 1, 2)
+    with pytest.raises(ContractError, match="differ in kernel rank"):
+        _stack_of(state, [[a, b], [a, a]])
+
+
+def test_one_normal_call_per_stack_reads_the_element_draws(tower_state):
+    # an element's draws are all standard normals: two scalars per coefficient,
+    # then the (2, D, D) block of its operator
+    state = tower_state
+    d = state.dim
+    one, per = np.random.default_rng(31), np.random.default_rng(31)
+    stacked = one.standard_normal((7, 2, 2 + 2 * d * d))
+    for member in stacked:
+        for term in member:
+            assert per.standard_normal() == term[0] and per.standard_normal() == term[1]
+            assert np.array_equal(per.standard_normal((2, d, d)), term[2:].reshape(2, d, d))
+    assert one.bit_generator.state == per.bit_generator.state
+
+    env = _suite_env(state, "state_algebra", 32)
+    stack = env.elements(5)
+    single = env.element(3)
+    ref_rng = np.random.default_rng(32)
+    refs = [element_reference(state, ref_rng) for _ in range(5)]
+    for k, ref in enumerate(refs):
+        _same_element(stack[k], ref)
+    _same_element(single, element_reference(state, ref_rng, n_terms=3))
+    assert env.rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _probe_vectors(state, config):
+    probe_rng = np.random.default_rng(runner.suite_seed(config.seed, "state_algebra:probes"))
+    return [state.omega_vector] + [nk.random_unit_vector(probe_rng, state.doubled_dim) for _ in range(3)]
+
+
+def test_state_algebra_suite_equals_its_per_sample_loops(tower_state):
+    state = tower_state
+    env = _suite_env(state, "state_algebra", 11)
+    checks = {c["id"]: c for c in runner._suite_state_algebra(env)}
+    expected = state_algebra_loops_reference(state, np.random.default_rng(11), 50, _probe_vectors(state, env.config))
+    assert {key: checks[f"state_algebra/{key}"]["residual"] for key in expected} == expected
+
+
+def test_w_isomorphism_suite_equals_its_per_sample_loops(tower_state):
+    state = tower_state
+    checks = {c["id"]: c for c in runner._suite_w_isomorphism(_suite_env(state, "w_isomorphism", 12))}
+    inner, intertwining = w_isomorphism_loops_reference(state, np.random.default_rng(12), 30)
+    assert checks["w_isomorphism/inner_products"]["residual"] == inner
+    assert checks["w_isomorphism/intertwining"]["residual"] == intertwining
+
+
+def test_duality_suite_equals_its_per_sample_loops(tower_state):
+    state = tower_state
+    checks = {c["id"]: c for c in runner._suite_duality(_suite_env(state, "duality", 13))}
+    link, min_pos, oracle = duality_loops_reference(state, np.random.default_rng(13), 50)
+    assert checks["duality/transition_link"]["residual"] == link
+    assert checks["duality/positivity"]["residual"] == min_pos
+    assert checks["duality/gram_oracle"]["residual"] == oracle
+    assert checks["duality/faithfulness_witnesses"]["witness"] == {"found": 30, "total": 30}
+
+
+def test_spectral_suite_equals_its_per_sample_loops(tower_state):
+    state = tower_state
+    checks = {c["id"]: c for c in runner._suite_spectral(_suite_env(state, "spectral", 14))}
+    recon, orth, min_weight, worst_sum = spectral_loops_reference(state, np.random.default_rng(14), 20)
+    assert checks["spectral/reconstruction"]["residual"] == recon
+    assert checks["spectral/orthogonality"]["residual"] == orth
+    assert checks["spectral/mixture_weights_nonnegative"]["residual"] == min_weight
+    assert checks["spectral/mixture_weight_sum"]["residual"] == worst_sum
