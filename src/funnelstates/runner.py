@@ -290,6 +290,11 @@ def _elements_from_normals(state, normals: np.ndarray):
     return _elements_from_ops(state, *_terms_from_normals(state, normals))
 
 
+def _loop_length(env: SuiteEnv, literal: int) -> int:
+    """A fixed loop's length: `literal` at the suite's default count, and the same share of any other, at least 1."""
+    return max(1, min(literal, env.count // (SUITES[env.suite_id].count // literal)))
+
+
 def _stack_lengths(count: int, entries: int) -> list:
     """`count` samples cut, in order, into stacks of max(1, STACK_ENTRIES // entries) samples.
 
@@ -341,7 +346,7 @@ def _suite_lift(env: SuiteEnv):
         worst_gauge = max(worst_gauge, nk.frob(a.canonical_mat - b.canonical_mat))
     checks.append(check_le("lift/gauge_stability", worst_gauge, 1e-12))
 
-    failures = check_genericity(env.state, trials=10, rng=env.rng)
+    failures = check_genericity(env.state, trials=_loop_length(env, 10), rng=env.rng)
     checks.append(check_flag("lift/genericity_selftest", not failures, witness={"failures": list(failures)}))
     return checks
 
@@ -537,11 +542,15 @@ def _fuchs_stats(state, rng, n):
 
 
 def _pure_pairs(env: SuiteEnv):
-    """50 seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, as mat stacks."""
+    """Seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, as mat stacks.
+
+    50 pairs at the suite's default count, and the same share of any other.
+    """
     pure = env.derived_state("pure", "pure")
     rng = np.random.default_rng(suite_seed(env.config.seed, f"{env.suite_id}:pure-pairs"))
     d1, d2 = pure.tower.dim_at(1), pure.tower.dim_at(2)
-    draws = ((nk.random_complex_matrix(rng, d1), nk.random_complex_matrix(rng, d2)) for _ in range(50))
+    draws = ((nk.random_complex_matrix(rng, d1), nk.random_complex_matrix(rng, d2))
+             for _ in range(_loop_length(env, 50)))
     for a_ops, b_ops in nk.stacks(draws, pure.dim**2):
         yield make_excitations(pure, a_ops)[0], make_excitations(pure, b_ops)[0]
 
@@ -669,7 +678,7 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_inv = 0.0
     worst_invol = 0.0
     worst_mult = 0.0
-    for n in _stack_lengths(20, 2 * 2 * d2):
+    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * d2):
         els = env.elements(2 * n)
         p1, p2 = els[0::2], els[1::2]
         prod = sa.times(p1, p2)
@@ -692,7 +701,7 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_min = 0.0
     worst_triple = 0.0
     worst_quad = 0.0
-    for n in _stack_lengths(20, 4 * env.state.dim ** 2):
+    for n in _stack_lengths(_loop_length(env, 20), 4 * env.state.dim ** 2):
         normals = np.split(env.rng.standard_normal((n, sum(2 * d * d for d in dims))),
                            np.cumsum([2 * d * d for d in dims[:-1]]), axis=1)
         a, c, b, dd = (make_excitations(env.state, nk.gaussian_from_normals(x.reshape(n, 2, d, d)))[0]
@@ -849,7 +858,8 @@ def _gram_oracle(probe: np.ndarray, terms) -> complex:
 
 def _suite_duality(env: SuiteEnv):
     worst_link = 0.0
-    for a_ops, b_ops in nk.stacks(_random_level_pairs(env.rng, env.tower, 30), env.state.dim ** 2):
+    pairs = _random_level_pairs(env.rng, env.tower, _loop_length(env, 30))
+    for a_ops, b_ops in nk.stacks(pairs, env.state.dim ** 2):
         a, b = make_excitations(env.state, a_ops)[0], make_excitations(env.state, b_ops)[0]
         vals = sa.dual_state_apply(a, sa.excitation_elements(env.state, b))
         worst_link = max([worst_link] + [abs(v - p) for v, p in zip(vals, transition_probabilities(a, b))])
@@ -931,7 +941,7 @@ def _suite_w_isomorphism(env: SuiteEnv):
     checks = [check_le("w_isomorphism/inner_products", worst_inner, env.tol)]
 
     worst_int = 0.0
-    for n in _stack_lengths(20, 2 * 2 * d2):
+    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * d2):
         els = env.elements(2 * n)
         psi, phi = els[0::2], els[1::2]
         lhs = sa.w_isomorphism(sa.times(psi, phi))

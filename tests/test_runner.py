@@ -828,3 +828,24 @@ def test_extreme_points_builds_each_projection_once(monkeypatch):
     assert len({state_id for state_id, _ in built}) == 1
     assert sorted(level for _, level in built) == [1, 2]
     assert all(count == 1 for count in built.values())
+
+
+def test_a_count_of_one_runs_every_sampling_suite():
+    # every fixed loop these suites run takes its share of the count, at least one sample
+    suites = ("state_algebra", "w_isomorphism", "duality", "spectral", "fuchs", "uhlmann", "lift")
+    report = run(ScenarioConfig(tower_dims=(2, 2), suites=suites, sample_counts=dict.fromkeys(suites, 1)))
+    assert [s["error"] for s in report["suites"]] == [None] * len(suites)
+    assert all(s["checks"] for s in report["suites"])
+
+
+def test_fixed_loops_take_their_share_of_the_count():
+    # at the default count each fixed loop keeps its length; below it the loop shrinks
+    def length(suite_id, count, literal):
+        env = runner.SuiteEnv(ScenarioConfig(), suite_id, None, None, None, count, None)
+        return runner._loop_length(env, literal)
+
+    fixed = [("lift", 10), ("fuchs", 50), ("uhlmann", 50), ("state_algebra", 20), ("w_isomorphism", 20),
+             ("duality", 30)]
+    assert [length(sid, runner.SUITES[sid].count, literal) for sid, literal in fixed] == [10, 50, 50, 20, 20, 30]
+    # the determinism suite's reruns take lift at 20 and fuchs at 40
+    assert [length("lift", 20, 10), length("fuchs", 40, 50), length("state_algebra", 1, 20)] == [2, 10, 1]
