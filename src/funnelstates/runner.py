@@ -44,6 +44,7 @@ from .funnel import (
 )
 from .excitations import (
     STATE_EQ_TOL,
+    ExcitationState,
     _excitation_with_vector,
     find_null_combination,
     functional_norm,
@@ -333,9 +334,12 @@ def _suite_lift(env: SuiteEnv):
         worst_phase = max([worst_phase] + [abs(complex(p) - t) for p, t in zip(lift_phases(a, b), ts)])
     checks = [check_le("lift/phase_recovery", worst_phase, env.tol)]
 
+    # each pair draws two level-1 blocks, all standard normals: one call per stack
     dists = []
-    for a_ops, b_ops in nk.stacks((_pair_ops(env.rng, tower, 1) for _ in range(env.count)), state.dim**2):
-        dists += top_distances(make_excitations(state, a_ops)[0], make_excitations(state, b_ops)[0]).tolist()
+    d1 = tower.dim_at(1)
+    for n in _stack_lengths(env.count, 2 * state.dim ** 2):
+        ops = nk.gaussian_from_normals(env.rng.standard_normal((n, 2, 2, d1, d1)))
+        dists += top_distances(make_excitations(state, ops[:, 0])[0], make_excitations(state, ops[:, 1])[0]).tolist()
     checks.append(check_ge("lift/injectivity_gap", min(dists), 1e-6))
 
     worst_gauge = 0.0
@@ -545,14 +549,16 @@ def _pure_pairs(env: SuiteEnv):
     """Seeded pairs of level-1 and level-2 excitations of the suite's derived pure state, as mat stacks.
 
     50 pairs at the suite's default count, and the same share of any other.
+    A pair draws its two operators' blocks, all standard normals, so one call
+    per stack reads them in order.
     """
     pure = env.derived_state("pure", "pure")
     rng = np.random.default_rng(suite_seed(env.config.seed, f"{env.suite_id}:pure-pairs"))
     d1, d2 = pure.tower.dim_at(1), pure.tower.dim_at(2)
-    draws = ((nk.random_complex_matrix(rng, d1), nk.random_complex_matrix(rng, d2))
-             for _ in range(_loop_length(env, 50)))
-    for a_ops, b_ops in nk.stacks(draws, pure.dim**2):
-        yield make_excitations(pure, a_ops)[0], make_excitations(pure, b_ops)[0]
+    for n in _stack_lengths(_loop_length(env, 50), 2 * pure.dim ** 2):
+        a, b = np.split(rng.standard_normal((n, 2 * d1 * d1 + 2 * d2 * d2)), [2 * d1 * d1], axis=1)
+        yield (make_excitations(pure, nk.gaussian_from_normals(a.reshape(n, 2, d1, d1)))[0],
+               make_excitations(pure, nk.gaussian_from_normals(b.reshape(n, 2, d2, d2)))[0])
 
 
 def _suite_fuchs(env: SuiteEnv):
@@ -728,23 +734,24 @@ def _suite_state_algebra(env: SuiteEnv):
     prod = sa.times(sa.excitation_element(a0), sa.excitation_element(a1))
     checks.append(check_le("state_algebra/orthogonal_product_zero", prod.kernel_norm(), env.tol))
 
+    # each sample draws an element, then level-1 operators A and B, an
+    # excitation's operator and C, all standard normals: one call per stack
     worst_bimod = 0.0
     worst_beval = 0.0
-    for _ in range(10):
-        psi = env.element()
-        d1 = env.tower.dim_at(1)
-        a_op = LocalOperator(level=1, matrix=nk.random_complex_matrix(env.rng, d1))
-        b_op = LocalOperator(level=1, matrix=nk.random_complex_matrix(env.rng, d1))
+    width = 2 * _term_normals(env.state)
+    for n in _stack_lengths(_loop_length(env, 10), 3 * env.state.dim ** 2):
+        normals = env.rng.standard_normal((n, width + 8 * d1 * d1))
+        psi = _elements_from_normals(env.state, normals[:, :width].reshape(n, 2, -1))
+        a, b, e, c = np.moveaxis(nk.gaussian_from_normals(normals[:, width:].reshape(n, 4, 2, d1, d1)), 1, 0)
         # (A x (B x psi))(C) = psi(BAC), so composing acts by the swapped product
-        ba = LocalOperator(level=1, matrix=b_op.matrix @ a_op.matrix)
-        lhs = sa.bimodule_act("left", a_op, sa.bimodule_act("left", b_op, psi))
-        rhs = sa.bimodule_act("left", ba, psi)
-        worst_bimod = max(worst_bimod, sa.kernel_distance(lhs, rhs))
-        exc = random_excitation(env.state, env.rng, level=1)
-        c_op = LocalOperator(level=1, matrix=nk.random_complex_matrix(env.rng, d1))
-        acted = sa.bimodule_act("left", a_op, sa.excitation_element(exc))
-        direct = exc.evaluate(LocalOperator(level=1, matrix=a_op.matrix @ c_op.matrix))
-        worst_beval = max(worst_beval, abs(acted.evaluate(c_op) - direct))
+        lhs = sa.bimodule_act("left", a, sa.bimodule_act("left", b, psi))
+        rhs = sa.bimodule_act("left", b @ a, psi)
+        worst_bimod = max([worst_bimod] + sa.kernel_distance(lhs, rhs))
+        mats, _ = make_excitations(env.state, e)
+        acted = sa.bimodule_act("left", a, sa.excitation_elements(env.state, mats))
+        for k in range(n):
+            direct = ExcitationState(env.state, mats[k]).evaluate(LocalOperator(level=1, matrix=a[k] @ c[k]))
+            worst_beval = max(worst_beval, abs(acted[k].evaluate(LocalOperator(level=1, matrix=c[k])) - direct))
     checks.append(check_le("state_algebra/bimodule_assoc", worst_bimod, env.tol))
     checks.append(check_le("state_algebra/bimodule_eval", worst_beval, 1e-12))
 

@@ -297,19 +297,30 @@ def kernel_distance(a: StateAlgebraElement, b: StateAlgebraElement):
 def bimodule_act(side: str, op, el: StateAlgebraElement) -> StateAlgebraElement:
     """Left action (A x psi)(C) = psi(AC); right action (psi x A)(C) = psi(CA).
 
-    A is a `LocalOperator` or a raw matrix at the level of its size.  On
+    A is a `LocalOperator` or a raw matrix at the level of its size; a stack
+    also takes an (n, d, d) stack of level matrices, one per member.  On
     kernels the left action is right multiplication by A (x) 1 and vice
     versa; the acted factor is re-orthonormalised.
     """
     if side not in ("left", "right"):
         raise ContractError(f"side must be 'left' or 'right', got {side!r}")
-    if not isinstance(op, LocalOperator):
-        op = el.state.tower.operator(op)
+    if isinstance(op, LocalOperator):
+        d, m = el.state.tower.dim_at(op.level), op.matrix
+    else:
+        m = nk._matrix_stack(op)
+        d = m.shape[-1]
+        el.state.tower.level_of(d)
+    if m.shape[-2:] != (d, d):
+        raise ContractError(f"matrix shape {m.shape} does not match level dimension {d}")
     if side == "left":
         # K' = K (A (x) 1): columns of the right factor get hit by (A* (x) 1).
-        adjoint = LocalOperator(op.level, nk.dagger(op.matrix))
-        return _orthonormalised(el.state, el.left, el.core, el.state.act(adjoint, el.right))
-    return _orthonormalised(el.state, el.state.act(op, el.left), el.core, el.right)
+        return _orthonormalised(el.state, el.left, el.core, _act(nk.dagger(m), el.right))
+    return _orthonormalised(el.state, _act(m, el.left), el.core, el.right)
+
+
+def _act(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A (x) 1) x for a factor x, or per member of a stack: x reshaped to (D_n, -1) under A, as `GenericState.act` takes it."""
+    return (m @ x.reshape(x.shape[:-2] + (m.shape[-1], -1))).reshape(x.shape)
 
 
 def dual_state_apply(exc, el: StateAlgebraElement):

@@ -326,6 +326,12 @@ def add_reference(a, b) -> ElementReference:
     return orthonormalised_reference(a.state, left, core, right)
 
 
+def left_action_reference(op, el) -> ElementReference:
+    """`bimodule_act("left", op, el)`: the right factor hit by (A* (x) 1) through `GenericState.act`."""
+    adjoint = LocalOperator(op.level, nk.dagger(op.matrix))
+    return orthonormalised_reference(el.state, el.left, el.core, el.state.act(adjoint, el.right))
+
+
 def kernel_distance_reference(a, b) -> float:
     return add_reference(a, scale_reference(-1.0, b)).kernel_norm()
 
@@ -397,9 +403,10 @@ def element_reference(state, rng, n_terms=2) -> ElementReference:
 
 
 def state_algebra_loops_reference(state, rng, count, probes) -> dict:
-    """`state_algebra`'s associativity, involution, multiplicativity and closed-form loops."""
+    """`state_algebra`'s associativity, involution, multiplicativity, closed-form and bimodule loops."""
     out = dict.fromkeys(("associativity", "involution_compat", "involution_squared", "kernel_multiplicative",
-                         "idempotent", "minimality", "triple_product", "quadruple_product"), 0.0)
+                         "idempotent", "minimality", "triple_product", "quadruple_product",
+                         "bimodule_assoc", "bimodule_eval"), 0.0)
     for _ in range(count):
         p1, p2, p3 = (element_reference(state, rng) for _ in range(3))
         left = times_reference(times_reference(p1, p2), p3)
@@ -434,6 +441,22 @@ def state_algebra_loops_reference(state, rng, count, probes) -> dict:
         value = [complex(np.trace(el.core @ nk.dagger(el.right) @ state.act(eye, el.left))) for el in (triple, quad)]
         out["triple_product"] = max(out["triple_product"], abs(value[0] - ab * bc * ca))
         out["quadruple_product"] = max(out["quadruple_product"], abs(value[1] - ab * bc * cd * da))
+    for _ in range(2):  # the orthogonal pair's two top-level draws
+        rng.standard_normal((2, state.dim, state.dim))
+    d1 = state.tower.dim_at(1)
+    for _ in range(10):
+        psi = element_reference(state, rng)
+        a_op = LocalOperator(1, nk.random_complex_matrix(rng, d1))
+        b_op = LocalOperator(1, nk.random_complex_matrix(rng, d1))
+        lhs = left_action_reference(a_op, left_action_reference(b_op, psi))
+        rhs = left_action_reference(LocalOperator(1, b_op.matrix @ a_op.matrix), psi)
+        out["bimodule_assoc"] = max(out["bimodule_assoc"], kernel_distance_reference(lhs, rhs))
+        exc = random_excitation_reference(state, rng, level=1)
+        c_op = LocalOperator(1, nk.random_complex_matrix(rng, d1))
+        acted = left_action_reference(a_op, excitation_element_reference(exc))
+        direct = exc.evaluate(LocalOperator(1, a_op.matrix @ c_op.matrix))
+        value = complex(np.trace(acted.core @ nk.dagger(acted.right) @ state.act(c_op, acted.left)))
+        out["bimodule_eval"] = max(out["bimodule_eval"], abs(value - direct))
     return out
 
 

@@ -844,8 +844,8 @@ def test_fixed_loops_take_their_share_of_the_count():
         env = runner.SuiteEnv(ScenarioConfig(), suite_id, None, None, None, count, None)
         return runner._loop_length(env, literal)
 
-    fixed = [("lift", 10), ("fuchs", 50), ("uhlmann", 50), ("state_algebra", 20), ("w_isomorphism", 20),
-             ("duality", 30)]
-    assert [length(sid, runner.SUITES[sid].count, literal) for sid, literal in fixed] == [10, 50, 50, 20, 20, 30]
+    fixed = [("lift", 10), ("fuchs", 50), ("uhlmann", 50), ("state_algebra", 20), ("state_algebra", 10),
+             ("w_isomorphism", 20), ("duality", 30)]
+    assert [length(sid, runner.SUITES[sid].count, literal) for sid, literal in fixed] == [10, 50, 50, 20, 10, 20, 30]
     # the determinism suite's reruns take lift at 20 and fuchs at 40
     assert [length("lift", 20, 10), length("fuchs", 40, 50), length("state_algebra", 1, 20)] == [2, 10, 1]

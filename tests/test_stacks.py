@@ -46,6 +46,8 @@ from conftest import (
     gns_inner_reference,
     herm_eig_reference,
     kernel_distance_reference,
+    left_action_reference,
+    orthonormalised_reference,
     random_excitation_reference,
     scale_reference,
     spectral_decompose_reference,
@@ -420,6 +422,18 @@ def test_stacked_state_algebra_forms_equal_the_reference(tower_state, n):
     for pairs, ref in zip(sa.spectral_decompose(sym), ref_sym):
         _same_terms(pairs, spectral_decompose_reference(ref))
     _same_terms(sa.spectral_decompose(sa.scale(0.5, s1[0] + sa.dagger(s1[0]))), spectral_decompose_reference(ref_sym[0]))
+
+    # module actions: one level matrix per member
+    ops = np.array([nk.random_complex_matrix(rng, 2) for _ in range(n)])
+    left_acted, right_acted = sa.bimodule_act("left", ops, p1), sa.bimodule_act("right", ops, p1)
+    for k, ref in enumerate(r1):
+        op = LocalOperator(1, ops[k])
+        expected = left_action_reference(op, ref), orthonormalised_reference(
+            state, state.act(op, ref.left), ref.core, ref.right)
+        for el, exp in zip((left_acted[k], right_acted[k]), expected):
+            _same_element(el, exp)
+        for el, exp in zip((sa.bimodule_act("left", op, s1[k]), sa.bimodule_act("right", ops[k], s1[k])), expected):
+            _same_element(el, exp)
 
     # excitation elements
     excs = [random_excitation_reference(state, rng, 2) for _ in range(n)]
