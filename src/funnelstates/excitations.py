@@ -153,8 +153,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
 
     The leading axes broadcast, and the pairs are listed in C order of the
     broadcast shape: a (T1, 1, D, D) stack against a (1, T2, D, D) one pairs
-    every member of the first with every member of the second, and a vector
-    is read as a (1, N) matrix.
+    every member of the first with every member of the second.  Vectors are
+    passed as (1, N) matrices.
     """
     if a.size == a.shape[-2] * a.shape[-1] and b.size == b.shape[-2] * b.shape[-1]:
         # one pair: np.vdot itself, under half the stacked product's call cost

@@ -91,7 +91,7 @@ def herm_eig(m) -> tuple:
     remains implementation-defined.
     """
     m = _matrix_stack(m)
-    flat = m.reshape((-1,) + m.shape[-2:])
+    flat = np.ascontiguousarray(m.reshape((-1,) + m.shape[-2:]))  # `frobs` reads whole members
     if np.any(frobs(flat - dagger(flat)) > CONTRACT_TOL * np.maximum(frobs(flat), 1.0)):
         raise ContractError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)

@@ -666,9 +666,9 @@ def _suite_completeness(env: SuiteEnv):
 
 
 def _suite_state_algebra(env: SuiteEnv):
-    d2 = env.state.dim ** 2
+    mat_entries = env.state.dim ** 2  # of one excitation mat
     worst_assoc = 0.0
-    for n in _stack_lengths(env.count, 3 * 2 * d2):
+    for n in _stack_lengths(env.count, 3 * 2 * mat_entries):
         els = env.elements(3 * n)
         p1, p2, p3 = els[0::3], els[1::3], els[2::3]
         left = sa.times(sa.times(p1, p2), p3)
@@ -684,7 +684,7 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_inv = 0.0
     worst_invol = 0.0
     worst_mult = 0.0
-    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * d2):
+    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * mat_entries):
         els = env.elements(2 * n)
         p1, p2 = els[0::2], els[1::2]
         prod = sa.times(p1, p2)
@@ -707,7 +707,7 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_min = 0.0
     worst_triple = 0.0
     worst_quad = 0.0
-    for n in _stack_lengths(_loop_length(env, 20), 4 * env.state.dim ** 2):
+    for n in _stack_lengths(_loop_length(env, 20), 4 * mat_entries):
         normals = np.split(env.rng.standard_normal((n, sum(2 * d * d for d in dims))),
                            np.cumsum([2 * d * d for d in dims[:-1]]), axis=1)
         a, c, b, dd = (make_excitations(env.state, nk.gaussian_from_normals(x.reshape(n, 2, d, d)))[0]
@@ -739,7 +739,7 @@ def _suite_state_algebra(env: SuiteEnv):
     worst_bimod = 0.0
     worst_beval = 0.0
     width = 2 * _term_normals(env.state)
-    for n in _stack_lengths(_loop_length(env, 10), 3 * env.state.dim ** 2):
+    for n in _stack_lengths(_loop_length(env, 10), 3 * mat_entries):
         normals = env.rng.standard_normal((n, width + 8 * d1 * d1))
         psi = _elements_from_normals(env.state, normals[:, :width].reshape(n, 2, -1))
         a, b, e, c = np.moveaxis(nk.gaussian_from_normals(normals[:, width:].reshape(n, 4, 2, d1, d1)), 1, 0)
@@ -935,9 +935,9 @@ def _gns_chain(state, terms_a, terms_b):
 
 
 def _suite_w_isomorphism(env: SuiteEnv):
-    d2 = env.state.dim ** 2
+    mat_entries = env.state.dim ** 2  # of one excitation mat
     worst_inner = 0.0
-    for n in _stack_lengths(env.count, 2 * 2 * d2):
+    for n in _stack_lengths(env.count, 2 * 2 * mat_entries):
         els = env.elements(2 * n)
         p1, p2 = els[0::2], els[1::2]
         w1, w2 = sa.w_isomorphism(p1), sa.w_isomorphism(p2)
@@ -948,7 +948,7 @@ def _suite_w_isomorphism(env: SuiteEnv):
     checks = [check_le("w_isomorphism/inner_products", worst_inner, env.tol)]
 
     worst_int = 0.0
-    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * d2):
+    for n in _stack_lengths(_loop_length(env, 20), 2 * 2 * mat_entries):
         els = env.elements(2 * n)
         psi, phi = els[0::2], els[1::2]
         lhs = sa.w_isomorphism(sa.times(psi, phi))
