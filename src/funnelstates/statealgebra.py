@@ -81,6 +81,7 @@ class StateAlgebraElement:
 
     def evaluate(self, c) -> complex:
         """psi(C) = tr(Psi (C (x) 1)) of a single element."""
+        require_single_element(self)
         acted = self.state.act(c, self.left)
         return complex(np.trace(self.core @ nk.dagger(self.right) @ acted))
 
@@ -88,6 +89,12 @@ class StateAlgebraElement:
 
     def __add__(self, other):
         return add(self, other)
+
+
+def require_single_element(el: StateAlgebraElement) -> None:
+    """A ContractError for a stack, where a read takes one element."""
+    if el.core.ndim != 2:
+        raise ContractError("this read takes a single element: index the members of a stack")
 
 
 def _as_stack(el: StateAlgebraElement) -> StateAlgebraElement:
@@ -389,6 +396,7 @@ def faithfulness_probe(el: StateAlgebraElement) -> complex:
     vector vanishes is one of those roots and is skipped.  For a kernel
     orthogonal to omega, t = 1 gives exactly sigma / 4.
     """
+    require_single_element(el)
     if el.kernel_norm() <= 1e-8:
         raise ContractError("faithfulness probe requires a nonzero element")
     uu, _, vh = np.linalg.svd(el.core)

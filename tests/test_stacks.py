@@ -474,6 +474,19 @@ def test_members_of_a_stack_agree_in_rank(state, rng):
         _stack_of(state, [[a, b], [a, a]])
 
 
+def test_single_element_reads_reject_a_stack(state, rng):
+    # evaluate and the faithfulness probe read one element; a stack's members are read one by one
+    terms = _seeded_terms(state, rng, 3, 2)
+    stack = _stack_of(state, terms)
+    c = LocalOperator(3, nk.random_complex_matrix(rng, 16))
+    for read in (lambda: stack.evaluate(c), lambda: sa.faithfulness_probe(stack)):
+        with pytest.raises(ContractError, match="single element"):
+            read()
+    single = sa.element_from_terms(state, terms[1])
+    assert stack[1].evaluate(c) == single.evaluate(c)
+    assert sa.faithfulness_probe(stack[1]) == sa.faithfulness_probe(single)
+
+
 def test_one_normal_call_per_stack_reads_the_element_draws(tower_state):
     # an element's draws are all standard normals: two scalars per coefficient,
     # then the (2, D, D) block of its operator
